@@ -24,11 +24,6 @@ from .discriminant import SymmetricTuple, barvinok_bounds, mixed_discriminant
 from .errors import DimensionMismatch, MixvolError, OutOfRange
 from .fields import (
     FieldSpec,
-    Region,
-    _roots_2d,
-    _zeros_1d,
-    count_zeros_1d,
-    count_zeros_2d,
     expected_zero_measure,
     level_length_2d,
     load_field,
@@ -38,8 +33,10 @@ from .fields import (
     zero_count_experiment_1d,
     zero_count_experiment_2d,
     zero_intensity,
+    zeros_1d,
+    zeros_2d,
 )
-from .geometry import load_ellipsoids
+from .geometry import float_array, load_ellipsoids, load_json
 from .planar import SupportBody2D, area_from_support, minkowski_poly_check, mixed_area_oracle
 from .sampling import MCEstimate, RngStream
 from .volumes import (
@@ -50,6 +47,10 @@ from .volumes import (
     mixed_volume_with_balls,
     sudakov_width,
 )
+
+# perfbench/probes.py traces these four names on this module, so they stay
+# bound here until its layer list follows the CLI to zeros_1d and zeros_2d
+from .fields import _roots_2d, _zeros_1d, count_zeros_1d, count_zeros_2d  # noqa: E402, F401
 
 # decorrelates the analytic Monte Carlo run of `compare` from the
 # realization streams that share the user-visible seed
@@ -96,11 +97,7 @@ def _load_single_ellipsoid(path: str):
 
 
 def _load_matrices(path: str) -> list:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise OutOfRange(f"invalid JSON in {path}: {exc}") from exc
+    obj = load_json(path)
     if isinstance(obj, dict):
         if set(obj) != {"matrices"}:
             raise OutOfRange(f"{path}: matrix file must be an array or {{'matrices': [...]}}")
@@ -111,18 +108,14 @@ def _load_matrices(path: str) -> list:
 
 
 def _load_points(path: str) -> PointCloud:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise OutOfRange(f"invalid JSON in {path}: {exc}") from exc
+    obj = load_json(path)
     if isinstance(obj, dict):
         if set(obj) != {"points"}:
             raise OutOfRange(f"{path}: point file must be an array or {{'points': [...]}}")
         obj = obj["points"]
     if not isinstance(obj, list) or not obj:
         raise OutOfRange(f"{path}: expected a nonempty array of points")
-    return PointCloud(np.asarray(obj, dtype=float))
+    return PointCloud(float_array(obj, f"{path}: points"))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +166,9 @@ def _cmd_meanwidth(args):
 
 def _cmd_discriminant(args):
     mats = _load_matrices(args.matrices)
-    value = mixed_discriminant(SymmetricTuple(tuple(np.asarray(m, dtype=float) for m in mats)))
+    value = mixed_discriminant(
+        SymmetricTuple(tuple(float_array(m, f"{args.matrices}: matrix") for m in mats))
+    )
     return {"value": value, "dim": len(mats)}, [args.matrices]
 
 
@@ -286,12 +281,11 @@ def _cmd_fz_simulate(args):
     kind = _empirical_kind(field)
     realization = simulate_realization(field, RngStream(args.seed, 0))
     payload: dict = {"kind": kind, "seed": args.seed, "grid_n": args.grid}
-    if kind == "count-1d":
-        payload["count"] = count_zeros_1d(realization, region, args.grid)
-        payload["zeros"] = _zeros_1d(realization, region, args.grid, 1e-9).tolist()
-    elif kind == "count-2d":
-        payload["count"] = count_zeros_2d(realization, region, args.grid)
-        payload["zeros"] = _roots_2d(realization, region, args.grid, 1e-9).tolist()
+    if kind in ("count-1d", "count-2d"):
+        solve = zeros_1d if kind == "count-1d" else zeros_2d
+        zeros = solve(realization, region, args.grid)
+        payload["count"] = zeros.shape[0]
+        payload["zeros"] = zeros.tolist()
     else:
         payload["length"] = level_length_2d(realization, region, args.grid)
     return payload, [args.field, args.region]

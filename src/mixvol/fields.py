@@ -27,7 +27,7 @@ squares) validate the formula realization by realization.
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -43,7 +43,16 @@ from .errors import (
     NotSymmetric,
     OutOfRange,
 )
-from .geometry import MAX_DIM, Ellipsoid, SPDMatrix, _freeze, falling_factorial, unit_ball_volume
+from .geometry import (
+    MAX_DIM,
+    Ellipsoid,
+    SPDMatrix,
+    _freeze,
+    falling_factorial,
+    float_array,
+    load_json,
+    unit_ball_volume,
+)
 from .sampling import MCEstimate, RngStream, normal_quantile
 from .volumes import mixed_volume_with_balls
 
@@ -70,10 +79,10 @@ class TrigAtom:
     omega: np.ndarray
 
     def __post_init__(self):
-        w = float(self.w)
+        w = float(float_array(self.w, "atom weight"))
         if not (w > 0.0) or not math.isfinite(w):
             raise OutOfRange(f"atom weight must be positive and finite, got {self.w}")
-        omega = np.atleast_1d(np.asarray(self.omega, dtype=float))
+        omega = np.atleast_1d(float_array(self.omega, "frequency"))
         if omega.ndim != 1:
             raise DimensionMismatch(f"frequency must be a vector, got shape {omega.shape}")
         if not np.all(np.isfinite(omega)):
@@ -90,7 +99,7 @@ class PolyAtom:
     degree: int
 
     def __post_init__(self):
-        w = float(self.w)
+        w = float(float_array(self.w, "atom weight"))
         if not (w > 0.0) or not math.isfinite(w):
             raise OutOfRange(f"atom weight must be positive and finite, got {self.w}")
         deg = self.degree
@@ -223,8 +232,8 @@ class Region:
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        lo = np.atleast_1d(float_array(self.lower, "region bound"))
+        hi = np.atleast_1d(float_array(self.upper, "region bound"))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise DimensionMismatch(f"bounds disagree: {lo.shape} vs {hi.shape}")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
@@ -550,11 +559,15 @@ def _axis_nodes(region: Region, grid_n: int) -> np.ndarray:
     return np.linspace(float(region.lower[0]), float(region.upper[0]), grid_n + 1)
 
 
-def _sign_change_count(values: np.ndarray) -> int:
-    """Crossings on a 1-D value array, half-open in the last node."""
-    crossings = int(np.count_nonzero(values[:-1] * values[1:] < 0.0))
+def _sign_change_count(values: np.ndarray):
+    """Crossings along axis 0, half-open in the last node.
+
+    A 1-D array gives one count; an (m, R) array of R realizations sampled
+    at m nodes gives R counts.
+    """
+    crossings = np.count_nonzero(values[:-1] * values[1:] < 0.0, axis=0)
     # exact zeros at nodes count once; the final node belongs to the next tile
-    return crossings + int(np.count_nonzero(values[:-1] == 0.0))
+    return crossings + np.count_nonzero(values[:-1] == 0.0, axis=0)
 
 
 def _bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
@@ -585,6 +598,37 @@ def _zeros_1d(r: Realization, region: Region, grid_n: int, tol: float) -> np.nda
     return roots[(roots >= region.lower[0]) & (roots < region.upper[0])]
 
 
+def zeros_1d(
+    r: Realization,
+    region: Region,
+    grid_n: int = 512,
+    tol: float = 1e-9,
+    *,
+    self_check: bool = True,
+) -> np.ndarray:
+    """Sorted zeros of the single component on [lower, upper).
+
+    Sign changes on the grid, each certified by bisection down to |X| < tol.
+    With self_check on, the number of sign changes is recomputed at double
+    resolution and a mismatch raises GridTooCoarse.
+    """
+    if r.field.dim != 1 or r.field.n_components != 1:
+        raise DimensionMismatch("zeros_1d needs a scalar field on R^1")
+    if region.dim != 1:
+        raise DimensionMismatch(f"region dimension {region.dim} != 1")
+    if grid_n < 256:
+        raise OutOfRange(f"grid_n must be at least 256, got {grid_n}")
+    roots = _zeros_1d(r, region, grid_n, tol)
+    if self_check:
+        count = roots.shape[0]
+        refined = _sign_change_count(r.component_values(0, _axis_nodes(region, 2 * grid_n)))
+        if refined != count:
+            raise GridTooCoarse(
+                f"count changed from {count} to {refined} when doubling grid_n={grid_n}"
+            )
+    return roots
+
+
 def count_zeros_1d(
     r: Realization,
     region: Region,
@@ -593,37 +637,24 @@ def count_zeros_1d(
     *,
     self_check: bool = True,
 ) -> int:
-    """Number of zeros of the single component on [lower, upper).
-
-    Sign changes on the grid, each certified by bisection down to |X| < tol.
-    With self_check on, the count is recomputed at double resolution and a
-    mismatch raises GridTooCoarse.
-    """
-    if r.field.dim != 1 or r.field.n_components != 1:
-        raise DimensionMismatch("count_zeros_1d needs a scalar field on R^1")
-    if region.dim != 1:
-        raise DimensionMismatch(f"region dimension {region.dim} != 1")
-    if grid_n < 256:
-        raise OutOfRange(f"grid_n must be at least 256, got {grid_n}")
-    count = _zeros_1d(r, region, grid_n, tol).shape[0]
-    if self_check:
-        refined = _sign_change_count(r.component_values(0, _axis_nodes(region, 2 * grid_n)))
-        if refined != count:
-            raise GridTooCoarse(
-                f"count changed from {count} to {refined} when doubling grid_n={grid_n}"
-            )
-    return count
+    """Number of zeros of the single component on [lower, upper): len(zeros_1d)."""
+    return zeros_1d(r, region, grid_n, tol, self_check=self_check).shape[0]
 
 
 # ---------------------------------------------------------------------------
 # counting: d = 2
 
 
-def _grid_points(region: Region, grid_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _grid_axes(region: Region, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
     xs = np.linspace(float(region.lower[0]), float(region.upper[0]), grid_n + 1)
     ys = np.linspace(float(region.lower[1]), float(region.upper[1]), grid_n + 1)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return xs, ys, np.column_stack([gx.ravel(), gy.ravel()])
+    return xs, ys
+
+
+def _grid_points(region: Region, grid_n: int) -> np.ndarray:
+    """The (grid_n + 1)^2 nodes, row-major in (x, y)."""
+    gx, gy = np.meshgrid(*_grid_axes(region, grid_n), indexing="ij")
+    return np.column_stack([gx.ravel(), gy.ravel()])
 
 
 def _cell_has_change(values: np.ndarray) -> np.ndarray:
@@ -635,11 +666,29 @@ def _cell_has_change(values: np.ndarray) -> np.ndarray:
 
 
 def _dedup(points: np.ndarray, radius: float) -> np.ndarray:
-    kept: list[np.ndarray] = []
-    for p in points:
-        if all(np.max(np.abs(p - q)) > radius for q in kept):
-            kept.append(p)
-    return np.array(kept) if kept else np.empty((0, points.shape[1]))
+    """Greedy, order-preserving merge of the rows of points.
+
+    A point survives unless an earlier survivor lies within Chebyshev
+    distance radius; survivors keep their input order.  Survivors are
+    bucketed by floor(p / (2 radius)), so any survivor that close to p sits
+    in one of the 3^d buckets around p's own, and the cost is linear in the
+    number of points.
+    """
+    side = 2.0 * radius
+    neighbours = list(itertools.product((-1, 0, 1), repeat=points.shape[1]))
+    buckets: dict[tuple[int, ...], list[list[float]]] = {}
+    kept = []
+    for i, p in enumerate(points.tolist()):
+        key = tuple(math.floor(v / side) for v in p)
+        near = (
+            q
+            for off in neighbours
+            for q in buckets.get(tuple(k + o for k, o in zip(key, off)), ())
+        )
+        if all(max(abs(a - b) for a, b in zip(p, q)) > radius for q in near):
+            buckets.setdefault(key, []).append(p)
+            kept.append(i)
+    return points[kept]
 
 
 def _newton_roots_2d(
@@ -695,14 +744,50 @@ def _roots_2d(
     tol: float,
     values: np.ndarray | None = None,
 ) -> np.ndarray:
-    xs, ys, pts = _grid_points(region, grid_n)
+    xs, ys = _grid_axes(region, grid_n)
     if values is None:
-        values = r.values(pts).reshape(grid_n + 1, grid_n + 1, 2)
+        values = r.values(_grid_points(region, grid_n)).reshape(grid_n + 1, grid_n + 1, 2)
     candidates = _cell_has_change(values[:, :, 0]) & _cell_has_change(values[:, :, 1])
     ci, cj = np.nonzero(candidates)
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
     seeds = np.column_stack([xs[ci] + 0.5 * hx, ys[cj] + 0.5 * hy])
     return _newton_roots_2d(r, seeds, region, tol)
+
+
+def zeros_2d(
+    r: Realization,
+    region: Region,
+    grid_n: int = 512,
+    tol: float = 1e-9,
+    *,
+    self_check: bool = True,
+) -> np.ndarray:
+    """Common zeros of (X1, X2) in the half-open box, as an (n, 2) array.
+
+    Cells where both components change sign seed a Newton iteration, in
+    row-major cell order; roots are accepted at ||X|| < tol with final step
+    below 1e-10.  Divergent seeds are discarded.  Converged roots are then
+    merged greedily in seed order: a root is kept unless an earlier kept
+    root lies within Chebyshev distance 1e-6, so each cluster is
+    represented by its first member.  Kept roots outside the half-open box
+    are dropped.  With self_check on, a doubled grid must reproduce the
+    count or GridTooCoarse is raised.
+    """
+    if r.field.dim != 2 or r.field.n_components != 2:
+        raise DimensionMismatch("zeros_2d needs two components on R^2")
+    if region.dim != 2:
+        raise DimensionMismatch(f"region dimension {region.dim} != 2")
+    if grid_n < 128:
+        raise OutOfRange(f"grid_n must be at least 128, got {grid_n}")
+    roots = _roots_2d(r, region, grid_n, tol)
+    if self_check:
+        count = roots.shape[0]
+        refined = _roots_2d(r, region, 2 * grid_n, tol).shape[0]
+        if refined != count:
+            raise GridTooCoarse(
+                f"count changed from {count} to {refined} when doubling grid_n={grid_n}"
+            )
+    return roots
 
 
 def count_zeros_2d(
@@ -713,28 +798,12 @@ def count_zeros_2d(
     *,
     self_check: bool = True,
 ) -> int:
-    """Number of common zeros of (X1, X2) in the half-open box.
+    """Number of common zeros of (X1, X2) in the half-open box: len(zeros_2d).
 
-    Cells where both components change sign seed a Newton iteration; roots
-    are accepted at ||X|| < tol with final step below 1e-10, deduplicated
-    within radius 1e-6, and filtered by half-open membership.  Divergent
-    seeds are discarded.  With self_check on, a doubled grid must reproduce
-    the count or GridTooCoarse is raised.
+    Converged Newton roots are merged greedily in seed order, a root being
+    kept unless an earlier kept root lies within Chebyshev distance 1e-6.
     """
-    if r.field.dim != 2 or r.field.n_components != 2:
-        raise DimensionMismatch("count_zeros_2d needs two components on R^2")
-    if region.dim != 2:
-        raise DimensionMismatch(f"region dimension {region.dim} != 2")
-    if grid_n < 128:
-        raise OutOfRange(f"grid_n must be at least 128, got {grid_n}")
-    count = _roots_2d(r, region, grid_n, tol).shape[0]
-    if self_check:
-        refined = _roots_2d(r, region, 2 * grid_n, tol).shape[0]
-        if refined != count:
-            raise GridTooCoarse(
-                f"count changed from {count} to {refined} when doubling grid_n={grid_n}"
-            )
-    return count
+    return zeros_2d(r, region, grid_n, tol, self_check=self_check).shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -752,22 +821,20 @@ _MS_EDGES = {
 def _segment_lengths(
     values: np.ndarray, xs: np.ndarray, ys: np.ndarray, center_value: Callable[[np.ndarray], np.ndarray]
 ) -> float:
-    """Total marching-squares length of {X = 0} over the grid."""
-    a = values[:-1, :-1]
-    b = values[1:, :-1]
-    c = values[1:, 1:]
-    d = values[:-1, 1:]
-    sa, sb, sc, sd = (v > 0.0 for v in (a, b, c, d))
-    config = (
-        sa.astype(np.int8)
-        + 2 * sb.astype(np.int8)
-        + 4 * sc.astype(np.int8)
-        + 8 * sd.astype(np.int8)
-    )
+    """Total marching-squares length of {X = 0} over the grid.
+
+    Only cells whose corners are not all of one sign carry a segment, so
+    edge crossings are interpolated at those cells alone.  Per case, the
+    segment lengths are summed in row-major cell order.
+    """
+    s = (values > 0.0).astype(np.int8)
+    config = s[:-1, :-1] + 2 * s[1:, :-1] + 4 * s[1:, 1:] + 8 * s[:-1, 1:]
+    ci, cj = np.nonzero((config != 0) & (config != 15))
+    cfg = config[ci, cj]
+    a, b = values[ci, cj], values[ci + 1, cj]
+    c, d = values[ci + 1, cj + 1], values[ci, cj + 1]
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-    zero = np.zeros_like(a)
-    x0 = xs[:-1][:, None] + zero
-    y0 = ys[:-1][None, :] + zero
+    x0, y0 = xs[ci], ys[cj]
 
     def guard(num, den):
         return num / np.where(den == 0.0, 1.0, den)
@@ -777,18 +844,17 @@ def _segment_lengths(
     ey = np.stack([y0, y0 + hy * guard(b, b - c), y0 + hy, y0 + hy * guard(a, a - d)])
     total = 0.0
     for case, (e1, e2) in _MS_EDGES.items():
-        mask = config == case
+        mask = cfg == case
         if not np.any(mask):
             continue
         dx = ex[e1][mask] - ex[e2][mask]
         dy = ey[e1][mask] - ey[e2][mask]
         total += float(np.sum(np.hypot(dx, dy)))
     for case in (5, 10):
-        mask = config == case
-        if not np.any(mask):
+        cells = np.flatnonzero(cfg == case)
+        if cells.size == 0:
             continue
-        ci, cj = np.nonzero(mask)
-        centers = np.column_stack([xs[ci] + 0.5 * hx, ys[cj] + 0.5 * hy])
+        centers = np.column_stack([x0[cells] + 0.5 * hx, y0[cells] + 0.5 * hy])
         pos = center_value(centers) > 0.0
         # center sign picks the diagonal pairing that separates the odd corners
         if case == 5:
@@ -796,8 +862,8 @@ def _segment_lengths(
         else:
             pairs = ((0, np.where(pos, 3, 1)), (np.where(pos, 1, 2), np.where(pos, 2, 3)))
         for e1, e2 in pairs:
-            dx = ex[e1, ci, cj] - ex[e2, ci, cj]
-            dy = ey[e1, ci, cj] - ey[e2, ci, cj]
+            dx = ex[e1, cells] - ex[e2, cells]
+            dy = ey[e1, cells] - ey[e2, cells]
             total += float(np.sum(np.hypot(dx, dy)))
     return total
 
@@ -805,9 +871,9 @@ def _segment_lengths(
 def _length_2d(
     r: Realization, region: Region, grid_n: int, values: np.ndarray | None = None
 ) -> float:
-    xs, ys, pts = _grid_points(region, grid_n)
+    xs, ys = _grid_axes(region, grid_n)
     if values is None:
-        values = r.component_values(0, pts).reshape(grid_n + 1, grid_n + 1)
+        values = r.component_values(0, _grid_points(region, grid_n)).reshape(grid_n + 1, grid_n + 1)
     center = lambda p: r.component_values(0, p)
     return _segment_lengths(values, xs, ys, center)
 
@@ -925,8 +991,8 @@ def zero_count_experiment_1d(
             vals = _batched_trig_values(spec, basis_cos, basis_sin, blocks, 0)
         else:
             vals = powers @ np.stack([b[0] for b in blocks], axis=1)
-        fine = np.array([_sign_change_count(vals[:, i]) for i in range(size)])
-        coarse = np.array([_sign_change_count(vals[::2, i]) for i in range(size)])
+        fine = _sign_change_count(vals)
+        coarse = _sign_change_count(vals[::2])
         return fine, int(np.count_nonzero(fine != coarse))
 
     counts, moved = _run_chunks(chunk_counts, n_realizations, threads)
@@ -978,7 +1044,7 @@ def zero_count_experiment_2d(
         raise OutOfRange(f"grid_n must be at least 128, got {grid_n}")
     if any(c.kind != TRIG for c in field.components):
         raise DimensionMismatch("2-D fields are trigonometric by construction")
-    _, _, pts = _grid_points(region, grid_n)
+    pts = _grid_points(region, grid_n)
     bases = []
     for spec in field.components:
         phase = pts @ spec.frequencies.T
@@ -1029,7 +1095,7 @@ def nodal_length_experiment(
     spec = field.components[0]
     if spec.kind != TRIG:
         raise DimensionMismatch("2-D fields are trigonometric by construction")
-    _, _, pts = _grid_points(region, grid_n)
+    pts = _grid_points(region, grid_n)
     phase = pts @ spec.frequencies.T
     cos_basis, sin_basis = np.cos(phase), np.sin(phase)
     level_length_2d(
@@ -1104,12 +1170,7 @@ def field_from_json(obj) -> FieldSpec:
 
 
 def load_field(path) -> FieldSpec:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise OutOfRange(f"invalid JSON in {path}: {exc}") from exc
-    return field_from_json(obj)
+    return field_from_json(load_json(path))
 
 
 def region_to_json(region: Region) -> dict:
@@ -1123,9 +1184,4 @@ def region_from_json(obj) -> Region:
 
 
 def load_region(path) -> Region:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise OutOfRange(f"invalid JSON in {path}: {exc}") from exc
-    return region_from_json(obj)
+    return region_from_json(load_json(path))

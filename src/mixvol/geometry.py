@@ -183,6 +183,24 @@ def support_function(e: Ellipsoid, u) -> float:
 # Ellipsoid files hold either one object {"dim": d, "sigma": [[...], ...]}
 # (row-major entries) or an array of such objects.
 
+
+def load_json(path):
+    """Parse one JSON input file; text that is not JSON raises OutOfRange."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise OutOfRange(f"invalid JSON in {path}: {exc}") from exc
+
+
+def float_array(obj, what: str) -> np.ndarray:
+    """obj as a float array; ragged or non-numeric entries raise OutOfRange."""
+    try:
+        return np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise OutOfRange(f"{what} must be a rectangular array of numbers: {exc}") from exc
+
+
 def ellipsoid_to_json(e: Ellipsoid) -> dict:
     return {"dim": e.dim, "sigma": e.sigma.entries.tolist()}
 
@@ -192,7 +210,7 @@ def ellipsoid_from_json(obj) -> Ellipsoid:
         raise DimensionMismatch(
             'ellipsoid JSON must be an object with "dim" and "sigma" fields'
         )
-    sigma = np.asarray(obj["sigma"], dtype=float)
+    sigma = float_array(obj["sigma"], '"sigma"')
     if sigma.ndim != 2 or sigma.shape != (obj["dim"], obj["dim"]):
         raise DimensionMismatch(
             f'"sigma" shape {sigma.shape} does not match "dim" {obj["dim"]}'
@@ -204,8 +222,7 @@ def ellipsoid_from_json(obj) -> Ellipsoid:
 
 def load_ellipsoids(path) -> list[Ellipsoid]:
     """Read one ellipsoid object or an array of them from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = load_json(path)
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list) or not data:

@@ -80,3 +80,76 @@ def quadratic_root_count_oracle(n, seed, lo=-5.0, hi=5.0):
         (r2 >= lo) & (r2 < hi)
     ).astype(float)
     return float(counts.mean()), float(counts.std(ddof=1) / np.sqrt(n))
+
+
+# -- Reference counting kernels ---------------------------------------------
+#
+# The quadratic deduplication and the all-cells marching squares that the
+# library's linear-cost kernels replaced.  Tests require the library kernels
+# to reproduce these bit for bit.
+
+
+def reference_dedup(points, radius):
+    """Greedy merge checking every earlier survivor: O(n^2)."""
+    kept = []
+    for p in points:
+        if all(np.max(np.abs(p - q)) > radius for q in kept):
+            kept.append(p)
+    return np.array(kept) if kept else np.empty((0, points.shape[1]))
+
+
+# case -> crossing edges (0 bottom, 1 right, 2 top, 3 left) of the corner-sign
+# pattern a + 2b + 4c + 8d, a=(i,j), b=(i+1,j), c=(i+1,j+1), d=(i,j+1)
+_MS_EDGES = {
+    1: (0, 3), 2: (0, 1), 3: (3, 1), 4: (1, 2), 6: (0, 2), 7: (2, 3),
+    8: (2, 3), 9: (0, 2), 11: (1, 2), 12: (3, 1), 13: (0, 1), 14: (0, 3),
+}
+
+
+def reference_segment_lengths(values, xs, ys, center_value):
+    """Marching squares interpolating all four edges of every cell."""
+    a = values[:-1, :-1]
+    b = values[1:, :-1]
+    c = values[1:, 1:]
+    d = values[:-1, 1:]
+    sa, sb, sc, sd = (v > 0.0 for v in (a, b, c, d))
+    config = (
+        sa.astype(np.int8)
+        + 2 * sb.astype(np.int8)
+        + 4 * sc.astype(np.int8)
+        + 8 * sd.astype(np.int8)
+    )
+    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
+    zero = np.zeros_like(a)
+    x0 = xs[:-1][:, None] + zero
+    y0 = ys[:-1][None, :] + zero
+
+    def guard(num, den):
+        return num / np.where(den == 0.0, 1.0, den)
+
+    ex = np.stack([x0 + hx * guard(a, a - b), x0 + hx, x0 + hx * guard(d, d - c), x0])
+    ey = np.stack([y0, y0 + hy * guard(b, b - c), y0 + hy, y0 + hy * guard(a, a - d)])
+    total = 0.0
+    for case, (e1, e2) in _MS_EDGES.items():
+        mask = config == case
+        if not np.any(mask):
+            continue
+        dx = ex[e1][mask] - ex[e2][mask]
+        dy = ey[e1][mask] - ey[e2][mask]
+        total += float(np.sum(np.hypot(dx, dy)))
+    for case in (5, 10):
+        mask = config == case
+        if not np.any(mask):
+            continue
+        ci, cj = np.nonzero(mask)
+        centers = np.column_stack([xs[ci] + 0.5 * hx, ys[cj] + 0.5 * hy])
+        pos = center_value(centers) > 0.0
+        if case == 5:
+            pairs = ((0, np.where(pos, 1, 3)), (np.where(pos, 2, 1), np.where(pos, 3, 2)))
+        else:
+            pairs = ((0, np.where(pos, 3, 1)), (np.where(pos, 1, 2), np.where(pos, 2, 3)))
+        for e1, e2 in pairs:
+            dx = ex[e1, ci, cj] - ex[e2, ci, cj]
+            dy = ey[e1, ci, cj] - ey[e2, ci, cj]
+            total += float(np.sum(np.hypot(dx, dy)))
+    return total

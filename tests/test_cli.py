@@ -7,12 +7,14 @@ Core claims:
 - Reports are byte-identical across repeated runs and across --threads
   settings once the wall_time_ms field is masked.
 - All validation failures exit 2 with the error name on stderr and nothing
-  on stdout; argparse usage errors also exit 2.
+  on stdout, malformed input files included; argparse usage errors also
+  exit 2.
 - Deterministic subcommands reproduce known closed forms exactly: the mixed
   discriminant of diag(1,2), diag(3,4) is 5, the planar oracle returns the
   half-perimeter of the (2,1)-ellipse, and the stationary-field intensity
   takes the exact single-sample path.
 - The fieldzeros alias entry point routes into the fieldzeros subtree.
+- `fieldzeros simulate` solves its realization once per grid.
 """
 
 import hashlib
@@ -29,8 +31,10 @@ from mixvol import (
     FieldSpec,
     Region,
     RngStream,
+    cli,
     count_zeros_1d,
     expected_zero_measure,
+    fields,
     simulate_realization,
 )
 from mixvol.fields import field_from_json
@@ -47,6 +51,20 @@ RICE = {
     "components": [
         {"kind": "trig", "atoms": [{"w": 1.0, "omega": [1.0]}, {"w": 1.0, "omega": [3.0]}]}
     ],
+}
+# two independent components, each with 8 unit frequencies on a circle
+WAVE_PAIR = {
+    "dim": 2,
+    "components": [
+        {
+            "kind": "trig",
+            "atoms": [
+                {"w": 0.125, "omega": [math.cos(m * math.pi / 4), math.sin(m * math.pi / 4)]}
+                for m in range(8)
+            ],
+        }
+    ]
+    * 2,
 }
 KAC = {
     "dim": 1,
@@ -95,6 +113,11 @@ def inputs(tmp_path_factory):
         path.write_text(json.dumps(obj))
         return path
 
+    def text(name, body):
+        path = root / name
+        path.write_text(body)
+        return path
+
     return {
         "two_balls": dump("two_balls.json", [DISK, DISK]),
         "disk": dump("disk.json", DISK),
@@ -110,6 +133,13 @@ def inputs(tmp_path_factory):
         "r55": dump("r55.json", {"lower": [-5.0], "upper": [5.0]}),
         "notpd": dump("notpd.json", {"dim": 2, "sigma": [[1.0, 2.0], [2.0, 1.0]]}),
         "garbage": dump("garbage.json", "not a matrix file"),
+        "wave_pair": dump("wave_pair.json", WAVE_PAIR),
+        "box": dump("box.json", {"lower": [0.0, 0.0], "upper": [6.0, 6.0]}),
+        "truncated": text("truncated.json", json.dumps([ELLIPSE_41])[:30]),
+        "string_sigma": dump(
+            "string_sigma.json", [{"dim": 2, "sigma": [[4.0, "x"], [0.0, 1.0]]}, DISK]
+        ),
+        "ragged": dump("ragged.json", {"points": [[1.0, 0.0], [0.0]]}),
     }
 
 
@@ -308,6 +338,39 @@ class TestFieldzeros:
             realization, Region([0.0], [100.0]), 2048
         )
 
+    @pytest.mark.parametrize(
+        "solver, field, region, grid, solved",
+        [
+            ("_roots_2d", "wave_pair", "box", 128, [128, 256]),
+            ("_zeros_1d", "rice", "r100", 2048, [2048]),
+        ],
+    )
+    def test_simulate_solves_each_grid_once(
+        self, inputs, monkeypatch, capsys, solver, field, region, grid, solved
+    ):
+        grids = []
+        solve = getattr(fields, solver)
+
+        def counted(r, box, grid_n, *args, **kwargs):
+            grids.append(grid_n)
+            return solve(r, box, grid_n, *args, **kwargs)
+
+        # count solves under every name the CLI module can reach the solver by
+        monkeypatch.setattr(fields, solver, counted)
+        monkeypatch.setattr(cli, solver, counted)
+        code = cli.main(["fieldzeros", "simulate", "--field", str(inputs[field]),
+                         "--region", str(inputs[region]), "--seed", "3", "--grid", str(grid)])
+        assert code == 0
+        assert grids == solved
+        report = json.loads(capsys.readouterr().out)
+        with open(inputs[field]) as fh:
+            realization = simulate_realization(field_from_json(json.load(fh)), RngStream(3, 0))
+        with open(inputs[region]) as fh:
+            box = Region(**json.load(fh))
+        zeros = solve(realization, box, grid, 1e-9)
+        assert report["count"] == zeros.shape[0] > 0
+        assert report["zeros"] == zeros.tolist()
+
     def test_simulate_deterministic(self, inputs):
         args = ("fieldzeros", "simulate", "--field", inputs["rice"],
                 "--region", inputs["r100"], "--seed", 9, "--grid", 2048)
@@ -365,6 +428,21 @@ class TestFailurePaths:
     def test_malformed_matrix_file_exits_two(self, inputs):
         proc = run_cli("discriminant", "--matrices", inputs["garbage"], expect=2)
         assert "OutOfRange" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_truncated_ellipsoid_file_exits_two(self, inputs):
+        proc = run_cli("full", "--ellipsoids", inputs["truncated"], expect=2)
+        assert "OutOfRange" in proc.stderr and "invalid JSON" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_string_in_sigma_exits_two(self, inputs):
+        proc = run_cli("withballs", "--ellipsoids", inputs["string_sigma"], expect=2)
+        assert "OutOfRange" in proc.stderr and "sigma" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_ragged_points_file_exits_two(self, inputs):
+        proc = run_cli("sudakov", "--points", inputs["ragged"], expect=2)
+        assert "OutOfRange" in proc.stderr and "points" in proc.stderr
         assert proc.stdout == ""
 
     def test_oracle2d_needs_exactly_two_bodies(self, inputs):

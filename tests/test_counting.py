@@ -10,6 +10,9 @@ Core claims:
 - The batched experiments equal a realization-by-realization loop over the
   public counting ops, are bit-identical across thread counts, and their
   means match the analytic intensities within 3 standard errors.
+- The linear-cost kernels (hashed root deduplication, crossing-cell
+  marching squares, sign counts over a chunk of realizations) reproduce
+  their quadratic and full-grid references bit for bit.
 """
 
 import math
@@ -34,7 +37,11 @@ from mixvol import (
     simulate_realization,
     zero_count_experiment_1d,
     zero_count_experiment_2d,
+    zeros_1d,
+    zeros_2d,
 )
+from mixvol import fields
+from support import reference_dedup, reference_segment_lengths
 
 RICE_TARGET = 100.0 * math.sqrt(5.0) / math.pi      # zeros on [0, 100]
 WAVE_TARGET = 100.0 / (4.0 * math.pi)               # common zeros on [0,10]^2
@@ -288,3 +295,108 @@ class TestExperiments:
             nodal_length_experiment(
                 _wave_field(2), Region([0.0, 0.0], [1.0, 1.0]), 10, seed=0
             )
+
+
+# == 5. linear-cost kernels vs their references =============================
+
+
+def _saddle_grid_realization(offset):
+    """X = cos t_1 cos t_2 + offset: level-0 saddles near (pi/2 + k pi, pi/2 + m pi)."""
+    field = FieldSpec(
+        2,
+        (KernelSpec.trig([(1.0, [1.0, -1.0]), (1.0, [1.0, 1.0]), (1.0, [0.0, 0.0])]),),
+    )
+    return Realization(field, (np.array([[0.5, 0.0], [0.5, 0.0], [offset, 0.0]]),))
+
+
+def _corner_cases(values):
+    s = (values > 0.0).astype(int)
+    return set(np.unique(s[:-1, :-1] + 2 * s[1:, :-1] + 4 * s[1:, 1:] + 8 * s[:-1, 1:]).tolist())
+
+
+class TestKernelsMatchReferences:
+    @pytest.mark.parametrize("grid_n", [128, 256])
+    def test_dense_roots_equal_quadratic_dedup(self, grid_n, monkeypatch):
+        region = Region([0.0, 0.0], [10.0, 10.0])
+        reals = [simulate_realization(_wave_field(2, 6.0), RngStream(21, i)) for i in range(2)]
+        fast = [fields._roots_2d(r, region, grid_n, 1e-9) for r in reals]
+        monkeypatch.setattr(fields, "_dedup", reference_dedup)
+        slow = [fields._roots_2d(r, region, grid_n, 1e-9) for r in reals]
+        for f, s in zip(fast, slow):
+            assert f.shape[0] > 200
+            assert f.dtype == s.dtype and f.shape == s.shape
+            assert np.array_equal(f, s)
+
+    @pytest.mark.parametrize("grid_n", [256, 512])
+    def test_nodal_lengths_equal_full_grid(self, grid_n):
+        region = Region([0.0, 0.0], [10.0, 10.0])
+        reals = [_saddle_grid_realization(c) for c in (1e-3, -1e-3, 0.0)]
+        reals += [simulate_realization(_wave_field(1, s), RngStream(22, 0)) for s in (1.0, 4.0)]
+        xs, ys = fields._grid_axes(region, grid_n)
+        pts = fields._grid_points(region, grid_n)
+        seen = set()
+        for r in reals:
+            values = r.component_values(0, pts).reshape(grid_n + 1, grid_n + 1)
+            center = lambda p: r.component_values(0, p)
+            seen |= _corner_cases(values)
+            fast = fields._segment_lengths(values, xs, ys, center)
+            assert fast > 0.0
+            assert fast == reference_segment_lengths(values, xs, ys, center)
+        assert {5, 10} <= seen
+
+    def test_dedup_of_nothing(self):
+        out = fields._dedup(np.empty((0, 2)), 1e-6)
+        assert out.shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "pair, radius",
+        [
+            ([[0.0, 0.0], [fields.DEDUP_RADIUS, 0.0]], fields.DEDUP_RADIUS),
+            # exactly radius apart across a bucket boundary, and across zero
+            ([[0.375, 1.0], [0.625, 1.0]], 0.25),
+            ([[-0.125, 0.0], [0.125, 0.25]], 0.25),
+        ],
+    )
+    def test_points_exactly_radius_apart_merge(self, pair, radius):
+        pts = np.array(pair)
+        assert np.max(np.abs(pts[0] - pts[1])) == radius
+        assert np.array_equal(fields._dedup(pts, radius), pts[:1])
+
+    def test_points_just_beyond_radius_both_stay(self):
+        r = fields.DEDUP_RADIUS
+        pts = np.array([[1.0, 2.0], [1.0 + r * (1.0 + 1e-9), 2.0]])
+        assert np.array_equal(fields._dedup(pts, r), pts)
+
+    def test_first_point_in_input_order_survives(self):
+        r = 0.25
+        cluster = np.array([[0.1, 0.1], [0.0, 0.0], [0.2, 0.0]])
+        assert np.array_equal(fields._dedup(cluster, r), cluster[:1])
+        # greedy, not transitive: the middle of a chain merges into the first
+        # point, and the far end is compared only with survivors
+        chain = np.array([[0.0, 0.0], [0.2, 0.0], [0.4, 0.0]])
+        assert np.array_equal(fields._dedup(chain, r), chain[[0, 2]])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_dedup_equals_reference_on_clusters(self, dim):
+        rng = np.random.default_rng(dim)
+        centers = rng.uniform(-3.0, 3.0, size=(40, dim))
+        pts = centers[rng.integers(0, 40, size=400)] + rng.uniform(-0.3, 0.3, size=(400, dim))
+        out = fields._dedup(pts, 0.25)
+        assert np.array_equal(out, reference_dedup(pts, 0.25))
+
+    def test_sign_counts_of_a_chunk_equal_per_column_counts(self):
+        rng = np.random.default_rng(5)
+        vals = rng.standard_normal((513, 7))
+        vals[[10, 40, 512], [0, 3, 6]] = 0.0  # exact node zeros, one at the last node
+        per_column = [fields._sign_change_count(vals[:, i]) for i in range(7)]
+        assert fields._sign_change_count(vals).tolist() == per_column
+
+    def test_counts_are_lengths_of_the_zeros(self):
+        rice = simulate_realization(_rice_field(), RngStream(8, 0))
+        line = Region([0.0], [100.0])
+        z1 = zeros_1d(rice, line, 2048)
+        assert z1.ndim == 1 and count_zeros_1d(rice, line, 2048) == z1.shape[0]
+        wave = simulate_realization(_wave_field(2), RngStream(8, 0))
+        box = Region([0.0, 0.0], [10.0, 10.0])
+        z2 = zeros_2d(wave, box, 128)
+        assert z2.shape[1] == 2 and count_zeros_2d(wave, box, 128) == z2.shape[0]

@@ -535,6 +535,17 @@ class TestFieldJSON:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "atom", [{"w": "heavy", "omega": [1.0]}, {"w": 1.0, "omega": [1.0, "x"]}]
+    )
+    def test_non_numeric_atom_rejected(self, atom):
+        with pytest.raises(OutOfRange):
+            field_from_json({"dim": 1, "components": [{"kind": "trig", "atoms": [atom]}]})
+
+    def test_non_numeric_region_rejected(self):
+        with pytest.raises(OutOfRange):
+            region_from_json({"lower": [0.0, "x"], "upper": [1.0, 1.0]})
+
     def test_load_from_files(self, tmp_path):
         import json
 
