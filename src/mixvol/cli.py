@@ -492,6 +492,8 @@ def main(argv=None) -> int:
     command = getattr(args, "command_name", args.command)
     start = time.perf_counter()
     try:
+        if getattr(args, "seed", None) is not None:
+            RngStream(args.seed)  # OutOfRange unless 0 <= seed < 2^64, on every path
         payload, paths = args.handler(args)
         digest = _digest(paths)
     except MixvolError as exc:

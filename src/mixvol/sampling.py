@@ -6,16 +6,22 @@ chunks of 2^16, chunk i draws from a counter-based Philox stream keyed by
 result is therefore a pure function of (seed, n) and is bit-identical for
 any number of worker threads.
 
-Volumes of random parallelotopes are computed from a QR factorization of the
-transposed row matrix (product of |R_ii|), never by forming M M^T, so the
-condition number is not squared for elongated ellipsoids.
+Volumes of random parallelotopes come from one structure-of-arrays kernel:
+the k rows of a block of samples are stored as a (k, d, block) array, and the
+volume is |ad - bc| for k = d = 2 and otherwise the product of the row norms
+left by a modified Gram-Schmidt sweep (the diagonal of R in M^T = QR).  M M^T
+is never formed, so the condition number is not squared for elongated
+ellipsoids.  Seeds and stream indices are the two 64-bit words of the Philox
+key and must lie in [0, 2^64); nothing is reduced modulo 2^64, so distinct
+seeds never alias.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -25,6 +31,8 @@ from .errors import DimensionMismatch, OutOfRange
 from .geometry import SPDMatrix
 
 CHUNK = 1 << 16  # samples per substream; fixed so parallel == serial
+BLOCK = 1 << 12  # samples per Gram-kernel block; (k, d, BLOCK) stays in cache
+SEED_LIMIT = 1 << 64  # seeds and stream indices are 64-bit Philox key words
 
 
 @dataclass(frozen=True)
@@ -32,17 +40,21 @@ class RngStream:
     """Counter-based random stream identified by (seed, stream_index).
 
     Streams with distinct identifiers are statistically independent, and the
-    values drawn are a pure function of (seed, stream_index, position).
+    values drawn are a pure function of (seed, stream_index, position).  Both
+    must lie in [0, 2^64), otherwise OutOfRange.
     """
 
     seed: int
     stream_index: int = 0
 
+    def __post_init__(self):
+        for name in ("seed", "stream_index"):
+            value = getattr(self, name)
+            if not 0 <= value < SEED_LIMIT:
+                raise OutOfRange(f"{name} must be in [0, 2^64), got {value}")
+
     def generator(self) -> Generator:
-        key = np.array(
-            [self.seed & 0xFFFFFFFFFFFFFFFF, self.stream_index & 0xFFFFFFFFFFFFFFFF],
-            dtype=np.uint64,
-        )
+        key = np.array([self.seed, self.stream_index], dtype=np.uint64)
         return Generator(Philox(key=key))
 
 
@@ -141,21 +153,37 @@ def sample_gaussian(spec: GaussianVectorSpec, stream: RngStream) -> np.ndarray:
 def gram_volume(rows) -> float:
     """k-volume of the parallelotope spanned by k row vectors in R^d.
 
-    Equals sqrt(det(A A^T)); computed as the product of |R_ii| from the QR
-    factorization of A^T.  Linearly dependent rows give 0.
+    Equals sqrt(det(A A^T)); computed by the batched kernel on a batch of
+    one: |ad - bc| for a 2 x 2 matrix, otherwise the product of the row norms
+    of a modified Gram-Schmidt sweep.  Linearly dependent rows give 0.
     """
     a = np.atleast_2d(np.asarray(rows, dtype=float))
     k, d = a.shape
     if k > d:
         raise DimensionMismatch(f"{k} rows cannot be independent in R^{d}")
-    r = np.linalg.qr(a.T, mode="r")
-    return float(np.prod(np.abs(np.diagonal(r))))
+    return float(_soa_gram_volumes(a[:, :, None].copy())[0])
 
 
-def _batch_gram_volumes(m: np.ndarray) -> np.ndarray:
-    """Gram volumes of a stack of row matrices, shape (n, k, d) -> (n,)."""
-    r = np.linalg.qr(np.swapaxes(m, -1, -2), mode="r")
-    return np.prod(np.abs(np.diagonal(r, axis1=-2, axis2=-1)), axis=-1)
+def _soa_gram_volumes(a: np.ndarray) -> np.ndarray:
+    """Gram volumes of n row matrices stored as a (k, d, n) array -> (n,).
+
+    k = d = 2 is |ad - bc|.  Otherwise the rows are orthogonalised in place
+    by modified Gram-Schmidt, and the volume is the product of the k norms
+    (k = 1 is the row norm).  A zero row gives volume 0, not NaN.
+    """
+    k, d, _ = a.shape
+    if k == d == 2:
+        return np.abs(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+    vol = None
+    for i in range(k):
+        row = a[i]
+        norm = np.sqrt(np.einsum("jn,jn->n", row, row))
+        vol = norm if vol is None else vol * norm
+        if i + 1 < k:
+            row /= np.where(norm > 0.0, norm, 1.0)
+            for later in a[i + 1 :]:
+                later -= row * np.einsum("jn,jn->n", row, later)
+    return vol
 
 
 def chunked_mc_mean(
@@ -182,10 +210,12 @@ def chunked_mc_mean(
     if antithetic and n % 2:
         n += 1
     n_chunks = (n + CHUNK - 1) // CHUNK
+    # built here so a seed or stream index out of range raises before any work
+    streams = [RngStream(seed, stream_base + ci) for ci in range(n_chunks)]
 
     def run_chunk(ci: int) -> tuple[float, float, int]:
         m = min(CHUNK, n - ci * CHUNK)
-        gen = RngStream(seed, stream_base + ci).generator()
+        gen = streams[ci].generator()
         if antithetic:
             half = gen.standard_normal((m // 2,) + sample_shape)
             vals = stat(np.concatenate([half, -half], axis=0))
@@ -223,6 +253,19 @@ def chunked_mc_mean(
     )
 
 
+def _times_pow2(est: MCEstimate, e: int) -> MCEstimate:
+    """est scaled by 2^e, which is exact; OutOfRange where a nonzero mean or
+    standard error leaves the range of normal doubles."""
+    try:
+        mean, se, half = (math.ldexp(v, e) for v in (est.mean, est.std_error, est.ci_half_width))
+    except OverflowError:
+        raise OutOfRange(f"estimate {est.mean!r} * 2^{e} overflows a double") from None
+    for before, after in ((est.mean, mean), (est.std_error, se)):
+        if before != 0.0 and abs(after) < sys.float_info.min:
+            raise OutOfRange(f"estimate {est.mean!r} * 2^{e} underflows a double")
+    return replace(est, mean=mean, std_error=se, ci_half_width=half)
+
+
 def expected_gram_volume(
     ensemble: MatrixEnsemble,
     n: int = 1_000_000,
@@ -230,36 +273,41 @@ def expected_gram_volume(
     *,
     ci_level: float = 0.99,
     threads: int = 1,
-    antithetic: bool = False,
     stream_base: int = 0,
 ) -> MCEstimate:
     """Monte Carlo E sqrt(det(M M^T)) for M with independent Gaussian rows.
 
     This is the average k-volume of the random parallelotope spanned by the
-    rows; for k = d it is E|det M|.
+    rows; for k = d it is E|det M|.  The volume is linear in each row's
+    scale, so row factor i is divided by 2^e_i, with e_i the binary exponent
+    of its largest entry, and the estimate multiplied by 2^(e_1 + .. + e_k):
+    exact in binary, and the statistic and its square stay within double
+    range.  A true value outside that range raises OutOfRange.
     """
     k, d = ensemble.n_rows, ensemble.dim
-    factors = [s.covariance.factor for s in ensemble.specs]
-    all_standard = all(
-        np.array_equal(f, np.eye(d)) for f in factors
-    )
+    raw = [s.covariance.factor for s in ensemble.specs]
+    exponents = [math.frexp(float(np.max(np.abs(f))))[1] for f in raw]
+    factors = [np.ldexp(f, -e) for f, e in zip(raw, exponents)]
 
     def stat(z: np.ndarray) -> np.ndarray:
-        if not all_standard:
-            m = np.empty_like(z)
+        m = z.shape[0]
+        out = np.empty(m)
+        a = np.empty((k, d, min(BLOCK, m)))
+        for lo in range(0, m, BLOCK):
+            hi = min(lo + BLOCK, m)
+            block = a[:, :, : hi - lo]
             for i, f in enumerate(factors):
-                m[:, i, :] = z[:, i, :] @ f.T
-        else:
-            m = z
-        return _batch_gram_volumes(m)
+                np.matmul(f, z[lo:hi, i, :].T, out=block[i])
+            out[lo:hi] = _soa_gram_volumes(block)
+        return out
 
-    return chunked_mc_mean(
+    est = chunked_mc_mean(
         stat,
         (k, d),
         n,
         seed,
         ci_level=ci_level,
         threads=threads,
-        antithetic=antithetic,
         stream_base=stream_base,
     )
+    return _times_pow2(est, sum(exponents))

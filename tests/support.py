@@ -7,7 +7,7 @@ that the suite promises to run under five independent seeds.
 
 import numpy as np
 
-from mixvol import Ellipsoid, make_spd
+from mixvol import Ellipsoid, chunked_mc_mean, make_spd
 
 SEEDS = (1, 2, 3, 4, 5)
 
@@ -80,6 +80,33 @@ def quadratic_root_count_oracle(n, seed, lo=-5.0, hi=5.0):
         (r2 >= lo) & (r2 < hi)
     ).astype(float)
     return float(counts.mean()), float(counts.std(ddof=1) / np.sqrt(n))
+
+
+# -- Reference Gram kernel ---------------------------------------------------
+#
+# The batched Householder QR that the structure-of-arrays Gram kernel
+# replaced.  Tests require the library kernel to agree with it to rounding.
+
+
+def reference_gram_volumes(m):
+    """Gram volumes of a stack of row matrices, shape (n, k, d) -> (n,):
+    the product of |R_ii| from the QR factorization of each M^T."""
+    r = np.linalg.qr(np.swapaxes(m, -1, -2), mode="r")
+    return np.prod(np.abs(np.diagonal(r, axis1=-2, axis2=-1)), axis=-1)
+
+
+def reference_expected_gram_volume(ensemble, n, seed):
+    """expected_gram_volume through the QR kernel: same draws, same reduction,
+    factors applied as they are (no power-of-two scaling)."""
+    factors = [s.covariance.factor for s in ensemble.specs]
+
+    def stat(z):
+        m = np.empty_like(z)
+        for i, f in enumerate(factors):
+            m[:, i, :] = z[:, i, :] @ f.T
+        return reference_gram_volumes(m)
+
+    return chunked_mc_mean(stat, (ensemble.n_rows, ensemble.dim), n, seed)
 
 
 # -- Reference counting kernels ---------------------------------------------

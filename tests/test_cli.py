@@ -7,8 +7,8 @@ Core claims:
 - Reports are byte-identical across repeated runs and across --threads
   settings once the wall_time_ms field is masked.
 - All validation failures exit 2 with the error name on stderr and nothing
-  on stdout, malformed input files included; argparse usage errors also
-  exit 2.
+  on stdout, malformed input files and seeds outside [0, 2^64) included;
+  argparse usage errors also exit 2.
 - Deterministic subcommands reproduce known closed forms exactly: the mixed
   discriminant of diag(1,2), diag(3,4) is 5, the planar oracle returns the
   half-perimeter of the (2,1)-ellipse, and the stationary-field intensity
@@ -456,6 +456,17 @@ class TestFailurePaths:
 
     def test_missing_subcommand_is_usage_error(self):
         run_cli(expect=2)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_exits_two(self, inputs, seed):
+        # seeds were reduced modulo 2^64, so -1 aliased 2^64 - 1
+        proc = run_cli("full", "--ellipsoids", inputs["two_balls"],
+                       "--samples", 1000, "--seed", seed, expect=2)
+        assert "OutOfRange" in proc.stderr and "seed" in proc.stderr
+        assert proc.stdout == ""
+        proc = run_cli("fieldzeros", "simulate", "--field", inputs["rice"],
+                       "--region", inputs["r100"], "--seed", seed, expect=2)
+        assert "OutOfRange" in proc.stderr and "seed" in proc.stderr
 
     def test_nonpositive_threads_rejected(self, inputs):
         proc = run_cli("full", "--ellipsoids", inputs["two_balls"],

@@ -3,14 +3,21 @@
 Core claims:
 - sample_gaussian is a pure function of (seed, stream_index) and its draws
   have the requested covariance (law-of-large-numbers checks at 10^6 draws).
-- gram_volume computes sqrt(det(A A^T)) via QR and satisfies the
-  factorization identity Vol(x_1..x_d) = Vol(x_1..x_k) * Vol(projections),
+- gram_volume computes sqrt(det(A A^T)) without forming A A^T and satisfies
+  the factorization identity Vol(x_1..x_d) = Vol(x_1..x_k) * Vol(projections),
   orthogonal invariance, and scaling.
 - expected_gram_volume is bit-identical across 1, 2, and 8 worker threads
   and its 99% confidence interval covers the exact Wishart value with the
   advertised frequency.
 - Antithetic pairing cancels odd statistics exactly and is documented as a
   no-op for even ones.
+- The structure-of-arrays Gram kernel agrees with batched Householder QR for
+  every 1 <= k <= d <= 8, on random, MAX_CONDITION and rank-deficient rows,
+  to 1e-13 of the Hadamard bound per sample and 1e-12 relative in the mean.
+- Power-of-two scale normalisation is exact: scaled ensembles give exactly
+  scaled estimates, and a true value above the double range raises
+  OutOfRange (test_volumes covers the huge and tiny mixed-volume cases).
+- Seeds and stream indices outside [0, 2^64) raise OutOfRange; none alias.
 """
 
 import math
@@ -20,6 +27,7 @@ import pytest
 from pytest import approx
 
 from mixvol import (
+    CHUNK,
     DimensionMismatch,
     GaussianVectorSpec,
     MatrixEnsemble,
@@ -34,7 +42,16 @@ from mixvol import (
     sample_gaussian,
 )
 
-from support import SEEDS, random_orthogonal, random_spd, rng_for
+from mixvol.sampling import _soa_gram_volumes
+from mixvol.volumes import MAX_CONDITION
+from support import (
+    SEEDS,
+    random_orthogonal,
+    random_spd,
+    reference_expected_gram_volume,
+    reference_gram_volumes,
+    rng_for,
+)
 
 
 # -- Helpers ----------------------------------------------------------------
@@ -306,3 +323,136 @@ class TestMCEstimate:
     def test_normal_quantile_values(self):
         assert normal_quantile(0.99) == approx(2.5758293, abs=1e-6)
         assert normal_quantile(0.95) == approx(1.9599640, abs=1e-6)
+
+
+# == 7. The structure-of-arrays Gram kernel =================================
+
+SHAPES = [(d, k) for d in range(1, 9) for k in range(1, d + 1)]
+
+
+def _factor(rng, d, kind):
+    """Cholesky factor of a random covariance; kind 'ill' has condition
+    MAX_CONDITION (singular values of the factor from 1 to 1e6)."""
+    q = random_orthogonal(rng, d)
+    if kind == "ill":
+        spectrum = np.logspace(0.0, math.log10(MAX_CONDITION), d) if d > 1 else [1.0]
+    else:
+        spectrum = rng.uniform(0.5, 2.0, size=d)
+    return np.linalg.cholesky((q * np.asarray(spectrum)) @ q.T)
+
+
+def _rows(rng, d, k, n, kind):
+    """n random k x d row matrices, shape (n, k, d)."""
+    m = np.empty((n, k, d))
+    for i in range(k):
+        m[:, i, :] = rng.normal(size=(n, d)) @ _factor(rng, d, kind).T
+    if kind == "deficient":
+        if k > 1:
+            # last row a combination of the others; a few exact duplicates
+            c = rng.normal(size=(n, k - 1, 1))
+            m[:, -1, :] = (c * m[:, :-1, :]).sum(axis=1)
+            m[:8, -1, :] = m[:8, 0, :]
+        m[8:16, 0, :] = 0.0
+    return m
+
+
+def _ensemble(rng, d, k, kind):
+    specs = []
+    for _ in range(k):
+        f = _factor(rng, d, kind)
+        specs.append(GaussianVectorSpec(make_spd(f @ f.T)))
+    return MatrixEnsemble(tuple(specs))
+
+
+class TestGramKernel:
+    @pytest.mark.parametrize("kind", ["random", "ill", "deficient"])
+    def test_matches_qr_within_hadamard_bound(self, kind):
+        # per sample |v - v_QR| <= 1e-13 * prod ||row_i||: near-singular
+        # samples have no meaningful relative accuracy, but this absolute
+        # scale is what backward stability of either R factor guarantees
+        rng = rng_for(21)
+        for d, k in SHAPES:
+            m = _rows(rng, d, k, 512, kind)
+            v = _soa_gram_volumes(np.ascontiguousarray(m.transpose(1, 2, 0)))
+            ref = reference_gram_volumes(m)
+            hadamard = np.prod(np.linalg.norm(m, axis=2), axis=1)
+            assert np.all(np.abs(v - ref) <= 1e-13 * hadamard), (d, k)
+            if kind == "deficient":
+                assert np.all(v[8:16] == 0.0), (d, k)
+
+    @pytest.mark.parametrize("kind", ["random", "ill"])
+    def test_expected_gram_volume_matches_qr_path(self, kind):
+        rng = rng_for(22)
+        n = CHUNK + 5000  # a full chunk, then a partial chunk and block
+        for d, k in SHAPES:
+            ens = _ensemble(rng, d, k, kind)
+            est = expected_gram_volume(ens, n=n, seed=d * 10 + k)
+            ref = reference_expected_gram_volume(ens, n, d * 10 + k)
+            assert est.mean == approx(ref.mean, rel=1e-12), (d, k)
+            assert est.std_error == approx(ref.std_error, rel=1e-9), (d, k)
+
+    @pytest.mark.parametrize("d, k", [(5, 5), (8, 3)])
+    def test_thread_count_does_not_change_bits(self, d, k):
+        ens = _ensemble(rng_for(23), d, k, "random")
+        runs = [
+            expected_gram_volume(ens, n=3 * CHUNK + 5000, seed=12, threads=t)
+            for t in (1, 2, 8)
+        ]
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_zero_row_gives_zero_volume(self):
+        assert gram_volume([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]) == 0.0
+        assert gram_volume([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]) == 0.0
+
+
+# == 8. Power-of-two scale normalisation ====================================
+
+
+def _diagonal_ensemble(axes_per_row):
+    return MatrixEnsemble(
+        tuple(GaussianVectorSpec(make_spd(np.diag(np.square(a)))) for a in axes_per_row)
+    )
+
+
+class TestScaleNormalisation:
+    def test_power_of_two_scales_are_exact(self):
+        base = [[1.0, 3.0, 0.5], [2.0, 0.25, 1.5]]
+        est = expected_gram_volume(_diagonal_ensemble(base), n=20_000, seed=3)
+        for j in (-400, -3, 5, 300):
+            scaled = [[math.ldexp(x, j) for x in row] for row in base]
+            other = expected_gram_volume(_diagonal_ensemble(scaled), n=20_000, seed=3)
+            assert other.mean == math.ldexp(est.mean, 2 * j)
+            assert other.std_error == math.ldexp(est.std_error, 2 * j)
+            assert other.ci_half_width == math.ldexp(est.ci_half_width, 2 * j)
+
+    def test_value_above_double_range_raises(self):
+        with pytest.raises(OutOfRange, match="overflows"):
+            expected_gram_volume(_diagonal_ensemble([[1e150] * 3] * 3), n=4096, seed=5)
+
+
+# == 9. Seed range ==========================================================
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_stream_rejects_out_of_range(self, seed):
+        with pytest.raises(OutOfRange, match="seed"):
+            RngStream(seed)
+        with pytest.raises(OutOfRange, match="stream_index"):
+            RngStream(0, seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_estimators_reject_out_of_range(self, seed):
+        with pytest.raises(OutOfRange):
+            expected_gram_volume(_standard_ensemble(2, 2), n=1000, seed=seed)
+        with pytest.raises(OutOfRange):
+            chunked_mc_mean(lambda z: z[:, 0], (1,), 1000, seed=seed)
+
+    def test_last_stream_index_checked(self):
+        with pytest.raises(OutOfRange, match="stream_index"):
+            chunked_mc_mean(lambda z: z[:, 0], (1,), 2 * CHUNK, seed=0, stream_base=2**64 - 1)
+
+    def test_range_ends_are_distinct_streams(self):
+        ens = _standard_ensemble(2, 2)
+        top = expected_gram_volume(ens, n=1000, seed=2**64 - 1)
+        assert top.mean != expected_gram_volume(ens, n=1000, seed=0).mean

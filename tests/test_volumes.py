@@ -7,7 +7,11 @@ Core claims:
   projection-integral identity hold within combined Monte Carlo error.
 - expected_norm's two independent routes (direct averaging vs V_1/sqrt(2 pi))
   agree, and intrinsic volumes do not depend on the ambient dimension.
-- Ill-conditioned ellipsoids are rejected rather than estimated.
+- Ill-conditioned ellipsoids are rejected rather than estimated; bodies
+  whose mixed volume leaves the double range raise OutOfRange instead of a
+  NaN standard error or 0 +- 0.
+- sudakov_width's cache-sized blocks give the estimate of one unblocked
+  product.
 """
 
 import math
@@ -17,6 +21,7 @@ import pytest
 from pytest import approx
 
 from mixvol import (
+    CHUNK,
     DimensionMismatch,
     Ellipsoid,
     IllConditionedEllipsoid,
@@ -24,6 +29,7 @@ from mixvol import (
     OutOfRange,
     PointCloud,
     ball,
+    chunked_mc_mean,
     ellipsoid_from_axes,
     expected_norm,
     intrinsic_volume,
@@ -116,6 +122,17 @@ class TestMixedVolumeFull:
     def test_wrong_count_rejected(self):
         with pytest.raises(DimensionMismatch):
             mixed_volume_full([unit_ball(3)] * 2, 100, seed=0)
+
+    def test_huge_balls_have_finite_std_error(self):
+        # the squared statistic (~1e360) used to overflow into a NaN std_error
+        est = mixed_volume_full([ball(3, 1e60)] * 3, N, seed=31)
+        assert math.isfinite(est.std_error) and est.std_error > 0.0
+        assert _within(est, 1e180 * unit_ball_volume(3))
+
+    def test_tiny_balls_raise_instead_of_zero(self):
+        # the true value ~4e-360 underflows a double; it used to read 0 +- 0
+        with pytest.raises(OutOfRange):
+            mixed_volume_full([ball(3, 1e-120)] * 3, N, seed=32)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_permutation_symmetry(self, seed):
@@ -277,6 +294,17 @@ class TestSudakovWidth:
     def test_empty_cloud_rejected(self):
         with pytest.raises(DimensionMismatch):
             PointCloud(np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("n_points, dim", [(4096, 2), (5, 3)])
+    def test_blocked_statistic_matches_unblocked(self, n_points, dim):
+        # the max over z @ pts.T runs in cache-sized blocks of rows; one
+        # product over the whole chunk must give the same estimate
+        pts = rng_for(33).normal(size=(n_points, dim))
+        n = CHUNK + 3000
+        out = sudakov_width(PointCloud(pts), n, seed=34).gaussian_mean
+        ref = chunked_mc_mean(lambda z: (z @ pts.T).max(axis=1), (dim,), n, seed=34)
+        assert out.mean == approx(ref.mean, rel=1e-15)
+        assert out.std_error == approx(ref.std_error, rel=1e-15)
 
 
 # == 6. cross-module consistency ============================================
