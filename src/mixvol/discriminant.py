@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NegativeDiscriminant, NotSymmetric, OutOfRange
-from .geometry import MAX_DIM, SYMMETRY_RTOL, Ellipsoid, unit_ball_volume
+from .errors import DimensionMismatch, NegativeDiscriminant, OutOfRange
+from .geometry import MAX_DIM, Ellipsoid, symmetric_matrix, unit_ball_volume
 
 
 @dataclass(frozen=True)
@@ -30,17 +30,7 @@ class SymmetricTuple:
     matrices: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        mats = []
-        for idx, m in enumerate(self.matrices):
-            a = np.asarray(m, dtype=float)
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise DimensionMismatch(f"matrix {idx} is not square: {a.shape}")
-            gap = np.abs(a - a.T)
-            if np.any(gap > SYMMETRY_RTOL * np.maximum(1.0, np.abs(a))):
-                raise NotSymmetric(f"matrix {idx} is not symmetric within 1e-12")
-            a = np.ascontiguousarray(a)
-            a.flags.writeable = False
-            mats.append(a)
+        mats = [symmetric_matrix(m, f"matrix {idx}") for idx, m in enumerate(self.matrices)]
         if not mats:
             raise DimensionMismatch("tuple must be nonempty")
         d = mats[0].shape[0]

@@ -47,13 +47,13 @@ from .geometry import (
     MAX_DIM,
     Ellipsoid,
     SPDMatrix,
-    _freeze,
     falling_factorial,
     float_array,
+    freeze,
     load_json,
     unit_ball_volume,
 )
-from .sampling import MCEstimate, RngStream, normal_quantile
+from .sampling import MCEstimate, Moments, RngStream, map_chunks, normal_quantile
 from .volumes import mixed_volume_with_balls
 
 TRIG = "trig"
@@ -88,7 +88,7 @@ class TrigAtom:
         if not np.all(np.isfinite(omega)):
             raise OutOfRange("frequency entries must be finite")
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "omega", _freeze(omega))
+        object.__setattr__(self, "omega", freeze(omega))
 
 
 @dataclass(frozen=True)
@@ -240,8 +240,8 @@ class Region:
             raise OutOfRange("region bounds must be finite")
         if not np.all(lo < hi):
             raise OutOfRange("region needs lower < upper componentwise")
-        object.__setattr__(self, "lower", _freeze(lo))
-        object.__setattr__(self, "upper", _freeze(hi))
+        object.__setattr__(self, "lower", freeze(lo))
+        object.__setattr__(self, "upper", freeze(hi))
 
     @property
     def dim(self) -> int:
@@ -331,18 +331,6 @@ def _isotropy_scale(c: SPDMatrix) -> float | None:
     return None
 
 
-def _exact_estimate(value: float, seed: int, ci_level: float) -> MCEstimate:
-    # closed-form results reuse the estimate record with a zero error budget
-    return MCEstimate(
-        mean=float(value),
-        std_error=0.0,
-        n_samples=1,
-        seed=seed,
-        ci_level=ci_level,
-        ci_half_width=0.0,
-    )
-
-
 def zero_intensity(
     field: FieldSpec,
     t,
@@ -370,7 +358,7 @@ def zero_intensity(
             raise OutOfRange("exact intensity needs an isotropic gradient covariance")
         if scale is not None and exact is not False:
             value = math.sqrt(scale) * _chi_mean(d) / math.sqrt(2.0 * math.pi)
-            return _exact_estimate(value, seed, ci_level)
+            return MCEstimate.exact(value, seed, ci_level)
     elif exact is True:
         raise OutOfRange("exact intensity is available for single-component fields only")
     volume = mixed_volume_with_balls(
@@ -437,16 +425,7 @@ def expected_zero_measure(
     a, b = float(region.lower[0]), float(region.upper[0])
     coarse = _gauss_legendre(f, a, b, quadrature_order)
     fine = _gauss_legendre(f, a, b, 2 * quadrature_order)
-    delta = abs(fine - coarse)
-    z = normal_quantile(ci_level)
-    return MCEstimate(
-        mean=fine,
-        std_error=delta,
-        n_samples=1,
-        seed=seed,
-        ci_level=ci_level,
-        ci_half_width=z * delta,
-    )
+    return MCEstimate.exact(fine, seed, ci_level, std_error=abs(fine - coarse))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +457,7 @@ class Realization:
                 raise DimensionMismatch(
                     f"coefficient block shape {arr.shape}, expected {want}"
                 )
-            frozen.append(_freeze(arr))
+            frozen.append(freeze(arr))
         object.__setattr__(self, "coefficients", tuple(frozen))
 
     def _points(self, points) -> np.ndarray:
@@ -910,22 +889,6 @@ def level_length_2d(
 EXPERIMENT_CHUNK = 256
 
 
-def _experiment_estimate(
-    counts: np.ndarray, seed: int, ci_level: float
-) -> MCEstimate:
-    n = counts.shape[0]
-    mean = float(np.mean(counts))
-    se = float(np.std(counts, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return MCEstimate(
-        mean=mean,
-        std_error=se,
-        n_samples=n,
-        seed=seed,
-        ci_level=ci_level,
-        ci_half_width=normal_quantile(ci_level) * se,
-    )
-
-
 def _chunk_coefficients(
     field: FieldSpec, seed: int, start: int, size: int
 ) -> list[tuple[np.ndarray, ...]]:
@@ -974,6 +937,7 @@ def zero_count_experiment_1d(
         raise DimensionMismatch(f"region dimension {region.dim} != 1")
     if n_realizations < 2:
         raise OutOfRange(f"need at least 2 realizations, got {n_realizations}")
+    normal_quantile(ci_level)  # OutOfRange before any work
     if grid_n < 256:
         raise OutOfRange(f"grid_n must be at least 256, got {grid_n}")
     spec = field.components[0]
@@ -985,7 +949,7 @@ def zero_count_experiment_1d(
     else:
         powers = nodes[:, None] ** spec.degrees.astype(float)[None, :]
 
-    def chunk_counts(start: int, size: int) -> tuple[np.ndarray, int]:
+    def chunk_counts(start: int, size: int) -> tuple[Moments, int]:
         blocks = _chunk_coefficients(field, seed, start, size)
         if spec.kind == TRIG:
             vals = _batched_trig_values(spec, basis_cos, basis_sin, blocks, 0)
@@ -993,33 +957,15 @@ def zero_count_experiment_1d(
             vals = powers @ np.stack([b[0] for b in blocks], axis=1)
         fine = _sign_change_count(vals)
         coarse = _sign_change_count(vals[::2])
-        return fine, int(np.count_nonzero(fine != coarse))
+        return Moments.of(fine), int(np.count_nonzero(fine != coarse))
 
-    counts, moved = _run_chunks(chunk_counts, n_realizations, threads)
+    parts = map_chunks(chunk_counts, n_realizations, EXPERIMENT_CHUNK, threads)
+    moved = sum(m for _, m in parts)
     if moved > 0.01 * n_realizations:
         raise GridTooCoarse(
             f"{moved} of {n_realizations} realizations changed count under grid doubling"
         )
-    return _experiment_estimate(counts, seed, ci_level)
-
-
-def _run_chunks(
-    worker: Callable[[int, int], tuple[np.ndarray, int]], total: int, threads: int
-) -> tuple[np.ndarray, int]:
-    """Map worker(start, size) over fixed chunks, in order; results are
-    per-realization, so the schedule cannot affect the outcome."""
-    spans = [
-        (s, min(EXPERIMENT_CHUNK, total - s)) for s in range(0, total, EXPERIMENT_CHUNK)
-    ]
-    if threads <= 1 or len(spans) == 1:
-        parts = [worker(s, n) for s, n in spans]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda sn: worker(*sn), spans))
-    counts = np.concatenate([p[0] for p in parts])
-    return counts, sum(p[1] for p in parts)
+    return MCEstimate.from_moments([p for p, _ in parts], seed, ci_level)
 
 
 def zero_count_experiment_2d(
@@ -1040,6 +986,7 @@ def zero_count_experiment_2d(
         raise DimensionMismatch(f"region dimension {region.dim} != 2")
     if n_realizations < 2:
         raise OutOfRange(f"need at least 2 realizations, got {n_realizations}")
+    normal_quantile(ci_level)  # OutOfRange before any work
     if grid_n < 128:
         raise OutOfRange(f"grid_n must be at least 128, got {grid_n}")
     if any(c.kind != TRIG for c in field.components):
@@ -1050,7 +997,7 @@ def zero_count_experiment_2d(
         phase = pts @ spec.frequencies.T
         bases.append((np.cos(phase), np.sin(phase)))
 
-    def chunk_counts(start: int, size: int) -> tuple[np.ndarray, int]:
+    def chunk_counts(start: int, size: int) -> Moments:
         blocks = _chunk_coefficients(field, seed, start, size)
         vals = [
             _batched_trig_values(field.components[c], bases[c][0], bases[c][1], blocks, c)
@@ -1063,10 +1010,10 @@ def zero_count_experiment_2d(
             ).reshape(grid_n + 1, grid_n + 1, 2)
             real = Realization(field, blocks[i])
             out[i] = _roots_2d(real, region, grid_n, tol, values=grid_vals).shape[0]
-        return out, 0
+        return Moments.of(out)
 
-    counts, _ = _run_chunks(chunk_counts, n_realizations, threads)
-    return _experiment_estimate(counts, seed, ci_level)
+    parts = map_chunks(chunk_counts, n_realizations, EXPERIMENT_CHUNK, threads)
+    return MCEstimate.from_moments(parts, seed, ci_level)
 
 
 def nodal_length_experiment(
@@ -1090,6 +1037,7 @@ def nodal_length_experiment(
         raise DimensionMismatch(f"region dimension {region.dim} != 2")
     if n_realizations < 2:
         raise OutOfRange(f"need at least 2 realizations, got {n_realizations}")
+    normal_quantile(ci_level)  # OutOfRange before any work
     if grid_n < 256:
         raise OutOfRange(f"grid_n must be at least 256, got {grid_n}")
     spec = field.components[0]
@@ -1102,7 +1050,7 @@ def nodal_length_experiment(
         simulate_realization(field, RngStream(seed, 0)), region, grid_n, self_check=True
     )
 
-    def chunk_lengths(start: int, size: int) -> tuple[np.ndarray, int]:
+    def chunk_lengths(start: int, size: int) -> Moments:
         blocks = _chunk_coefficients(field, seed, start, size)
         vals = _batched_trig_values(spec, cos_basis, sin_basis, blocks, 0)
         out = np.empty(size)
@@ -1111,10 +1059,10 @@ def nodal_length_experiment(
             out[i] = _length_2d(
                 real, region, grid_n, values=vals[:, i].reshape(grid_n + 1, grid_n + 1)
             )
-        return out, 0
+        return Moments.of(out)
 
-    lengths, _ = _run_chunks(chunk_lengths, n_realizations, threads)
-    return _experiment_estimate(lengths, seed, ci_level)
+    parts = map_chunks(chunk_lengths, n_realizations, EXPERIMENT_CHUNK, threads)
+    return MCEstimate.from_moments(parts, seed, ci_level)
 
 
 # ---------------------------------------------------------------------------

@@ -34,17 +34,40 @@ BASIS_TOL = 1e-10
 UNIT_TOL = 1e-10
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def freeze(a) -> np.ndarray:
+    """a as a contiguous float array that cannot be written to."""
     a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+def symmetric_matrix(m, what: str = "matrix") -> np.ndarray:
+    """m as a frozen square float array.
+
+    Raises DimensionMismatch unless m is square, OutOfRange on a ragged,
+    non-numeric or non-finite entry, and NotSymmetric where
+    |a_ij - a_ji| > 1e-12 * max(1, |a_ij|).
+    """
+    a = float_array(m, what)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"{what} is not square: shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise OutOfRange(f"{what} has a non-finite entry")
+    gap = np.abs(a - a.T)
+    bound = SYMMETRY_RTOL * np.maximum(1.0, np.abs(a))
+    if np.any(gap > bound):
+        i, j = np.unravel_index(np.argmax(gap - bound), a.shape)
+        raise NotSymmetric(
+            f"{what}: entries ({i},{j}) and ({j},{i}) differ by {gap[i, j]:.3e}"
+        )
+    return freeze(a)
 
 
 @dataclass(frozen=True)
 class SPDMatrix:
     """Symmetric positive-definite matrix with a cached Cholesky factor.
 
-    Construction validates symmetry (|a_ij - a_ji| <= 1e-12 * max(1, |a_ij|))
+    Construction validates finite entries and symmetry (symmetric_matrix)
     and positive definiteness (all Cholesky pivots > 0).  `factor` is the
     lower-triangular L with L L^T = entries.
     """
@@ -53,19 +76,10 @@ class SPDMatrix:
     factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+        a = symmetric_matrix(self.entries)
         d = a.shape[0]
         if not 1 <= d <= MAX_DIM:
             raise OutOfRange(f"dimension {d} outside supported range [1, {MAX_DIM}]")
-        gap = np.abs(a - a.T)
-        bound = SYMMETRY_RTOL * np.maximum(1.0, np.abs(a))
-        if np.any(gap > bound):
-            i, j = np.unravel_index(np.argmax(gap - bound), a.shape)
-            raise NotSymmetric(
-                f"entries ({i},{j}) and ({j},{i}) differ by {gap[i, j]:.3e}"
-            )
         try:
             fac = np.linalg.cholesky(a)
         except np.linalg.LinAlgError as exc:
@@ -73,8 +87,8 @@ class SPDMatrix:
                 "Cholesky factorization failed (non-positive pivot); "
                 "the matrix does not define a non-degenerate Gaussian vector"
             ) from exc
-        object.__setattr__(self, "entries", _freeze(a))
-        object.__setattr__(self, "factor", _freeze(fac))
+        object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "factor", freeze(fac))
 
     @property
     def dim(self) -> int:
@@ -91,7 +105,7 @@ class SPDMatrix:
 
 def make_spd(entries) -> SPDMatrix:
     """Validate a square matrix as SPD and cache its Cholesky factor."""
-    return SPDMatrix(np.asarray(entries, dtype=float))
+    return SPDMatrix(entries)
 
 
 @dataclass(frozen=True)

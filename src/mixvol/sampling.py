@@ -2,9 +2,11 @@
 
 Reproducibility contract: every estimator splits its n samples into fixed
 chunks of 2^16, chunk i draws from a counter-based Philox stream keyed by
-(seed, stream_base + i), and partial sums are combined in chunk order.  The
-result is therefore a pure function of (seed, n) and is bit-identical for
-any number of worker threads.
+(seed, stream_base + i), and reduces to its moments (count, mean, M2), which
+are merged in chunk order by the pairwise update of Chan, Golub & LeVeque.
+The result is therefore a pure function of (seed, n) and is bit-identical
+for any number of worker threads.  Realization experiments run on the same
+engine, `map_chunks`, with chunks of realizations instead of samples.
 
 Volumes of random parallelotopes come from one structure-of-arrays kernel:
 the k rows of a block of samples are stored as a (k, d, block) array, and the
@@ -20,8 +22,9 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, replace
+from functools import reduce
 from statistics import NormalDist
 
 import numpy as np
@@ -59,11 +62,41 @@ class RngStream:
 
 
 @dataclass(frozen=True)
+class Moments:
+    """Count, mean and M2 (sum of squared deviations) of a batch of values."""
+
+    count: int
+    mean: float
+    m2: float
+
+    @classmethod
+    def of(cls, values) -> "Moments":
+        v = np.asarray(values, dtype=float)
+        # an overflow here reaches the caller as OutOfRange from MCEstimate
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(np.mean(v))
+            dev = v - mean
+            return cls(v.shape[0], mean, float(np.sum(dev * dev)))
+
+    def merge(self, other: "Moments") -> "Moments":
+        """Pairwise update of Chan, Golub & LeVeque (1983): no sum of squares
+        is formed, so a large mean cancels no digits of the variance."""
+        n = self.count + other.count
+        delta = other.mean - self.mean
+        return Moments(
+            n,
+            self.mean + delta * (other.count / n),
+            self.m2 + other.m2 + delta * delta * (self.count * other.count / n),
+        )
+
+
+@dataclass(frozen=True)
 class MCEstimate:
     """Monte Carlo point estimate with provenance.
 
     ci_half_width = z(ci_level) * std_error with z the two-sided standard
     normal quantile; std_error is the sample standard deviation over sqrt(n).
+    A non-finite mean or standard error raises OutOfRange.
     """
 
     mean: float
@@ -73,30 +106,39 @@ class MCEstimate:
     ci_level: float = 0.99
     ci_half_width: float = 0.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.mean) and math.isfinite(self.std_error)):
+            raise OutOfRange(
+                f"estimate {self.mean!r} +- {self.std_error!r} is not finite in doubles"
+            )
+
+    @classmethod
+    def from_moments(cls, chunks, seed: int, ci_level: float) -> "MCEstimate":
+        """Estimate from per-chunk Moments, merged in chunk order."""
+        m = reduce(Moments.merge, chunks)
+        se = math.sqrt(m.m2 / (m.count - 1) / m.count)
+        return cls(m.mean, se, m.count, seed, ci_level, normal_quantile(ci_level) * se)
+
+    @classmethod
+    def exact(
+        cls, value: float, seed: int, ci_level: float, std_error: float = 0.0
+    ) -> "MCEstimate":
+        """A deterministic value; std_error is its error budget, if any."""
+        z = normal_quantile(ci_level)
+        return cls(float(value), std_error, 1, seed, ci_level, z * std_error)
+
     @property
     def interval(self) -> tuple[float, float]:
         return (self.mean - self.ci_half_width, self.mean + self.ci_half_width)
 
     def scaled(self, c: float) -> "MCEstimate":
         """Estimate of c times the underlying expectation."""
-        return MCEstimate(
+        return replace(
+            self,
             mean=c * self.mean,
             std_error=abs(c) * self.std_error,
-            n_samples=self.n_samples,
-            seed=self.seed,
-            ci_level=self.ci_level,
             ci_half_width=abs(c) * self.ci_half_width,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "ci_level": self.ci_level,
-            "ci_half_width": self.ci_half_width,
-        }
 
 
 def normal_quantile(ci_level: float) -> float:
@@ -186,6 +228,20 @@ def _soa_gram_volumes(a: np.ndarray) -> np.ndarray:
     return vol
 
 
+def map_chunks(work, total: int, chunk: int, threads: int = 1) -> list:
+    """[work(start, size) for the fixed chunks of range(total)], in chunk order.
+
+    Chunk boundaries depend on total and chunk only, and results come back
+    in chunk order whatever the number of threads, so a reduction over them
+    in list order is thread-count independent down to the last bit.
+    """
+    spans = [(s, min(chunk, total - s)) for s in range(0, total, chunk)]
+    if threads <= 1 or len(spans) == 1:
+        return [work(s, m) for s, m in spans]
+    with futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda span: work(*span), spans))
+
+
 def chunked_mc_mean(
     stat,
     sample_shape: tuple[int, ...],
@@ -195,62 +251,22 @@ def chunked_mc_mean(
     ci_level: float = 0.99,
     threads: int = 1,
     stream_base: int = 0,
-    antithetic: bool = False,
 ) -> MCEstimate:
     """Mean of stat(z) over n standard-normal blocks z of the given shape.
 
-    stat maps an (m,) + sample_shape array to m statistic values.  With
-    antithetic=True the blocks come in (z, -z) pairs and the standard error
-    is computed over pair means; n is rounded up to the next even number.
-    Note that statistics even in z (such as |det|) make the mirrored half an
-    exact duplicate, so antithetics buy nothing there.
+    stat maps an (m,) + sample_shape array to m statistic values.
     """
     if n < 2:
         raise OutOfRange(f"need n >= 2 samples, got {n}")
-    if antithetic and n % 2:
-        n += 1
-    n_chunks = (n + CHUNK - 1) // CHUNK
-    # built here so a seed or stream index out of range raises before any work
-    streams = [RngStream(seed, stream_base + ci) for ci in range(n_chunks)]
+    # checked here so a bad ci_level, seed or stream index raises before any draw
+    normal_quantile(ci_level)
+    streams = [RngStream(seed, stream_base + ci) for ci in range((n + CHUNK - 1) // CHUNK)]
 
-    def run_chunk(ci: int) -> tuple[float, float, int]:
-        m = min(CHUNK, n - ci * CHUNK)
-        gen = streams[ci].generator()
-        if antithetic:
-            half = gen.standard_normal((m // 2,) + sample_shape)
-            vals = stat(np.concatenate([half, -half], axis=0))
-            pair_means = 0.5 * (vals[: m // 2] + vals[m // 2 :])
-            return float(pair_means.sum()), float((pair_means * pair_means).sum()), m // 2
-        vals = np.asarray(stat(gen.standard_normal((m,) + sample_shape)), dtype=float)
-        return float(vals.sum()), float((vals * vals).sum()), m
+    def run_chunk(start: int, m: int) -> Moments:
+        z = streams[start // CHUNK].generator().standard_normal((m,) + sample_shape)
+        return Moments.of(stat(z))
 
-    if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run_chunk, range(n_chunks)))
-    else:
-        partials = [run_chunk(ci) for ci in range(n_chunks)]
-
-    # Sequential reduction in chunk order keeps the result thread-count
-    # independent down to the last bit.
-    total = 0.0
-    total_sq = 0.0
-    units = 0
-    for s, sq, m in partials:
-        total += s
-        total_sq += sq
-        units += m
-
-    mean = total / units
-    var = max(total_sq - units * mean * mean, 0.0) / max(units - 1, 1)
-    se = math.sqrt(var / units)
-    return MCEstimate(
-        mean=mean,
-        std_error=se,
-        n_samples=n,
-        seed=seed,
-        ci_level=ci_level,
-        ci_half_width=normal_quantile(ci_level) * se,
-    )
+    return MCEstimate.from_moments(map_chunks(run_chunk, n, CHUNK, threads), seed, ci_level)
 
 
 def _times_pow2(est: MCEstimate, e: int) -> MCEstimate:

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, IllConditionedEllipsoid, OutOfRange
-from .geometry import Ellipsoid, falling_factorial, unit_ball_volume
+from .geometry import Ellipsoid, falling_factorial, freeze, unit_ball_volume
 from .sampling import (
     GaussianVectorSpec,
     MatrixEnsemble,
@@ -77,9 +77,7 @@ class PointCloud:
             raise DimensionMismatch("point cloud must be nonempty")
         if not np.all(np.isfinite(p)):
             raise DimensionMismatch("point cloud entries must be finite")
-        p = np.ascontiguousarray(p)
-        p.flags.writeable = False
-        object.__setattr__(self, "points", p)
+        object.__setattr__(self, "points", freeze(p))
 
     @property
     def dim(self) -> int:
@@ -220,18 +218,17 @@ def expected_norm(
     direct = chunked_mc_mean(
         stat, (e.dim,), n, seed, ci_level=ci_level, threads=threads
     )
-    # One-row gram volumes on a disjoint substream, pushed through the V_1
-    # normalization and back: same constants as intrinsic_volume(e, 1), but
-    # statistically independent of the direct run for equal seeds.
-    v1 = expected_gram_volume(
+    # V_1(E)/sqrt(2 pi) is the mean one-row gram volume; it runs on a disjoint
+    # substream, so it is independent of the direct run for equal seeds.
+    via_intrinsic = expected_gram_volume(
         _ensemble([e]),
         n,
         seed,
         ci_level=ci_level,
         threads=threads,
         stream_base=_CROSS_CHECK_STREAM_BASE,
-    ).scaled(SQRT_TWO_PI)
-    return NormComparison(direct=direct, via_intrinsic=v1.scaled(1.0 / SQRT_TWO_PI))
+    )
+    return NormComparison(direct=direct, via_intrinsic=via_intrinsic)
 
 
 @dataclass(frozen=True)
@@ -249,7 +246,6 @@ def sudakov_width(
     *,
     ci_level: float = 0.99,
     threads: int = 1,
-    antithetic: bool = False,
 ) -> SudakovWidth:
     """E max_{x in A} <x, eta> for standard Gaussian eta, and sqrt(2 pi)
     times it, which equals V_1 of the convex hull of A."""
@@ -266,12 +262,6 @@ def sudakov_width(
         return out
 
     est = chunked_mc_mean(
-        stat,
-        (cloud.dim,),
-        n,
-        seed,
-        ci_level=ci_level,
-        threads=threads,
-        antithetic=antithetic,
+        stat, (cloud.dim,), n, seed, ci_level=ci_level, threads=threads
     )
     return SudakovWidth(gaussian_mean=est, implied_v1=est.scaled(SQRT_TWO_PI))

@@ -140,6 +140,13 @@ def inputs(tmp_path_factory):
             "string_sigma.json", [{"dim": 2, "sigma": [[4.0, "x"], [0.0, 1.0]]}, DISK]
         ),
         "ragged": dump("ragged.json", {"points": [[1.0, 0.0], [0.0]]}),
+        # Python's json reads 1e400 as inf and NaN as nan
+        "huge_sigma": text("huge_sigma.json", '{"dim": 2, "sigma": [[1e400, 0.0], [0.0, 1.0]]}'),
+        "huge_mats": text("huge_mats.json", '[[[1e400, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]'),
+        "nan_mats": text("nan_mats.json", '[[[NaN, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]'),
+        "huge_points": dump(
+            "huge_points.json", {"points": [[1e155, 0.0], [0.0, 1e155], [-1e155, -1e155]]}
+        ),
     }
 
 
@@ -443,6 +450,27 @@ class TestFailurePaths:
     def test_ragged_points_file_exits_two(self, inputs):
         proc = run_cli("sudakov", "--points", inputs["ragged"], expect=2)
         assert "OutOfRange" in proc.stderr and "points" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_non_finite_sigma_exits_two(self, inputs):
+        # used to exit 0 with "value": Infinity, "std_error": NaN
+        proc = run_cli("intrinsic", "--ellipsoid", inputs["huge_sigma"], "--k", 1,
+                       "--samples", 1000, expect=2)
+        assert "OutOfRange" in proc.stderr and "non-finite" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("name", ["huge_mats", "nan_mats"])
+    def test_non_finite_matrix_exits_two(self, inputs, name):
+        # used to exit 0 with "value": NaN
+        proc = run_cli("discriminant", "--matrices", inputs[name], expect=2)
+        assert "OutOfRange" in proc.stderr and "non-finite" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_huge_points_exit_two(self, inputs):
+        # used to exit 0 with "std_error": NaN
+        proc = run_cli("sudakov", "--points", inputs["huge_points"],
+                       "--samples", 1000, expect=2)
+        assert "OutOfRange" in proc.stderr
         assert proc.stdout == ""
 
     def test_oracle2d_needs_exactly_two_bodies(self, inputs):

@@ -250,6 +250,24 @@ class TestExperiments:
         ]
         assert est.mean == float(np.mean(manual))
 
+    def test_multi_chunk_experiment_matches_single_pass(self):
+        # 520 realizations run as chunks of 256, 256 and 8 whose moments
+        # are merged; the result is the one-pass mean and std of the counts
+        region = Region([0.0], [100.0])
+        est = zero_count_experiment_1d(_rice_field(), region, 520, seed=13, threads=2)
+        manual = [
+            count_zeros_1d(
+                simulate_realization(_rice_field(), RngStream(13, i)),
+                region,
+                grid_n=4096,
+                self_check=False,
+            )
+            for i in range(520)
+        ]
+        assert est.n_samples == 520
+        assert est.mean == approx(np.mean(manual), rel=1e-12)
+        assert est.std_error == approx(np.std(manual, ddof=1) / math.sqrt(520), rel=1e-12)
+
     def test_wave_pair_mean_count(self):
         est = zero_count_experiment_2d(
             _wave_field(2), Region([0.0, 0.0], [10.0, 10.0]), 400, seed=3

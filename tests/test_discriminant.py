@@ -98,6 +98,16 @@ class TestValidation:
         with pytest.raises(OutOfRange):
             SymmetricTuple(tuple(np.eye(17) for _ in range(17)))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(OutOfRange):
+            mixed_discriminant([np.diag([bad, 1.0]), np.eye(2)])
+
+    def test_matrices_are_frozen(self):
+        t = SymmetricTuple((np.eye(2), np.eye(2)))
+        with pytest.raises(ValueError):
+            t.matrices[0][0, 0] = 5.0
+
 
 # == 3. Algebraic properties ================================================
 

@@ -280,6 +280,11 @@ class TestZeroIntensity:
         assert est.mean == approx(RICE_INTENSITY, rel=1e-12)
         assert est.std_error == 0.0
 
+    def test_exact_path_validates_ci_level(self):
+        # the Monte Carlo path always raised here; the closed form returned 1.5
+        with pytest.raises(OutOfRange):
+            zero_intensity(_rice_field(), 0.0, seed=1, ci_level=1.5)
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_rice_monte_carlo_route(self, seed):
         est = zero_intensity(_rice_field(), 0.0, 100_000, seed, exact=False)

@@ -87,6 +87,13 @@ class TestMakeSPD:
         with pytest.raises(OutOfRange):
             make_spd(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(OutOfRange):
+            make_spd([[bad]])
+        with pytest.raises(OutOfRange):
+            make_spd([[1.0, bad], [bad, 1.0]])
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_factor_reproduces_entries(self, seed):
         rng = rng_for(seed)

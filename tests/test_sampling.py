@@ -9,8 +9,9 @@ Core claims:
 - expected_gram_volume is bit-identical across 1, 2, and 8 worker threads
   and its 99% confidence interval covers the exact Wishart value with the
   advertised frequency.
-- Antithetic pairing cancels odd statistics exactly and is documented as a
-  no-op for even ones.
+- chunked_mc_mean merges per-chunk centred moments: a shifted statistic
+  keeps its standard error, multi-chunk results match a single-pass mean
+  and standard deviation, and a bad ci_level raises before any draw.
 - The structure-of-arrays Gram kernel agrees with batched Householder QR for
   every 1 <= k <= d <= 8, on random, MAX_CONDITION and rank-deficient rows,
   to 1e-13 of the Hadamard bound per sample and 1e-12 relative in the mean.
@@ -256,7 +257,7 @@ class TestExpectedGramVolume:
             expected_gram_volume(_standard_ensemble(2, 2), n=1, seed=0)
 
 
-# == 5. chunked_mc_mean and antithetics =====================================
+# == 5. chunked_mc_mean =====================================================
 
 
 class TestChunkedMCMean:
@@ -266,21 +267,6 @@ class TestChunkedMCMean:
         )
         assert abs(est.mean - math.sqrt(2.0 / math.pi)) <= 3.0 * est.std_error
 
-    def test_antithetic_cancels_odd_statistic(self):
-        est = chunked_mc_mean(
-            lambda z: z[:, 0], (1,), 100_000, seed=5, antithetic=True
-        )
-        assert est.mean == 0.0
-        assert est.std_error == 0.0
-
-    def test_antithetic_even_statistic_still_converges(self):
-        # |z| is even, so the mirrored half duplicates the first; the
-        # estimate must still be consistent, just without variance gain
-        est = chunked_mc_mean(
-            lambda z: np.abs(z[:, 0]), (1,), 100_000, seed=6, antithetic=True
-        )
-        assert abs(est.mean - math.sqrt(2.0 / math.pi)) <= 4.0 * est.std_error
-
     def test_thread_determinism(self):
         stat = lambda z: np.abs(z[:, 0]) ** 1.5
         runs = [
@@ -288,6 +274,38 @@ class TestChunkedMCMean:
             for t in (1, 2, 8)
         ]
         assert runs[0].mean == runs[1].mean == runs[2].mean
+
+    @pytest.mark.parametrize("shift", [1e8, 1e9])
+    def test_shift_keeps_std_error(self, shift):
+        # the old total_sq - n * mean^2 reduction read 0.0 at 1e8 and 11x
+        # too much at 1e9; centred moments do not see the shift
+        base = chunked_mc_mean(lambda z: z[:, 0], (1,), 4 * CHUNK, seed=3)
+        moved = chunked_mc_mean(lambda z: shift + z[:, 0], (1,), 4 * CHUNK, seed=3)
+        assert moved.std_error == approx(base.std_error, rel=0.01)
+
+    def test_multi_chunk_matches_single_pass(self):
+        n = 3 * CHUNK + 17
+        stat = lambda z: 1e4 + np.abs(z[:, 0] * z[:, 1]) ** 1.5
+        est = chunked_mc_mean(stat, (2,), n, seed=9, threads=2)
+        sizes = [CHUNK, CHUNK, CHUNK, 17]
+        draws = np.concatenate(
+            [RngStream(9, i).generator().standard_normal((m, 2)) for i, m in enumerate(sizes)]
+        )
+        values = stat(draws)
+        assert est.n_samples == n
+        assert est.mean == approx(np.mean(values), rel=1e-12)
+        assert est.std_error == approx(np.std(values, ddof=1) / math.sqrt(n), rel=1e-12)
+
+    def test_bad_ci_level_raises_before_any_draw(self):
+        calls = []
+
+        def stat(z):
+            calls.append(z.shape[0])
+            return z[:, 0]
+
+        with pytest.raises(OutOfRange):
+            chunked_mc_mean(stat, (1,), 2 * CHUNK, seed=1, ci_level=2.0)
+        assert calls == []
 
 
 # == 6. MCEstimate ==========================================================
@@ -319,6 +337,24 @@ class TestMCEstimate:
         assert s.std_error == approx(0.3)
         assert s.ci_half_width == approx(0.7728)
         assert s.n_samples == 100
+
+    @pytest.mark.parametrize("mean, se", [(math.nan, 0.1), (1.0, math.inf), (1.0, math.nan)])
+    def test_non_finite_rejected(self, mean, se):
+        with pytest.raises(OutOfRange):
+            MCEstimate(mean=mean, std_error=se, n_samples=10, seed=0)
+
+    def test_scaled_overflow_rejected(self):
+        est = MCEstimate.exact(1e300, seed=0, ci_level=0.99, std_error=1e290)
+        with pytest.raises(OutOfRange):
+            est.scaled(1e10)
+
+    def test_exact_value(self):
+        est = MCEstimate.exact(2.5, seed=4, ci_level=0.95, std_error=0.5)
+        assert (est.mean, est.std_error, est.n_samples, est.seed) == (2.5, 0.5, 1, 4)
+        assert est.ci_half_width == normal_quantile(0.95) * 0.5
+        assert MCEstimate.exact(2.5, seed=4, ci_level=0.95).interval == (2.5, 2.5)
+        with pytest.raises(OutOfRange):
+            MCEstimate.exact(2.5, seed=4, ci_level=1.5)
 
     def test_normal_quantile_values(self):
         assert normal_quantile(0.99) == approx(2.5758293, abs=1e-6)

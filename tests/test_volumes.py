@@ -295,6 +295,13 @@ class TestSudakovWidth:
         with pytest.raises(DimensionMismatch):
             PointCloud(np.zeros((0, 2)))
 
+    def test_huge_cloud_raises_instead_of_nan(self):
+        # the squared maxima (~1e310) leave the double range; the standard
+        # error used to come back NaN
+        cloud = PointCloud(1e155 * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]))
+        with pytest.raises(OutOfRange):
+            sudakov_width(cloud, 10_000, seed=20)
+
     @pytest.mark.parametrize("n_points, dim", [(4096, 2), (5, 3)])
     def test_blocked_statistic_matches_unblocked(self, n_points, dim):
         # the max over z @ pts.T runs in cache-sized blocks of rows; one
