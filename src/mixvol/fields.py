@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,7 +54,7 @@ from .geometry import (
     load_json,
     unit_ball_volume,
 )
-from .sampling import MCEstimate, Moments, RngStream, map_chunks, normal_quantile
+from .sampling import MCEstimate, Moments, RngStream, map_chunks, normal_quantile, rekey
 from .volumes import mixed_volume_with_balls
 
 TRIG = "trig"
@@ -149,16 +150,19 @@ class KernelSpec:
     def stationary(self) -> bool:
         return self.kind == TRIG
 
-    @property
+    # cached: the realization kernels read weights and frequencies on every
+    # evaluation
+    @cached_property
     def weights(self) -> np.ndarray:
-        return np.array([a.w for a in self.atoms])
+        """(n_atoms,) atom weights, read-only."""
+        return freeze([a.w for a in self.atoms])
 
-    @property
+    @cached_property
     def frequencies(self) -> np.ndarray:
-        """(n_atoms, d) frequency matrix; trig kernels only."""
+        """(n_atoms, d) frequency matrix, read-only; trig kernels only."""
         if self.kind != TRIG:
             raise OutOfRange("frequencies are defined for trig kernels only")
-        return np.stack([a.omega for a in self.atoms])
+        return freeze([a.omega for a in self.atoms])
 
     @property
     def degrees(self) -> np.ndarray:
@@ -476,8 +480,7 @@ class Realization:
         spec = self.field.components[index]
         coef = self.coefficients[index]
         if spec.kind == TRIG:
-            phase = pts @ spec.frequencies.T
-            return np.cos(phase) @ coef[:, 0] + np.sin(phase) @ coef[:, 1]
+            return _trig_eval(spec.frequencies, coef, pts)
         powers = pts[:, 0, None] ** spec.degrees.astype(float)[None, :]
         return powers @ coef
 
@@ -487,10 +490,7 @@ class Realization:
         spec = self.field.components[index]
         coef = self.coefficients[index]
         if spec.kind == TRIG:
-            om = spec.frequencies
-            phase = pts @ om.T
-            radial = -np.sin(phase) * coef[:, 0] + np.cos(phase) * coef[:, 1]
-            return radial @ om
+            return _trig_eval(spec.frequencies, coef, pts, gradients=True)[1]
         deg = spec.degrees.astype(float)
         pos = deg > 0
         if not np.any(pos):
@@ -512,6 +512,41 @@ class Realization:
             [self.component_gradients(i, pts) for i in range(self.field.n_components)],
             axis=1,
         )
+
+
+def _trig_eval(om: np.ndarray, coef: np.ndarray, pts: np.ndarray, gradients: bool = False):
+    """sum_a c_a cos<om_a, p> + s_a sin<om_a, p> at m points p, shape (m,).
+
+    coef holds the (c_a, s_a) pairs: one (A, 2) block shared by all points,
+    or an (m, A, 2) stack with one block per point, which evaluates the
+    points of many realizations at once.  With gradients on, returns
+    (values, (m, d) gradients), both from one phase matrix.  Phases and
+    outputs are elementwise sums, not BLAS products, so a point's result
+    does not depend on the other points evaluated with it.
+    """
+    phase = pts[:, :1] * om[:, 0]
+    for j in range(1, om.shape[1]):
+        phase += pts[:, j : j + 1] * om[:, j]
+    cos, sin = np.cos(phase), np.sin(phase)
+    c, s = coef[..., 0], coef[..., 1]
+    values = np.sum(cos * c + sin * s, axis=1)
+    if not gradients:
+        return values
+    radial = cos * s - sin * c
+    return values, np.stack([np.sum(radial * w, axis=1) for w in om.T], axis=1)
+
+
+def _values_and_jacobians(
+    field: FieldSpec, coefs: list[np.ndarray], owner: np.ndarray, pts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """X (m, k) and X' (m, k, d) of a trig field at m points, point i taken
+    in realization owner[i] of the per-component (R, A, 2) coefficient
+    stacks coefs; one phase matrix per component serves both."""
+    m, k = pts.shape[0], field.n_components
+    vals, jac = np.empty((m, k)), np.empty((m, k, field.dim))
+    for i, (spec, coef) in enumerate(zip(field.components, coefs)):
+        vals[:, i], jac[:, i] = _trig_eval(spec.frequencies, coef[owner], pts, gradients=True)
+    return vals, jac
 
 
 def _coefficient_blocks(field: FieldSpec, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
@@ -631,13 +666,15 @@ def _grid_axes(region: Region, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grid_points(region: Region, grid_n: int) -> np.ndarray:
-    """The (grid_n + 1)^2 nodes, row-major in (x, y)."""
+    """The (grid_n + 1)^2 nodes, row-major in (x, y); the tests evaluate
+    realizations here directly as the reference for separable grids."""
     gx, gy = np.meshgrid(*_grid_axes(region, grid_n), indexing="ij")
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
 def _cell_has_change(values: np.ndarray) -> np.ndarray:
-    """(g, g) mask of cells whose four corner values are not of one sign."""
+    """(g, g, ...) mask of cells whose four corner values are not of one sign,
+    from (g + 1, g + 1, ...) node values."""
     s = values > 0.0
     a, b = s[:-1, :-1], s[1:, :-1]
     c, d = s[1:, 1:], s[:-1, 1:]
@@ -670,22 +707,51 @@ def _dedup(points: np.ndarray, radius: float) -> np.ndarray:
     return points[kept]
 
 
+def _trig_grid(spec: KernelSpec, xs: np.ndarray, ys: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """(nx, ny, R) values of one 2-D trig component on the tensor grid
+    xs x ys for R realizations with (A, 2, R) coefficients.
+
+    With u = omega_1 x and v = omega_2 y,
+        a cos(u + v) + b sin(u + v) = cos u (a cos v + b sin v) + sin u (b cos v - a sin v),
+    so the grid is one GEMM of [cos u, sin u], (nx, 2A), by (2A, ny R): its
+    cost is O(nx ny R A) multiply-adds and O((nx + ny) A) cos/sin, and no
+    (nx ny, A) table of cos and sin is built.
+    """
+    om = spec.frequencies
+    u = np.multiply.outer(xs, om[:, 0])
+    left = np.concatenate([np.cos(u), np.sin(u)], axis=1)
+    v = np.multiply.outer(om[:, 1], ys)[:, :, None]  # (A, ny, 1)
+    cos_v, sin_v = np.cos(v), np.sin(v)
+    a, b = coef[:, None, 0, :], coef[:, None, 1, :]  # (A, 1, R)
+    right = np.concatenate([a * cos_v + b * sin_v, b * cos_v - a * sin_v])
+    return (left @ right.reshape(left.shape[1], -1)).reshape(xs.shape[0], ys.shape[0], -1)
+
+
 def _newton_roots_2d(
-    r: Realization, seeds: np.ndarray, region: Region, tol: float
-) -> np.ndarray:
-    """Converged, deduplicated roots of (X1, X2) from the given seed points."""
-    if seeds.shape[0] == 0:
-        return np.empty((0, 2))
+    field: FieldSpec,
+    coefs: list[np.ndarray],
+    seeds: np.ndarray,
+    owner: np.ndarray,
+    region: Region,
+    tol: float,
+) -> list[np.ndarray]:
+    """Converged, deduplicated roots of (X1, X2) for each realization of a chunk.
+
+    Seed m starts in realization owner[m] of the per-component (R, A, 2)
+    coefficient stacks coefs; owner is nondecreasing, and each realization's
+    seeds come in the order its converged roots are deduplicated in.  All
+    seeds of the chunk iterate together.  Returns R arrays of shape (n, 2).
+    """
     x = seeds.copy()
     active = np.ones(x.shape[0], dtype=bool)
     converged = np.zeros(x.shape[0], dtype=bool)
     span = np.max(region.upper - region.lower)
     for _ in range(NEWTON_MAX_ITER):
-        if not np.any(active):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
             break
-        pts = x[active]
-        vals = r.values(pts)
-        jac = r.jacobians(pts)
+        pts = x[idx]
+        vals, jac = _values_and_jacobians(field, coefs, owner[idx], pts)
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         ok = np.abs(det) > 1e-300
         step = np.empty_like(vals)
@@ -704,33 +770,37 @@ def _newton_roots_2d(
             & (np.max(np.abs(vals), axis=1) < tol)
             & (np.max(np.abs(step), axis=1) < NEWTON_STEP_TOL)
         )
-        idx = np.flatnonzero(active)
         x[idx] = np.where(inside[:, None], new, pts)
         converged[idx[done]] = True
-        still = active.copy()
-        still[idx[done | ~inside]] = False
-        active = still
-    roots = _dedup(x[converged], DEDUP_RADIUS)
-    if roots.shape[0] == 0:
-        return roots
-    return roots[region.contains(roots)]
+        active[idx[done | ~inside]] = False
+    bounds = np.searchsorted(owner[converged], np.arange(1, coefs[0].shape[0]))
+    kept = [_dedup(roots, DEDUP_RADIUS) for roots in np.split(x[converged], bounds)]
+    return [roots[region.contains(roots)] for roots in kept]
 
 
-def _roots_2d(
-    r: Realization,
-    region: Region,
-    grid_n: int,
-    tol: float,
-    values: np.ndarray | None = None,
-) -> np.ndarray:
+def _chunk_roots_2d(
+    field: FieldSpec, coefs: list[np.ndarray], region: Region, grid_n: int, tol: float
+) -> list[np.ndarray]:
+    """Roots of each realization of a chunk, from (R, A, 2) coefficient stacks.
+
+    Cells where both components change sign seed Newton, realization by
+    realization and in row-major cell order within each.
+    """
     xs, ys = _grid_axes(region, grid_n)
-    if values is None:
-        values = r.values(_grid_points(region, grid_n)).reshape(grid_n + 1, grid_n + 1, 2)
-    candidates = _cell_has_change(values[:, :, 0]) & _cell_has_change(values[:, :, 1])
-    ci, cj = np.nonzero(candidates)
+    first, second = (
+        _trig_grid(spec, xs, ys, np.moveaxis(coef, 0, 2))
+        for spec, coef in zip(field.components, coefs)
+    )
+    candidates = _cell_has_change(first) & _cell_has_change(second)
+    owner, ci, cj = np.nonzero(np.moveaxis(candidates, 2, 0))
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
     seeds = np.column_stack([xs[ci] + 0.5 * hx, ys[cj] + 0.5 * hy])
-    return _newton_roots_2d(r, seeds, region, tol)
+    return _newton_roots_2d(field, coefs, seeds, owner, region, tol)
+
+
+def _roots_2d(r: Realization, region: Region, grid_n: int, tol: float) -> np.ndarray:
+    """Roots of one realization: a chunk of one."""
+    return _chunk_roots_2d(r.field, [c[None] for c in r.coefficients], region, grid_n, tol)[0]
 
 
 def zeros_2d(
@@ -743,6 +813,7 @@ def zeros_2d(
 ) -> np.ndarray:
     """Common zeros of (X1, X2) in the half-open box, as an (n, 2) array.
 
+    Node values come from the separable grid evaluation of level_length_2d.
     Cells where both components change sign seed a Newton iteration, in
     row-major cell order; roots are accepted at ||X|| < tol with final step
     below 1e-10.  Divergent seeds are discarded.  Converged roots are then
@@ -847,14 +918,11 @@ def _segment_lengths(
     return total
 
 
-def _length_2d(
-    r: Realization, region: Region, grid_n: int, values: np.ndarray | None = None
-) -> float:
+def _length_2d(r: Realization, region: Region, grid_n: int) -> float:
     xs, ys = _grid_axes(region, grid_n)
-    if values is None:
-        values = r.component_values(0, _grid_points(region, grid_n)).reshape(grid_n + 1, grid_n + 1)
-    center = lambda p: r.component_values(0, p)
-    return _segment_lengths(values, xs, ys, center)
+    spec, coef = r.field.components[0], r.coefficients[0]
+    values = _trig_grid(spec, xs, ys, coef[:, :, None])[:, :, 0]
+    return _segment_lengths(values, xs, ys, partial(_trig_eval, spec.frequencies, coef))
 
 
 def level_length_2d(
@@ -862,7 +930,9 @@ def level_length_2d(
 ) -> float:
     """Length of the nodal curve {X = 0} inside the box, by marching squares.
 
-    Linear interpolation on cell edges; four-crossing saddle cells are
+    The (grid_n + 1)^2 node values of an A-atom field are evaluated
+    separably: one GEMM of O(grid_n^2 A) multiply-adds, O(grid_n A) cos/sin
+    and O(grid_n^2 + grid_n A) memory.  Linear interpolation on cell edges; four-crossing saddle cells are
     disambiguated by evaluating the field at the cell center.  With
     self_check on, doubling the grid must agree within 1% or GridTooCoarse
     is raised.
@@ -889,30 +959,17 @@ def level_length_2d(
 EXPERIMENT_CHUNK = 256
 
 
-def _chunk_coefficients(
-    field: FieldSpec, seed: int, start: int, size: int
-) -> list[tuple[np.ndarray, ...]]:
-    """Coefficient blocks for realizations start .. start+size-1.
+def _chunk_coefficients(field: FieldSpec, seed: int, start: int, size: int) -> list[np.ndarray]:
+    """Coefficients of realizations start .. start+size-1, one stack per
+    component: (size, A, 2) for trig, (size, A) for polynomial.
 
-    Realization i always uses RngStream(seed, i), so experiment results do
-    not depend on the chunk size and match simulate_realization one-by-one.
+    Realization i always draws from stream (seed, i), so experiment results
+    do not depend on the chunk size and match simulate_realization
+    one-by-one; one generator is re-keyed from stream to stream.
     """
-    return [
-        _coefficient_blocks(field, RngStream(seed, start + i).generator())
-        for i in range(size)
-    ]
-
-
-def _batched_trig_values(
-    spec: KernelSpec,
-    cos_basis: np.ndarray,
-    sin_basis: np.ndarray,
-    blocks: list[tuple[np.ndarray, ...]],
-    component: int,
-) -> np.ndarray:
-    """(m, R) values of one trig component for a chunk of realizations."""
-    coef = np.stack([b[component] for b in blocks], axis=2)  # (A, 2, R)
-    return cos_basis @ coef[:, 0, :] + sin_basis @ coef[:, 1, :]
+    gen = RngStream(seed, start).generator()
+    blocks = [_coefficient_blocks(field, rekey(gen, seed, start + i)) for i in range(size)]
+    return [np.stack(component) for component in zip(*blocks)]
 
 
 def zero_count_experiment_1d(
@@ -950,11 +1007,11 @@ def zero_count_experiment_1d(
         powers = nodes[:, None] ** spec.degrees.astype(float)[None, :]
 
     def chunk_counts(start: int, size: int) -> tuple[Moments, int]:
-        blocks = _chunk_coefficients(field, seed, start, size)
+        (coef,) = _chunk_coefficients(field, seed, start, size)
         if spec.kind == TRIG:
-            vals = _batched_trig_values(spec, basis_cos, basis_sin, blocks, 0)
+            vals = basis_cos @ coef[:, :, 0].T + basis_sin @ coef[:, :, 1].T
         else:
-            vals = powers @ np.stack([b[0] for b in blocks], axis=1)
+            vals = powers @ coef.T
         fine = _sign_change_count(vals)
         coarse = _sign_change_count(vals[::2])
         return Moments.of(fine), int(np.count_nonzero(fine != coarse))
@@ -979,7 +1036,14 @@ def zero_count_experiment_2d(
     ci_level: float = 0.99,
     threads: int = 1,
 ) -> MCEstimate:
-    """Mean number of common zeros of a (d=2, k=2) field over realizations."""
+    """Mean number of common zeros of a (d=2, k=2) field over realizations.
+
+    Each realization's count is len(zeros_2d(..., self_check=False)): all
+    realizations of a chunk of 256 share one separable grid evaluation per
+    component and one Newton loop, and each realization's converged roots
+    are deduplicated in its own row-major seed order.  No grid-doubling
+    check runs.
+    """
     if field.dim != 2 or field.n_components != 2:
         raise DimensionMismatch("the 2-D count experiment needs two components on R^2")
     if region.dim != 2:
@@ -991,26 +1055,11 @@ def zero_count_experiment_2d(
         raise OutOfRange(f"grid_n must be at least 128, got {grid_n}")
     if any(c.kind != TRIG for c in field.components):
         raise DimensionMismatch("2-D fields are trigonometric by construction")
-    pts = _grid_points(region, grid_n)
-    bases = []
-    for spec in field.components:
-        phase = pts @ spec.frequencies.T
-        bases.append((np.cos(phase), np.sin(phase)))
 
     def chunk_counts(start: int, size: int) -> Moments:
-        blocks = _chunk_coefficients(field, seed, start, size)
-        vals = [
-            _batched_trig_values(field.components[c], bases[c][0], bases[c][1], blocks, c)
-            for c in range(2)
-        ]
-        out = np.empty(size, dtype=np.int64)
-        for i in range(size):
-            grid_vals = np.stack(
-                [vals[0][:, i], vals[1][:, i]], axis=1
-            ).reshape(grid_n + 1, grid_n + 1, 2)
-            real = Realization(field, blocks[i])
-            out[i] = _roots_2d(real, region, grid_n, tol, values=grid_vals).shape[0]
-        return Moments.of(out)
+        coefs = _chunk_coefficients(field, seed, start, size)
+        roots = _chunk_roots_2d(field, coefs, region, grid_n, tol)
+        return Moments.of([r.shape[0] for r in roots])
 
     parts = map_chunks(chunk_counts, n_realizations, EXPERIMENT_CHUNK, threads)
     return MCEstimate.from_moments(parts, seed, ci_level)
@@ -1028,8 +1077,10 @@ def nodal_length_experiment(
 ) -> MCEstimate:
     """Mean nodal-curve length of a (d=2, k=1) field over realizations.
 
-    The first realization runs the full doubling self-check; the rest reuse
-    the validated grid.
+    Each realization's length is level_length_2d(..., self_check=False),
+    from one separable grid evaluation per chunk of 256 realizations.  The
+    first realization also runs the full doubling self-check, and the rest
+    reuse the validated grid.
     """
     if field.dim != 2 or field.n_components != 1:
         raise DimensionMismatch("the nodal-length experiment needs a scalar field on R^2")
@@ -1043,23 +1094,19 @@ def nodal_length_experiment(
     spec = field.components[0]
     if spec.kind != TRIG:
         raise DimensionMismatch("2-D fields are trigonometric by construction")
-    pts = _grid_points(region, grid_n)
-    phase = pts @ spec.frequencies.T
-    cos_basis, sin_basis = np.cos(phase), np.sin(phase)
+    xs, ys = _grid_axes(region, grid_n)
     level_length_2d(
         simulate_realization(field, RngStream(seed, 0)), region, grid_n, self_check=True
     )
 
     def chunk_lengths(start: int, size: int) -> Moments:
-        blocks = _chunk_coefficients(field, seed, start, size)
-        vals = _batched_trig_values(spec, cos_basis, sin_basis, blocks, 0)
-        out = np.empty(size)
-        for i in range(size):
-            real = Realization(field, blocks[i])
-            out[i] = _length_2d(
-                real, region, grid_n, values=vals[:, i].reshape(grid_n + 1, grid_n + 1)
-            )
-        return Moments.of(out)
+        (coef,) = _chunk_coefficients(field, seed, start, size)
+        grid = _trig_grid(spec, xs, ys, np.moveaxis(coef, 0, 2))
+        lengths = [
+            _segment_lengths(grid[:, :, i], xs, ys, partial(_trig_eval, spec.frequencies, coef[i]))
+            for i in range(size)
+        ]
+        return Moments.of(lengths)
 
     parts = map_chunks(chunk_lengths, n_realizations, EXPERIMENT_CHUNK, threads)
     return MCEstimate.from_moments(parts, seed, ci_level)

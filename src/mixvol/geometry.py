@@ -35,8 +35,12 @@ UNIT_TOL = 1e-10
 
 
 def freeze(a) -> np.ndarray:
-    """a as a contiguous float array that cannot be written to."""
-    a = np.ascontiguousarray(a, dtype=float)
+    """A private contiguous float copy of a that cannot be written to.
+
+    The copy is what keeps the caller's own array writable and keeps later
+    writes to it out of the frozen value.
+    """
+    a = np.array(a, dtype=float, order="C")
     a.flags.writeable = False
     return a
 

@@ -51,14 +51,37 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self):
-        for name in ("seed", "stream_index"):
-            value = getattr(self, name)
-            if not 0 <= value < SEED_LIMIT:
-                raise OutOfRange(f"{name} must be in [0, 2^64), got {value}")
+        _philox_key(self.seed, self.stream_index)
 
     def generator(self) -> Generator:
-        key = np.array([self.seed, self.stream_index], dtype=np.uint64)
-        return Generator(Philox(key=key))
+        return Generator(Philox(key=_philox_key(self.seed, self.stream_index)))
+
+
+def _philox_key(seed: int, stream_index: int) -> np.ndarray:
+    for name, value in (("seed", seed), ("stream_index", stream_index)):
+        if not 0 <= value < SEED_LIMIT:
+            raise OutOfRange(f"{name} must be in [0, 2^64), got {value}")
+    return np.array([seed, stream_index], dtype=np.uint64)
+
+
+def rekey(gen: Generator, seed: int, stream_index: int) -> Generator:
+    """gen, a Philox Generator, reset in place to the start of stream
+    (seed, stream_index); returns gen.
+
+    Its draws then equal RngStream(seed, stream_index).generator()'s bit for
+    bit, and the same range check applies.  Re-keying one generator per
+    chunk of streams saves building a Philox per stream, which pulls fresh
+    OS entropy for a seed sequence the key then overrides.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": _philox_key(seed, stream_index)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,7 @@ class PointCloud:
         if p.size == 0:
             raise DimensionMismatch("point cloud must be nonempty")
         if not np.all(np.isfinite(p)):
-            raise DimensionMismatch("point cloud entries must be finite")
+            raise OutOfRange("point cloud entries must be finite")
         object.__setattr__(self, "points", freeze(p))
 
     @property

@@ -8,11 +8,15 @@ Core claims:
   the Newton polish, and level_length_2d recovers straight nodal lines to
   1e-6.
 - The batched experiments equal a realization-by-realization loop over the
-  public counting ops, are bit-identical across thread counts, and their
-  means match the analytic intensities within 3 standard errors.
+  public counting ops (2-D counts exactly, also across a chunk boundary;
+  nodal lengths to 1e-12), are bit-identical across thread counts, and
+  their means match the analytic intensities within 3 standard errors.
 - The linear-cost kernels (hashed root deduplication, crossing-cell
   marching squares, sign counts over a chunk of realizations) reproduce
   their quadratic and full-grid references bit for bit.
+- Separable tensor-grid values match direct evaluation to 1e-12 of the
+  coefficient mass, and the shared-phase values and Jacobians that drive
+  the chunk-batched Newton loop equal Realization.values/jacobians exactly.
 """
 
 import math
@@ -26,6 +30,7 @@ from mixvol import (
     FieldSpec,
     GridTooCoarse,
     KernelSpec,
+    MCEstimate,
     OutOfRange,
     Realization,
     Region,
@@ -41,6 +46,7 @@ from mixvol import (
     zeros_2d,
 )
 from mixvol import fields
+from mixvol.sampling import Moments
 from support import reference_dedup, reference_segment_lengths
 
 RICE_TARGET = 100.0 * math.sqrt(5.0) / math.pi      # zeros on [0, 100]
@@ -297,6 +303,42 @@ class TestExperiments:
         ]
         assert runs[0].mean == runs[1].mean
 
+    def test_2d_experiment_equals_manual_loop_across_chunks(self):
+        # 260 realizations run as chunks of 256 and 4, each chunk through one
+        # Newton loop; every count must equal the one-realization count
+        region = Region([0.0, 0.0], [10.0, 10.0])
+        field = _wave_field(2)
+        est = zero_count_experiment_2d(field, region, 260, seed=14)
+        manual = [
+            count_zeros_2d(
+                simulate_realization(field, RngStream(14, i)), region, 128, self_check=False
+            )
+            for i in range(260)
+        ]
+        chunks = [Moments.of(manual[:256]), Moments.of(manual[256:])]
+        assert est == MCEstimate.from_moments(chunks, 14, 0.99)
+
+    def test_nodal_experiment_equals_manual_loop(self):
+        region = Region([0.0, 0.0], [10.0, 10.0])
+        field = _wave_field(1)
+        est = nodal_length_experiment(field, region, 40, seed=15)
+        manual = [
+            level_length_2d(
+                simulate_realization(field, RngStream(15, i)), region, 256, self_check=False
+            )
+            for i in range(40)
+        ]
+        assert est.mean == approx(np.mean(manual), rel=1e-12)
+        assert est.std_error == approx(np.std(manual, ddof=1) / math.sqrt(40), rel=1e-12)
+
+    def test_thread_count_does_not_change_bits_nodal(self):
+        region = Region([0.0, 0.0], [10.0, 10.0])
+        runs = [
+            nodal_length_experiment(_wave_field(1), region, 300, seed=16, threads=t)
+            for t in (1, 2)
+        ]
+        assert runs[0] == runs[1]
+
     def test_experiment_grid_check_raises_on_fast_field(self):
         fast = FieldSpec(1, (KernelSpec.trig([(1.0, [4000.0])]),))
         with pytest.raises(GridTooCoarse):
@@ -418,3 +460,48 @@ class TestKernelsMatchReferences:
         box = Region([0.0, 0.0], [10.0, 10.0])
         z2 = zeros_2d(wave, box, 128)
         assert z2.shape[1] == 2 and count_zeros_2d(wave, box, 128) == z2.shape[0]
+
+
+# == 6. separable grids and shared-phase Newton evaluation ==================
+
+
+def _chunk(field, seed, size):
+    reals = [simulate_realization(field, RngStream(seed, i)) for i in range(size)]
+    stacks = [np.stack([r.coefficients[c] for r in reals]) for c in range(field.n_components)]
+    return reals, stacks
+
+
+class TestSeparableKernels:
+    def test_separable_grid_matches_direct_values(self):
+        # |omega| = 6 on a box near 50: phases reach ~700 rad
+        field = _wave_field(2, 6.0)
+        region = Region([50.3, 49.6], [60.3, 59.6])
+        reals, stacks = _chunk(field, 23, 3)
+        xs, ys = fields._grid_axes(region, 128)
+        pts = fields._grid_points(region, 128)
+        for c, spec in enumerate(field.components):
+            grid = fields._trig_grid(spec, xs, ys, np.moveaxis(stacks[c], 0, 2))
+            assert grid.shape == (129, 129, 3)
+            for i, r in enumerate(reals):
+                direct = r.component_values(c, pts).reshape(129, 129)
+                scale = np.sum(np.abs(r.coefficients[c]))
+                assert np.max(np.abs(grid[:, :, i] - direct)) <= 1e-12 * scale
+
+    def test_shared_phase_equals_values_and_jacobians(self):
+        field = _wave_field(2, 6.0)
+        reals, stacks = _chunk(field, 24, 3)
+        rng = np.random.default_rng(24)
+        pts = rng.uniform(45.0, 65.0, size=(500, 2))
+        owner = np.sort(rng.integers(0, 3, size=500))
+        vals, jac = fields._values_and_jacobians(field, stacks, owner, pts)
+        for i, r in enumerate(reals):
+            mine = owner == i
+            assert np.array_equal(vals[mine], r.values(pts[mine]))
+            assert np.array_equal(jac[mine], r.jacobians(pts[mine]))
+            # the same point alone, as a chunk of one
+            one = np.flatnonzero(mine)[:1]
+            alone = fields._values_and_jacobians(
+                field, [s[i : i + 1] for s in stacks], np.zeros(1, dtype=int), pts[one]
+            )
+            assert np.array_equal(alone[0], vals[one])
+            assert np.array_equal(alone[1], jac[one])

@@ -3,6 +3,8 @@
 Core claims:
 - make_spd validates symmetry and positive-definiteness and caches a
   Cholesky factor that reproduces the entries to 1e-10 relative.
+- Frozen values (SPD entries, region bounds, point clouds, frequencies)
+  hold a private read-only copy; the caller's array stays writable.
 - unit_ball_volume and falling_factorial hit their closed-form values,
   including the recursion kappa_n = kappa_{n-2} * 2 pi / n.
 - transform_ellipsoid / project_ellipsoid / support_function satisfy the
@@ -26,7 +28,10 @@ from mixvol import (
     NotSymmetric,
     NotUnitVector,
     OutOfRange,
+    PointCloud,
+    Region,
     SingularTransform,
+    TrigAtom,
     ball,
     ellipsoid_from_axes,
     ellipsoid_from_json,
@@ -113,6 +118,24 @@ class TestMakeSPD:
         m = make_spd(np.eye(2))
         with pytest.raises(ValueError):
             m.entries[0, 0] = 5.0
+
+    @pytest.mark.parametrize(
+        "build, array, stored",
+        [
+            (make_spd, np.eye(2), lambda m: m.entries),
+            (lambda a: Region(a, a + 1.0), np.zeros(2), lambda r: r.lower),
+            (PointCloud, np.ones((3, 2)), lambda c: c.points),
+            (lambda a: TrigAtom(1.0, a), np.ones(2), lambda t: t.omega),
+        ],
+    )
+    def test_freezing_keeps_the_callers_array_writable(self, build, array, stored):
+        # freeze used to mark the caller's own contiguous float array read-only
+        value = build(array)
+        before = stored(value).copy()
+        array.flat[0] = 5.0
+        assert array.flat[0] == 5.0
+        assert np.array_equal(stored(value), before)
+        assert not stored(value).flags.writeable
 
 
 # == 2. Constants: ball volumes and falling factorials ======================

@@ -19,6 +19,7 @@ Core claims:
   scaled estimates, and a true value above the double range raises
   OutOfRange (test_volumes covers the huge and tiny mixed-volume cases).
 - Seeds and stream indices outside [0, 2^64) raise OutOfRange; none alias.
+  A generator re-keyed by rekey draws what a new stream's generator draws.
 """
 
 import math
@@ -40,6 +41,7 @@ from mixvol import (
     gram_volume,
     make_spd,
     normal_quantile,
+    rekey,
     sample_gaussian,
 )
 
@@ -483,6 +485,28 @@ class TestSeedRange:
             expected_gram_volume(_standard_ensemble(2, 2), n=1000, seed=seed)
         with pytest.raises(OutOfRange):
             chunked_mc_mean(lambda z: z[:, 0], (1,), 1000, seed=seed)
+
+    @pytest.mark.parametrize("index", [0, 1, 2**64 - 1])
+    def test_rekeyed_generator_draws_equal_a_new_stream(self, index):
+        gen = RngStream(3, 7).generator()
+        gen.standard_normal(5)
+        for seed in (0, 2**64 - 1):
+            gen.integers(0, 2**32, dtype=np.uint32)  # leaves half a word buffered
+            assert rekey(gen, seed, index) is gen
+            fresh = RngStream(seed, index).generator()
+            assert np.array_equal(
+                gen.integers(0, 2**32, 9, dtype=np.uint32),
+                fresh.integers(0, 2**32, 9, dtype=np.uint32),
+            )
+            assert np.array_equal(gen.standard_normal(9), fresh.standard_normal(9))
+
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    def test_rekey_rejects_out_of_range(self, bad):
+        gen = RngStream(0).generator()
+        with pytest.raises(OutOfRange, match="stream_index"):
+            rekey(gen, 0, bad)
+        with pytest.raises(OutOfRange, match="seed"):
+            rekey(gen, bad, 0)
 
     def test_last_stream_index_checked(self):
         with pytest.raises(OutOfRange, match="stream_index"):

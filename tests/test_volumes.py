@@ -11,7 +11,7 @@ Core claims:
   whose mixed volume leaves the double range raise OutOfRange instead of a
   NaN standard error or 0 +- 0.
 - sudakov_width's cache-sized blocks give the estimate of one unblocked
-  product.
+  product; a point cloud with a non-finite entry raises OutOfRange.
 """
 
 import math
@@ -294,6 +294,12 @@ class TestSudakovWidth:
     def test_empty_cloud_rejected(self):
         with pytest.raises(DimensionMismatch):
             PointCloud(np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_point_rejected(self, bad):
+        # raised DimensionMismatch, unlike every other non-finite input
+        with pytest.raises(OutOfRange, match="finite"):
+            PointCloud([[bad, 0.0], [0.0, 1.0]])
 
     def test_huge_cloud_raises_instead_of_nan(self):
         # the squared maxima (~1e310) leave the double range; the standard
