@@ -33,6 +33,7 @@ from .fields import (
     zero_count_experiment_1d,
     zero_count_experiment_2d,
     zero_intensity,
+    zero_set_kind,
     zeros_1d,
     zeros_2d,
 )
@@ -96,26 +97,16 @@ def _load_single_ellipsoid(path: str):
     return bodies[0]
 
 
-def _load_matrices(path: str) -> list:
+def _load_list(path: str, key: str, noun: str) -> list:
+    """A nonempty JSON array, bare or under {key: [...]}."""
     obj = load_json(path)
     if isinstance(obj, dict):
-        if set(obj) != {"matrices"}:
-            raise OutOfRange(f"{path}: matrix file must be an array or {{'matrices': [...]}}")
-        obj = obj["matrices"]
+        if set(obj) != {key}:
+            raise OutOfRange(f"{path}: {noun} file must be an array or {{'{key}': [...]}}")
+        obj = obj[key]
     if not isinstance(obj, list) or not obj:
-        raise OutOfRange(f"{path}: expected a nonempty array of matrices")
+        raise OutOfRange(f"{path}: expected a nonempty array of {key}")
     return obj
-
-
-def _load_points(path: str) -> PointCloud:
-    obj = load_json(path)
-    if isinstance(obj, dict):
-        if set(obj) != {"points"}:
-            raise OutOfRange(f"{path}: point file must be an array or {{'points': [...]}}")
-        obj = obj["points"]
-    if not isinstance(obj, list) or not obj:
-        raise OutOfRange(f"{path}: expected a nonempty array of points")
-    return PointCloud(float_array(obj, f"{path}: points"))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +156,7 @@ def _cmd_meanwidth(args):
 
 
 def _cmd_discriminant(args):
-    mats = _load_matrices(args.matrices)
+    mats = _load_list(args.matrices, "matrices", "matrix")
     value = mixed_discriminant(
         SymmetricTuple(tuple(float_array(m, f"{args.matrices}: matrix") for m in mats))
     )
@@ -204,7 +195,9 @@ def _cmd_oracle2d(args):
 
 
 def _cmd_sudakov(args):
-    cloud = _load_points(args.points)
+    cloud = PointCloud(
+        float_array(_load_list(args.points, "points", "point"), f"{args.points}: points")
+    )
     result = sudakov_width(
         cloud, args.samples, args.seed, ci_level=args.confidence, threads=args.threads
     )
@@ -243,13 +236,8 @@ def _cmd_fz_measure(args):
     field = load_field(args.field)
     region = load_region(args.region)
     est = expected_zero_measure(
-        field,
-        region,
-        args.samples,
-        args.seed,
-        ci_level=args.confidence,
-        threads=args.threads,
-        quadrature_order=args.quadrature_order,
+        field, region, args.samples, args.seed,
+        ci_level=args.confidence, threads=args.threads, quadrature_order=args.quadrature_order,
     )
     payload = _mc_fields(est)
     payload["stationary"] = field.stationary
@@ -262,79 +250,39 @@ def _cmd_fz_measure(args):
     return payload, [args.field, args.region]
 
 
-def _empirical_kind(field: FieldSpec) -> str:
-    d, k = field.dim, field.n_components
-    if (d, k) == (1, 1):
-        return "count-1d"
-    if (d, k) == (2, 2):
-        return "count-2d"
-    if (d, k) == (2, 1):
-        return "length-2d"
-    raise OutOfRange(
-        f"empirical zero sets support (d, k) in (1,1), (2,2), (2,1); field has ({d}, {k})"
-    )
-
-
 def _cmd_fz_simulate(args):
     field = load_field(args.field)
     region = load_region(args.region)
-    kind = _empirical_kind(field)
+    kind = zero_set_kind(field)
     realization = simulate_realization(field, RngStream(args.seed, 0))
     payload: dict = {"kind": kind, "seed": args.seed, "grid_n": args.grid}
-    if kind in ("count-1d", "count-2d"):
-        solve = zeros_1d if kind == "count-1d" else zeros_2d
-        zeros = solve(realization, region, args.grid)
-        payload["count"] = zeros.shape[0]
-        payload["zeros"] = zeros.tolist()
-    else:
+    if kind == "length-2d":
         payload["length"] = level_length_2d(realization, region, args.grid)
+    else:
+        zeros = (zeros_1d if kind == "count-1d" else zeros_2d)(realization, region, args.grid)
+        payload.update(count=zeros.shape[0], zeros=zeros.tolist())
     return payload, [args.field, args.region]
 
 
 def _cmd_fz_compare(args):
     field = load_field(args.field)
     region = load_region(args.region)
-    kind = _empirical_kind(field)
+    kind = zero_set_kind(field)
     analytic_seed = args.seed ^ ANALYTIC_SEED_SALT
     analytic = expected_zero_measure(
-        field,
-        region,
-        args.samples,
-        analytic_seed,
-        ci_level=args.confidence,
-        threads=args.threads,
-        quadrature_order=args.quadrature_order,
+        field, region, args.samples, analytic_seed,
+        ci_level=args.confidence, threads=args.threads, quadrature_order=args.quadrature_order,
     )
-    if kind == "count-1d":
-        empirical = zero_count_experiment_1d(
-            field,
-            region,
-            args.realizations,
-            args.seed,
-            grid_n=args.grid,
-            ci_level=args.confidence,
-            threads=args.threads,
-        )
-    elif kind == "count-2d":
-        empirical = zero_count_experiment_2d(
-            field,
-            region,
-            args.realizations,
-            args.seed,
-            grid_n=args.grid,
-            ci_level=args.confidence,
-            threads=args.threads,
-        )
-    else:
-        empirical = nodal_length_experiment(
-            field,
-            region,
-            args.realizations,
-            args.seed,
-            grid_n=args.grid,
-            ci_level=args.confidence,
-            threads=args.threads,
-        )
+    # looked up per call, so a name rebound on this module is the one called
+    experiment = {
+        "count-1d": zero_count_experiment_1d,
+        "count-2d": zero_count_experiment_2d,
+        "length-2d": nodal_length_experiment,
+    }[kind]
+    empirical = experiment(
+        field, region, args.realizations, args.seed,
+        grid_n=args.grid, ci_level=args.confidence, threads=args.threads,
+    )
     gap = empirical.mean - analytic.mean
     se = math.hypot(empirical.std_error, analytic.std_error)
     z = gap / se if se > 0 else math.inf if gap else 0.0

@@ -104,7 +104,7 @@ class PolyAtom:
         if not (w > 0.0) or not math.isfinite(w):
             raise OutOfRange(f"atom weight must be positive and finite, got {self.w}")
         deg = self.degree
-        if not isinstance(deg, (int, np.integer)) or deg < 0:
+        if isinstance(deg, bool) or not isinstance(deg, (int, np.integer)) or deg < 0:
             raise OutOfRange(f"degree must be a nonnegative integer, got {deg!r}")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "degree", int(deg))
@@ -269,23 +269,27 @@ class Region:
 # normalized-gradient covariance
 
 
-def _kernel_moments(spec: KernelSpec, t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """(sigma^2, g, H) at t: variance, grad_s r|_{s=t}, d_s d_t r|_{s=t}."""
+def _poly_moments(spec: KernelSpec, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sigma^2, g, h) of a polynomial kernel at each point of ts: variance,
+    d_s r|_{s=t} and d_s d_t r|_{s=t}."""
     w = spec.weights
-    if spec.kind == TRIG:
-        om = spec.frequencies
-        sigma2 = float(np.sum(w))
-        g = np.zeros(spec.dim)
-        h = (om * w[:, None]).T @ om
-        return sigma2, g, h
-    x = float(t[0])
     deg = spec.degrees.astype(float)
-    sigma2 = float(np.sum(w * x ** (2.0 * deg)))
+    x = ts[:, None]
+    sigma2 = np.sum(w * x ** (2.0 * deg), axis=1)
     # derivative conventions: x**negative never evaluated, degree-0 terms drop
     pos = deg > 0
-    g1 = float(np.sum(w[pos] * deg[pos] * x ** (2.0 * deg[pos] - 1.0)))
-    h1 = float(np.sum(w[pos] * deg[pos] ** 2 * x ** (2.0 * deg[pos] - 2.0)))
-    return sigma2, np.array([g1]), np.array([[h1]])
+    g = np.sum(w[pos] * deg[pos] * x ** (2.0 * deg[pos] - 1.0), axis=1)
+    h = np.sum(w[pos] * deg[pos] ** 2 * x ** (2.0 * deg[pos] - 2.0), axis=1)
+    return sigma2, g, h
+
+
+def _kernel_moments(spec: KernelSpec, t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(sigma^2, g, H) at t: variance, grad_s r|_{s=t}, d_s d_t r|_{s=t}."""
+    if spec.kind == TRIG:
+        om, w = spec.frequencies, spec.weights
+        return float(np.sum(w)), np.zeros(spec.dim), (om * w[:, None]).T @ om
+    sigma2, g, h = _poly_moments(spec, t[:1])
+    return float(sigma2[0]), g, h[:, None]
 
 
 def gradient_covariance(spec: KernelSpec, t) -> SPDMatrix:
@@ -374,15 +378,9 @@ def zero_intensity(
 
 def _poly_intensity_values(spec: KernelSpec, ts: np.ndarray) -> np.ndarray:
     """Exact d=1 intensity sqrt(C(t))/pi on an array of points."""
-    w = spec.weights
-    deg = spec.degrees.astype(float)
-    x = ts[:, None]
-    sigma2 = np.sum(w * x ** (2.0 * deg), axis=1)
+    sigma2, g, h = _poly_moments(spec, ts)
     if np.min(sigma2) <= VARIANCE_FLOOR:
         raise DegenerateVariance("field variance vanishes inside the region")
-    pos = deg > 0
-    g = np.sum(w[pos] * deg[pos] * x ** (2.0 * deg[pos] - 1.0), axis=1)
-    h = np.sum(w[pos] * deg[pos] ** 2 * x ** (2.0 * deg[pos] - 2.0), axis=1)
     c = h / sigma2 - (g / sigma2) ** 2
     if np.min(c) < -1e-9:
         raise DegenerateGradient("normalized-gradient variance is negative in the region")
@@ -566,11 +564,60 @@ def simulate_realization(field: FieldSpec, stream: RngStream) -> Realization:
 
 
 # ---------------------------------------------------------------------------
+# zero-set measures: shapes and checks
+
+# zero-set measure -> (d, k) of the fields it applies to, minimum grid_n
+_ZERO_SETS = {"count-1d": (1, 1, 256), "count-2d": (2, 2, 128), "length-2d": (2, 1, 256)}
+
+
+def zero_set_kind(field: FieldSpec) -> str:
+    """The zero-set measure of the field's realizations: 'count-1d', 'count-2d'
+    or 'length-2d'; OutOfRange for any (d, k) other than (1, 1), (2, 2), (2, 1)."""
+    shape = (field.dim, field.n_components)
+    for kind, (d, k, _) in _ZERO_SETS.items():
+        if (d, k) == shape:
+            return kind
+    raise OutOfRange(
+        f"empirical zero sets support (d, k) in (1,1), (2,2), (2,1); field has {shape}"
+    )
+
+
+def _check_zero_set(kind: str, field: FieldSpec, region: Region, grid_n: int) -> None:
+    d, k, min_grid = _ZERO_SETS[kind]
+    shape = (field.dim, field.n_components)
+    if shape != (d, k):
+        raise DimensionMismatch(f"{kind} needs a field with (d, k) = {(d, k)}, got {shape}")
+    if region.dim != d:
+        raise DimensionMismatch(f"region dimension {region.dim} != {d}")
+    if grid_n < min_grid:
+        raise OutOfRange(f"grid_n must be at least {min_grid}, got {grid_n}")
+
+
+def _check_doubling(what: str, coarse: float, fine: float, grid_n: int, rel: float = 0.0) -> None:
+    """GridTooCoarse if doubling grid_n moved a measure by more than rel, relatively."""
+    if abs(fine - coarse) > rel * max(abs(fine), 1e-12):
+        raise GridTooCoarse(
+            f"{what} changed from {coarse:.6g} to {fine:.6g} when doubling grid_n={grid_n}"
+        )
+
+
+def _grid_axes(region: Region, grid_n: int) -> list[np.ndarray]:
+    """The grid_n + 1 equispaced nodes of each axis of the box."""
+    bounds = zip(region.lower.tolist(), region.upper.tolist())
+    return [np.linspace(lo, hi, grid_n + 1) for lo, hi in bounds]
+
+
+# ---------------------------------------------------------------------------
 # counting: d = 1
 
 
-def _axis_nodes(region: Region, grid_n: int) -> np.ndarray:
-    return np.linspace(float(region.lower[0]), float(region.upper[0]), grid_n + 1)
+def _line_values(spec: KernelSpec, nodes: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """(m, R) values at m nodes of R realizations of a 1-D component, from
+    its (R, A, 2) trig or (R, A) polynomial coefficient stack."""
+    if spec.kind == TRIG:
+        phase = nodes[:, None] * spec.frequencies[:, 0][None, :]
+        return np.cos(phase) @ coef[:, :, 0].T + np.sin(phase) @ coef[:, :, 1].T
+    return (nodes[:, None] ** spec.degrees.astype(float)[None, :]) @ coef.T
 
 
 def _sign_change_count(values: np.ndarray):
@@ -582,6 +629,16 @@ def _sign_change_count(values: np.ndarray):
     crossings = np.count_nonzero(values[:-1] * values[1:] < 0.0, axis=0)
     # exact zeros at nodes count once; the final node belongs to the next tile
     return crossings + np.count_nonzero(values[:-1] == 0.0, axis=0)
+
+
+def _chunk_counts_1d(
+    field: FieldSpec, coefs: list[np.ndarray], region: Region, grid_n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sign-change counts of each realization of a chunk at grid_n and at
+    2 grid_n, both from one evaluation at the 2 grid_n + 1 nodes."""
+    (nodes,) = _grid_axes(region, 2 * grid_n)
+    values = _line_values(field.components[0], nodes, coefs[0])
+    return _sign_change_count(values[::2]), _sign_change_count(values)
 
 
 def _bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
@@ -602,8 +659,8 @@ def _bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.
 
 
 def _zeros_1d(r: Realization, region: Region, grid_n: int, tol: float) -> np.ndarray:
-    nodes = _axis_nodes(region, grid_n)
-    values = r.component_values(0, nodes)
+    (nodes,) = _grid_axes(region, grid_n)
+    values = _line_values(r.field.components[0], nodes, r.coefficients[0][None])[:, 0]
     f = lambda x: r.component_values(0, x)
     bracket = values[:-1] * values[1:] < 0.0
     roots = _bisect_roots(f, nodes[:-1][bracket], nodes[1:][bracket], tol)
@@ -626,20 +683,11 @@ def zeros_1d(
     With self_check on, the number of sign changes is recomputed at double
     resolution and a mismatch raises GridTooCoarse.
     """
-    if r.field.dim != 1 or r.field.n_components != 1:
-        raise DimensionMismatch("zeros_1d needs a scalar field on R^1")
-    if region.dim != 1:
-        raise DimensionMismatch(f"region dimension {region.dim} != 1")
-    if grid_n < 256:
-        raise OutOfRange(f"grid_n must be at least 256, got {grid_n}")
+    _check_zero_set("count-1d", r.field, region, grid_n)
     roots = _zeros_1d(r, region, grid_n, tol)
     if self_check:
-        count = roots.shape[0]
-        refined = _sign_change_count(r.component_values(0, _axis_nodes(region, 2 * grid_n)))
-        if refined != count:
-            raise GridTooCoarse(
-                f"count changed from {count} to {refined} when doubling grid_n={grid_n}"
-            )
+        _, refined = _chunk_counts_1d(r.field, [c[None] for c in r.coefficients], region, grid_n)
+        _check_doubling("count", roots.shape[0], refined[0], grid_n)
     return roots
 
 
@@ -657,12 +705,6 @@ def count_zeros_1d(
 
 # ---------------------------------------------------------------------------
 # counting: d = 2
-
-
-def _grid_axes(region: Region, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.linspace(float(region.lower[0]), float(region.upper[0]), grid_n + 1)
-    ys = np.linspace(float(region.lower[1]), float(region.upper[1]), grid_n + 1)
-    return xs, ys
 
 
 def _grid_points(region: Region, grid_n: int) -> np.ndarray:
@@ -823,20 +865,11 @@ def zeros_2d(
     are dropped.  With self_check on, a doubled grid must reproduce the
     count or GridTooCoarse is raised.
     """
-    if r.field.dim != 2 or r.field.n_components != 2:
-        raise DimensionMismatch("zeros_2d needs two components on R^2")
-    if region.dim != 2:
-        raise DimensionMismatch(f"region dimension {region.dim} != 2")
-    if grid_n < 128:
-        raise OutOfRange(f"grid_n must be at least 128, got {grid_n}")
+    _check_zero_set("count-2d", r.field, region, grid_n)
     roots = _roots_2d(r, region, grid_n, tol)
     if self_check:
-        count = roots.shape[0]
-        refined = _roots_2d(r, region, 2 * grid_n, tol).shape[0]
-        if refined != count:
-            raise GridTooCoarse(
-                f"count changed from {count} to {refined} when doubling grid_n={grid_n}"
-            )
+        refined = _roots_2d(r, region, 2 * grid_n, tol)
+        _check_doubling("count", roots.shape[0], refined.shape[0], grid_n)
     return roots
 
 
@@ -918,11 +951,23 @@ def _segment_lengths(
     return total
 
 
-def _length_2d(r: Realization, region: Region, grid_n: int) -> float:
+def _chunk_lengths_2d(
+    field: FieldSpec, coefs: list[np.ndarray], region: Region, grid_n: int
+) -> list[float]:
+    """Nodal length of each realization of a chunk, from its (R, A, 2)
+    coefficient stack: one separable grid evaluation for the whole chunk."""
     xs, ys = _grid_axes(region, grid_n)
-    spec, coef = r.field.components[0], r.coefficients[0]
-    values = _trig_grid(spec, xs, ys, coef[:, :, None])[:, :, 0]
-    return _segment_lengths(values, xs, ys, partial(_trig_eval, spec.frequencies, coef))
+    spec, (coef,) = field.components[0], coefs
+    grid = _trig_grid(spec, xs, ys, np.moveaxis(coef, 0, 2))
+    return [
+        _segment_lengths(grid[:, :, i], xs, ys, partial(_trig_eval, spec.frequencies, coef[i]))
+        for i in range(coef.shape[0])
+    ]
+
+
+def _length_2d(r: Realization, region: Region, grid_n: int) -> float:
+    """Nodal length of one realization: a chunk of one."""
+    return _chunk_lengths_2d(r.field, [c[None] for c in r.coefficients], region, grid_n)[0]
 
 
 def level_length_2d(
@@ -937,19 +982,10 @@ def level_length_2d(
     self_check on, doubling the grid must agree within 1% or GridTooCoarse
     is raised.
     """
-    if r.field.dim != 2 or r.field.n_components != 1:
-        raise DimensionMismatch("level_length_2d needs a scalar field on R^2")
-    if region.dim != 2:
-        raise DimensionMismatch(f"region dimension {region.dim} != 2")
-    if grid_n < 256:
-        raise OutOfRange(f"grid_n must be at least 256, got {grid_n}")
+    _check_zero_set("length-2d", r.field, region, grid_n)
     length = _length_2d(r, region, grid_n)
     if self_check:
-        refined = _length_2d(r, region, 2 * grid_n)
-        if abs(refined - length) > 0.01 * max(abs(refined), 1e-12):
-            raise GridTooCoarse(
-                f"length moved from {length:.6g} to {refined:.6g} when doubling grid_n"
-            )
+        _check_doubling("length", length, _length_2d(r, region, 2 * grid_n), grid_n, 0.01)
     return length
 
 
@@ -972,6 +1008,35 @@ def _chunk_coefficients(field: FieldSpec, seed: int, start: int, size: int) -> l
     return [np.stack(component) for component in zip(*blocks)]
 
 
+def _experiment(
+    kind: str, measure: Callable, field: FieldSpec, region: Region,
+    n_realizations: int, seed: int, grid_n: int, ci_level: float, threads: int,
+) -> MCEstimate:
+    """Mean of a zero-set measure over realizations 0 .. n_realizations-1.
+
+    Every input is checked before any work.  measure(coefs, start) maps the
+    coefficient stacks of the chunk of realizations from start on to their
+    values and the number of them that moved under grid doubling; more than
+    1% of all realizations moving raises GridTooCoarse.
+    """
+    _check_zero_set(kind, field, region, grid_n)
+    if n_realizations < 2:
+        raise OutOfRange(f"need at least 2 realizations, got {n_realizations}")
+    normal_quantile(ci_level)
+
+    def work(start: int, size: int) -> tuple[Moments, int]:
+        values, moved = measure(_chunk_coefficients(field, seed, start, size), start)
+        return Moments.of(values), moved
+
+    parts = map_chunks(work, n_realizations, EXPERIMENT_CHUNK, threads)
+    moved = sum(m for _, m in parts)
+    if moved > 0.01 * n_realizations:
+        raise GridTooCoarse(
+            f"{moved} of {n_realizations} realizations changed count under grid doubling"
+        )
+    return MCEstimate.from_moments([p for p, _ in parts], seed, ci_level)
+
+
 def zero_count_experiment_1d(
     field: FieldSpec,
     region: Region,
@@ -988,41 +1053,14 @@ def zero_count_experiment_1d(
     grid_n from the same evaluations: more than 1% of realizations moving
     under the doubling raises GridTooCoarse.
     """
-    if field.dim != 1 or field.n_components != 1:
-        raise DimensionMismatch("the 1-D count experiment needs a scalar field on R^1")
-    if region.dim != 1:
-        raise DimensionMismatch(f"region dimension {region.dim} != 1")
-    if n_realizations < 2:
-        raise OutOfRange(f"need at least 2 realizations, got {n_realizations}")
-    normal_quantile(ci_level)  # OutOfRange before any work
-    if grid_n < 256:
-        raise OutOfRange(f"grid_n must be at least 256, got {grid_n}")
-    spec = field.components[0]
-    nodes = _axis_nodes(region, 2 * grid_n)
 
-    if spec.kind == TRIG:
-        phase = nodes[:, None] * spec.frequencies[:, 0][None, :]
-        basis_cos, basis_sin = np.cos(phase), np.sin(phase)
-    else:
-        powers = nodes[:, None] ** spec.degrees.astype(float)[None, :]
+    def measure(coefs, start):
+        coarse, fine = _chunk_counts_1d(field, coefs, region, grid_n)
+        return fine, int(np.count_nonzero(fine != coarse))
 
-    def chunk_counts(start: int, size: int) -> tuple[Moments, int]:
-        (coef,) = _chunk_coefficients(field, seed, start, size)
-        if spec.kind == TRIG:
-            vals = basis_cos @ coef[:, :, 0].T + basis_sin @ coef[:, :, 1].T
-        else:
-            vals = powers @ coef.T
-        fine = _sign_change_count(vals)
-        coarse = _sign_change_count(vals[::2])
-        return Moments.of(fine), int(np.count_nonzero(fine != coarse))
-
-    parts = map_chunks(chunk_counts, n_realizations, EXPERIMENT_CHUNK, threads)
-    moved = sum(m for _, m in parts)
-    if moved > 0.01 * n_realizations:
-        raise GridTooCoarse(
-            f"{moved} of {n_realizations} realizations changed count under grid doubling"
-        )
-    return MCEstimate.from_moments([p for p, _ in parts], seed, ci_level)
+    return _experiment(
+        "count-1d", measure, field, region, n_realizations, seed, grid_n, ci_level, threads
+    )
 
 
 def zero_count_experiment_2d(
@@ -1044,25 +1082,13 @@ def zero_count_experiment_2d(
     are deduplicated in its own row-major seed order.  No grid-doubling
     check runs.
     """
-    if field.dim != 2 or field.n_components != 2:
-        raise DimensionMismatch("the 2-D count experiment needs two components on R^2")
-    if region.dim != 2:
-        raise DimensionMismatch(f"region dimension {region.dim} != 2")
-    if n_realizations < 2:
-        raise OutOfRange(f"need at least 2 realizations, got {n_realizations}")
-    normal_quantile(ci_level)  # OutOfRange before any work
-    if grid_n < 128:
-        raise OutOfRange(f"grid_n must be at least 128, got {grid_n}")
-    if any(c.kind != TRIG for c in field.components):
-        raise DimensionMismatch("2-D fields are trigonometric by construction")
 
-    def chunk_counts(start: int, size: int) -> Moments:
-        coefs = _chunk_coefficients(field, seed, start, size)
-        roots = _chunk_roots_2d(field, coefs, region, grid_n, tol)
-        return Moments.of([r.shape[0] for r in roots])
+    def measure(coefs, start):
+        return [r.shape[0] for r in _chunk_roots_2d(field, coefs, region, grid_n, tol)], 0
 
-    parts = map_chunks(chunk_counts, n_realizations, EXPERIMENT_CHUNK, threads)
-    return MCEstimate.from_moments(parts, seed, ci_level)
+    return _experiment(
+        "count-2d", measure, field, region, n_realizations, seed, grid_n, ci_level, threads
+    )
 
 
 def nodal_length_experiment(
@@ -1079,37 +1105,20 @@ def nodal_length_experiment(
 
     Each realization's length is level_length_2d(..., self_check=False),
     from one separable grid evaluation per chunk of 256 realizations.  The
-    first realization also runs the full doubling self-check, and the rest
-    reuse the validated grid.
+    first realization also runs the doubling self-check of level_length_2d,
+    and the rest reuse the validated grid.
     """
-    if field.dim != 2 or field.n_components != 1:
-        raise DimensionMismatch("the nodal-length experiment needs a scalar field on R^2")
-    if region.dim != 2:
-        raise DimensionMismatch(f"region dimension {region.dim} != 2")
-    if n_realizations < 2:
-        raise OutOfRange(f"need at least 2 realizations, got {n_realizations}")
-    normal_quantile(ci_level)  # OutOfRange before any work
-    if grid_n < 256:
-        raise OutOfRange(f"grid_n must be at least 256, got {grid_n}")
-    spec = field.components[0]
-    if spec.kind != TRIG:
-        raise DimensionMismatch("2-D fields are trigonometric by construction")
-    xs, ys = _grid_axes(region, grid_n)
-    level_length_2d(
-        simulate_realization(field, RngStream(seed, 0)), region, grid_n, self_check=True
+
+    def measure(coefs, start):
+        lengths = _chunk_lengths_2d(field, coefs, region, grid_n)
+        if start == 0:
+            first = _chunk_lengths_2d(field, [c[:1] for c in coefs], region, 2 * grid_n)
+            _check_doubling("length", lengths[0], first[0], grid_n, 0.01)
+        return lengths, 0
+
+    return _experiment(
+        "length-2d", measure, field, region, n_realizations, seed, grid_n, ci_level, threads
     )
-
-    def chunk_lengths(start: int, size: int) -> Moments:
-        (coef,) = _chunk_coefficients(field, seed, start, size)
-        grid = _trig_grid(spec, xs, ys, np.moveaxis(coef, 0, 2))
-        lengths = [
-            _segment_lengths(grid[:, :, i], xs, ys, partial(_trig_eval, spec.frequencies, coef[i]))
-            for i in range(size)
-        ]
-        return Moments.of(lengths)
-
-    parts = map_chunks(chunk_lengths, n_realizations, EXPERIMENT_CHUNK, threads)
-    return MCEstimate.from_moments(parts, seed, ci_level)
 
 
 # ---------------------------------------------------------------------------
@@ -1143,7 +1152,7 @@ def field_from_json(obj) -> FieldSpec:
     if not isinstance(obj, dict) or set(obj) != {"dim", "components"}:
         raise OutOfRange("field JSON must be an object with 'dim' and 'components'")
     dim = obj["dim"]
-    if not isinstance(dim, int):
+    if isinstance(dim, bool) or not isinstance(dim, int):
         raise OutOfRange(f"field 'dim' must be an integer, got {dim!r}")
     raw = obj["components"]
     if not isinstance(raw, list) or not raw:

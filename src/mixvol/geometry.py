@@ -228,6 +228,8 @@ def ellipsoid_from_json(obj) -> Ellipsoid:
         raise DimensionMismatch(
             'ellipsoid JSON must be an object with "dim" and "sigma" fields'
         )
+    if isinstance(obj["dim"], bool):
+        raise DimensionMismatch(f'"dim" must be an integer, got {obj["dim"]!r}')
     sigma = float_array(obj["sigma"], '"sigma"')
     if sigma.ndim != 2 or sigma.shape != (obj["dim"], obj["dim"]):
         raise DimensionMismatch(

@@ -149,6 +149,13 @@ def inputs(tmp_path_factory):
             "huge_points.json", {"points": [[1e155, 0.0], [0.0, 1e155], [-1e155, -1e155]]}
         ),
         "inf_points": text("inf_points.json", '{"points": [[1e400, 0.0], [0.0, 1.0]]}'),
+        "bool_dim_field": dump("bool_dim_field.json", {**RICE, "dim": True}),
+        "bool_dim_disk": dump("bool_dim_disk.json", {"dim": True, "sigma": [[1.0]]}),
+        "trig3d": dump(
+            "trig3d.json",
+            {"dim": 3, "components": [{"kind": "trig", "atoms": [{"w": 1.0, "omega": [1.0, 0.0, 0.0]}]}]},
+        ),
+        "cube": dump("cube.json", {"lower": [0.0, 0.0, 0.0], "upper": [1.0, 1.0, 1.0]}),
     }
 
 
@@ -487,6 +494,29 @@ class TestFailurePaths:
         proc = run_cli("sudakov", "--points", inputs["inf_points"],
                        "--samples", 1000, expect=2)
         assert "OutOfRange" in proc.stderr and "finite" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["fieldzeros", "intensity", "--field", "bool_dim_field", "--samples", 1000], "OutOfRange"),
+            (["meanwidth", "--ellipsoid", "bool_dim_disk", "--samples", 1000], "DimensionMismatch"),
+        ],
+    )
+    def test_boolean_dim_exits_two(self, inputs, argv, error):
+        # JSON true used to load as dimension 1
+        proc = run_cli(*[inputs.get(a, a) for a in argv], expect=2)
+        assert error in proc.stderr and "dim" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "extra", [["simulate"], ["compare", "--realizations", 10, "--samples", 1000]]
+    )
+    def test_unsupported_field_shape_exits_two(self, inputs, extra):
+        # realizations support (d, k) in (1, 1), (2, 2) and (2, 1) only
+        proc = run_cli("fieldzeros", extra[0], "--field", inputs["trig3d"],
+                       "--region", inputs["cube"], *extra[1:], expect=2)
+        assert "OutOfRange" in proc.stderr and "(3, 1)" in proc.stderr
         assert proc.stdout == ""
 
     def test_oracle2d_needs_exactly_two_bodies(self, inputs):

@@ -344,17 +344,32 @@ class TestExperiments:
         with pytest.raises(GridTooCoarse):
             zero_count_experiment_1d(fast, Region([0.0], [100.0]), 100, seed=0, grid_n=2048)
 
-    def test_field_shape_validation(self):
-        with pytest.raises(DimensionMismatch):
-            zero_count_experiment_1d(_wave_field(1), Region([0.0], [1.0]), 10, seed=0)
-        with pytest.raises(DimensionMismatch):
-            zero_count_experiment_2d(
-                _wave_field(1), Region([0.0, 0.0], [1.0, 1.0]), 10, seed=0
-            )
-        with pytest.raises(DimensionMismatch):
-            nodal_length_experiment(
-                _wave_field(2), Region([0.0, 0.0], [1.0, 1.0]), 10, seed=0
-            )
+    def test_field_shape_validation(self, monkeypatch):
+        # every input is checked before a single realization is drawn
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before validation")
+
+        monkeypatch.setattr(fields, "_chunk_coefficients", no_work)
+        monkeypatch.setattr(fields, "simulate_realization", no_work)
+        line, square = Region([0.0], [1.0]), Region([0.0, 0.0], [1.0, 1.0])
+        table = [
+            # experiment, right field, right region, wrong field, min grid_n
+            (zero_count_experiment_1d, _rice_field(), line, _wave_field(1), 256),
+            (zero_count_experiment_2d, _wave_field(2), square, _wave_field(1), 128),
+            (nodal_length_experiment, _wave_field(1), square, _wave_field(2), 256),
+        ]
+        for run, field, region, wrong_field, min_grid in table:
+            wrong_region = square if region.dim == 1 else line
+            cases = [
+                (DimensionMismatch, (wrong_field, region, 10), {}),
+                (DimensionMismatch, (field, wrong_region, 10), {}),
+                (OutOfRange, (field, region, 10), {"grid_n": min_grid - 1}),
+                (OutOfRange, (field, region, 1), {}),
+                (OutOfRange, (field, region, 10), {"ci_level": 1.5}),
+            ]
+            for error, args, kwargs in cases:
+                with pytest.raises(error):
+                    run(*args, seed=0, **kwargs)
 
 
 # == 5. linear-cost kernels vs their references =============================

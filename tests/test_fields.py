@@ -547,6 +547,21 @@ class TestFieldJSON:
         with pytest.raises(OutOfRange):
             field_from_json({"dim": 1, "components": [{"kind": "trig", "atoms": [atom]}]})
 
+    def test_boolean_dim_rejected(self):
+        # JSON true is a Python int, so it used to load as a 1-D field
+        obj = field_to_json(_rice_field())
+        obj["dim"] = True
+        with pytest.raises(OutOfRange):
+            field_from_json(obj)
+
+    def test_boolean_degree_rejected(self):
+        # JSON true used to load as degree 1
+        atom = {"w": 1.0, "degree": True}
+        with pytest.raises(OutOfRange):
+            field_from_json({"dim": 1, "components": [{"kind": "polynomial", "atoms": [atom]}]})
+        with pytest.raises(OutOfRange):
+            PolyAtom(1.0, True)
+
     def test_non_numeric_region_rejected(self):
         with pytest.raises(OutOfRange):
             region_from_json({"lower": [0.0, "x"], "upper": [1.0, 1.0]})

@@ -331,6 +331,11 @@ class TestEllipsoidJSON:
         with pytest.raises(DimensionMismatch):
             ellipsoid_from_json({"dim": 3, "sigma": [[1.0, 0.0], [0.0, 1.0]]})
 
+    def test_boolean_dim_rejected(self):
+        # JSON true is a Python int equal to 1, so it used to load as a 1-D ellipsoid
+        with pytest.raises(DimensionMismatch):
+            ellipsoid_from_json({"dim": True, "sigma": [[1.0]]})
+
     def test_asymmetric_rejected(self):
         with pytest.raises(NotSymmetric):
             ellipsoid_from_json({"dim": 2, "sigma": [[1.0, 0.3], [0.1, 1.0]]})
