@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -78,16 +79,29 @@ def _parse_threads(value: str) -> int:
     return n
 
 
-def _mc_fields(est: MCEstimate, value_key: str = "value") -> dict:
+def _mc(args, **options) -> dict:
+    """Estimator keywords n, seed, ci_level and threads from the Monte Carlo
+    flags; options add keywords or override them."""
+    flags = dict(n=args.samples, seed=args.seed, ci_level=args.confidence, threads=args.threads)
+    return flags | options
+
+
+def _mc_fields(est: MCEstimate, **extra) -> dict:
+    """The report fields of an estimate, followed by extra."""
     lo, hi = est.interval
     return {
-        value_key: est.mean,
+        "value": est.mean,
         "std_error": est.std_error,
         "ci": [lo, hi],
         "ci_level": est.ci_level,
         "n_samples": est.n_samples,
         "seed": est.seed,
+        **extra,
     }
+
+
+def _method(est: MCEstimate) -> str:
+    return "exact" if est.n_samples == 1 else "monte-carlo"
 
 
 def _load_single_ellipsoid(path: str):
@@ -110,49 +124,32 @@ def _load_list(path: str, key: str, noun: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns (payload_dict, input_paths)
+# handlers: each returns (payload_dict, input_paths) and looks library
+# functions up as module globals, so a name rebound on this module is called
 
 
 def _cmd_full(args):
     bodies = load_ellipsoids(args.ellipsoids)
-    est = mixed_volume_full(
-        bodies, args.samples, args.seed, ci_level=args.confidence, threads=args.threads
-    )
-    payload = _mc_fields(est)
-    payload["dim"] = bodies[0].dim
-    return payload, [args.ellipsoids]
+    est = mixed_volume_full(bodies, **_mc(args))
+    return _mc_fields(est, dim=bodies[0].dim), [args.ellipsoids]
 
 
 def _cmd_withballs(args):
     bodies = load_ellipsoids(args.ellipsoids)
-    est = mixed_volume_with_balls(
-        bodies, args.samples, args.seed, ci_level=args.confidence, threads=args.threads
-    )
-    payload = _mc_fields(est)
-    payload["dim"] = bodies[0].dim
-    payload["n_ellipsoids"] = len(bodies)
-    return payload, [args.ellipsoids]
+    est = mixed_volume_with_balls(bodies, **_mc(args))
+    return _mc_fields(est, dim=bodies[0].dim, n_ellipsoids=len(bodies)), [args.ellipsoids]
 
 
 def _cmd_intrinsic(args):
     body = _load_single_ellipsoid(args.ellipsoid)
-    est = intrinsic_volume(
-        body, args.k, args.samples, args.seed, ci_level=args.confidence, threads=args.threads
-    )
-    payload = _mc_fields(est)
-    payload["k"] = args.k
-    payload["dim"] = body.dim
-    return payload, [args.ellipsoid]
+    est = intrinsic_volume(body, args.k, **_mc(args))
+    return _mc_fields(est, k=args.k, dim=body.dim), [args.ellipsoid]
 
 
 def _cmd_meanwidth(args):
     body = _load_single_ellipsoid(args.ellipsoid)
-    est = mean_width(
-        body, args.samples, args.seed, ci_level=args.confidence, threads=args.threads
-    )
-    payload = _mc_fields(est)
-    payload["dim"] = body.dim
-    return payload, [args.ellipsoid]
+    est = mean_width(body, **_mc(args))
+    return _mc_fields(est, dim=body.dim), [args.ellipsoid]
 
 
 def _cmd_discriminant(args):
@@ -198,13 +195,13 @@ def _cmd_sudakov(args):
     cloud = PointCloud(
         float_array(_load_list(args.points, "points", "point"), f"{args.points}: points")
     )
-    result = sudakov_width(
-        cloud, args.samples, args.seed, ci_level=args.confidence, threads=args.threads
+    result = sudakov_width(cloud, **_mc(args))
+    payload = _mc_fields(
+        result.gaussian_mean,
+        implied_v1=result.implied_v1.mean,
+        implied_v1_std_error=result.implied_v1.std_error,
+        n_points=cloud.points.shape[0],
     )
-    payload = _mc_fields(result.gaussian_mean)
-    payload["implied_v1"] = result.implied_v1.mean
-    payload["implied_v1_std_error"] = result.implied_v1.std_error
-    payload["n_points"] = cloud.points.shape[0]
     return payload, [args.points]
 
 
@@ -223,30 +220,19 @@ def _parse_at(field: FieldSpec, text: str | None) -> np.ndarray:
 def _cmd_fz_intensity(args):
     field = load_field(args.field)
     t = _parse_at(field, args.at)
-    est = zero_intensity(
-        field, t, args.samples, args.seed, ci_level=args.confidence, threads=args.threads
-    )
-    payload = _mc_fields(est)
-    payload["at"] = t.tolist()
-    payload["method"] = "exact" if est.n_samples == 1 else "monte-carlo"
-    return payload, [args.field]
+    est = zero_intensity(field, t, **_mc(args))
+    return _mc_fields(est, at=t.tolist(), method=_method(est)), [args.field]
 
 
 def _cmd_fz_measure(args):
     field = load_field(args.field)
     region = load_region(args.region)
-    est = expected_zero_measure(
-        field, region, args.samples, args.seed,
-        ci_level=args.confidence, threads=args.threads, quadrature_order=args.quadrature_order,
-    )
-    payload = _mc_fields(est)
-    payload["stationary"] = field.stationary
-    payload["region_volume"] = region.volume
-    if not field.stationary:
-        payload["method"] = "gauss-legendre"
-        payload["quadrature_order"] = args.quadrature_order
+    est = expected_zero_measure(field, region, **_mc(args, quadrature_order=args.quadrature_order))
+    payload = _mc_fields(est, stationary=field.stationary, region_volume=region.volume)
+    if field.stationary:
+        payload["method"] = _method(est)
     else:
-        payload["method"] = "exact" if est.n_samples == 1 else "monte-carlo"
+        payload.update(method="gauss-legendre", quadrature_order=args.quadrature_order)
     return payload, [args.field, args.region]
 
 
@@ -270,10 +256,8 @@ def _cmd_fz_compare(args):
     kind = zero_set_kind(field)
     analytic_seed = args.seed ^ ANALYTIC_SEED_SALT
     analytic = expected_zero_measure(
-        field, region, args.samples, analytic_seed,
-        ci_level=args.confidence, threads=args.threads, quadrature_order=args.quadrature_order,
+        field, region, **_mc(args, seed=analytic_seed, quadrature_order=args.quadrature_order)
     )
-    # looked up per call, so a name rebound on this module is the one called
     experiment = {
         "count-1d": zero_count_experiment_1d,
         "count-2d": zero_count_experiment_2d,
@@ -303,25 +287,63 @@ def _cmd_fz_compare(args):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: one table row per subcommand, (name, help, handler, argument rows),
+# where an argument row is (flag, add_argument keywords).  A row without a
+# handler opens a group whose subcommands are named "group subcommand".
 
 
-def _add_mc_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--samples", type=int, default=1_000_000, help="Monte Carlo sample count")
-    p.add_argument("--seed", type=int, default=0, help="stream seed; same seed, same result")
-    p.add_argument(
-        "--confidence", type=float, default=0.99, help="two-sided confidence level for the CI"
-    )
-    p.add_argument(
-        "--threads",
-        type=_parse_threads,
-        default="all",
-        help="worker threads; results do not depend on this ('all' = every core)",
-    )
+def _arg(flag: str, text: str, **options) -> tuple[str, dict]:
+    return flag, {**options, "help": text}
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--verbose", action="store_true", help="human-readable summary on stderr")
+# rows shared by several subcommands; the partial ones take their help text
+_ellipsoids = partial(_arg, "--ellipsoids", required=True)
+_grid = partial(_arg, "--grid", type=int, default=512)
+_ELLIPSOID = _arg("--ellipsoid", "JSON file with one ellipsoid", required=True)
+_FIELD = _arg("--field", "field spec JSON file", required=True)
+_REGION = _arg("--region", "region JSON file", required=True)
+_COUNTING_GRID = _grid("counting grid resolution")
+_QUADRATURE = _arg(
+    "--quadrature-order", "Gauss-Legendre order (non-stationary)", type=int, default=32
+)
+_MC_FLAGS = (
+    _arg("--samples", "Monte Carlo sample count", type=int, default=1_000_000),
+    _arg("--seed", "stream seed; same seed, same result", type=int, default=0),
+    _arg("--confidence", "two-sided confidence level for the CI", type=float, default=0.99),
+    _arg("--threads", "worker threads; results do not depend on this ('all' = every core)",
+         type=_parse_threads, default="all"),
+)
+_VERBOSE = _arg("--verbose", "human-readable summary on stderr", action="store_true")
+
+_COMMANDS = (
+    ("full", "mixed volume of d ellipsoids in R^d", _cmd_full,
+     (_ellipsoids("JSON file with d ellipsoids"), *_MC_FLAGS)),
+    ("withballs", "mixed volume with unit-ball slots", _cmd_withballs,
+     (_ellipsoids("JSON file with k <= d ellipsoids"), *_MC_FLAGS)),
+    ("intrinsic", "k-th intrinsic volume of one ellipsoid", _cmd_intrinsic,
+     (_ELLIPSOID, _arg("--k", "intrinsic volume index, 1..d", type=int, required=True),
+      *_MC_FLAGS)),
+    ("meanwidth", "mean width of one ellipsoid", _cmd_meanwidth, (_ELLIPSOID, *_MC_FLAGS)),
+    ("discriminant", "exact mixed discriminant of d matrices", _cmd_discriminant,
+     (_arg("--matrices", "JSON file with d symmetric matrices", required=True),)),
+    ("bounds", "two-sided mixed-volume bounds from the discriminant", _cmd_bounds,
+     (_ellipsoids("JSON file with d ellipsoids"),)),
+    ("oracle2d", "planar mixed area from support functions", _cmd_oracle2d,
+     (_ellipsoids("JSON file with two 2-D ellipsoids"), _grid("angular quadrature nodes"))),
+    ("sudakov", "Gaussian width of a finite point set", _cmd_sudakov,
+     (_arg("--points", "JSON file with the point set", required=True), *_MC_FLAGS)),
+    ("fieldzeros", "zero sets of Gaussian random fields", None, ()),
+    ("fieldzeros intensity", "zero-set intensity at a point", _cmd_fz_intensity,
+     (_FIELD, _arg("--at", "comma-separated point, default origin", default=None), *_MC_FLAGS)),
+    ("fieldzeros measure", "expected zero-set measure over a region", _cmd_fz_measure,
+     (_FIELD, _REGION, _QUADRATURE, *_MC_FLAGS)),
+    ("fieldzeros simulate", "draw one realization and measure its zero set", _cmd_fz_simulate,
+     (_FIELD, _REGION, _arg("--seed", "realization stream seed", type=int, default=0),
+      _COUNTING_GRID)),
+    ("fieldzeros compare", "analytic expectation vs realization average", _cmd_fz_compare,
+     (_FIELD, _REGION, _arg("--realizations", "number of realizations", type=int, default=1000),
+      _COUNTING_GRID, _QUADRATURE, *_MC_FLAGS)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,95 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mixvol",
         description="Mixed volumes of ellipsoids and zero sets of Gaussian fields.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("full", help="mixed volume of d ellipsoids in R^d")
-    p.add_argument("--ellipsoids", required=True, help="JSON file with d ellipsoids")
-    _add_mc_flags(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_full)
-
-    p = sub.add_parser("withballs", help="mixed volume with unit-ball slots")
-    p.add_argument("--ellipsoids", required=True, help="JSON file with k <= d ellipsoids")
-    _add_mc_flags(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_withballs)
-
-    p = sub.add_parser("intrinsic", help="k-th intrinsic volume of one ellipsoid")
-    p.add_argument("--ellipsoid", required=True, help="JSON file with one ellipsoid")
-    p.add_argument("--k", type=int, required=True, help="intrinsic volume index, 1..d")
-    _add_mc_flags(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_intrinsic)
-
-    p = sub.add_parser("meanwidth", help="mean width of one ellipsoid")
-    p.add_argument("--ellipsoid", required=True, help="JSON file with one ellipsoid")
-    _add_mc_flags(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_meanwidth)
-
-    p = sub.add_parser("discriminant", help="exact mixed discriminant of d matrices")
-    p.add_argument("--matrices", required=True, help="JSON file with d symmetric matrices")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_discriminant)
-
-    p = sub.add_parser("bounds", help="two-sided mixed-volume bounds from the discriminant")
-    p.add_argument("--ellipsoids", required=True, help="JSON file with d ellipsoids")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_bounds)
-
-    p = sub.add_parser("oracle2d", help="planar mixed area from support functions")
-    p.add_argument("--ellipsoids", required=True, help="JSON file with two 2-D ellipsoids")
-    p.add_argument("--grid", type=int, default=512, help="angular quadrature nodes")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_oracle2d)
-
-    p = sub.add_parser("sudakov", help="Gaussian width of a finite point set")
-    p.add_argument("--points", required=True, help="JSON file with the point set")
-    _add_mc_flags(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_sudakov)
-
-    fz = sub.add_parser("fieldzeros", help="zero sets of Gaussian random fields")
-    fsub = fz.add_subparsers(dest="subcommand", required=True)
-
-    p = fsub.add_parser("intensity", help="zero-set intensity at a point")
-    p.add_argument("--field", required=True, help="field spec JSON file")
-    p.add_argument("--at", default=None, help="comma-separated point, default origin")
-    _add_mc_flags(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_fz_intensity, command_name="fieldzeros intensity")
-
-    p = fsub.add_parser("measure", help="expected zero-set measure over a region")
-    p.add_argument("--field", required=True, help="field spec JSON file")
-    p.add_argument("--region", required=True, help="region JSON file")
-    p.add_argument(
-        "--quadrature-order", type=int, default=32, help="Gauss-Legendre order (non-stationary)"
-    )
-    _add_mc_flags(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_fz_measure, command_name="fieldzeros measure")
-
-    p = fsub.add_parser("simulate", help="draw one realization and measure its zero set")
-    p.add_argument("--field", required=True, help="field spec JSON file")
-    p.add_argument("--region", required=True, help="region JSON file")
-    p.add_argument("--seed", type=int, default=0, help="realization stream seed")
-    p.add_argument("--grid", type=int, default=512, help="counting grid resolution")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_fz_simulate, command_name="fieldzeros simulate")
-
-    p = fsub.add_parser("compare", help="analytic expectation vs realization average")
-    p.add_argument("--field", required=True, help="field spec JSON file")
-    p.add_argument("--region", required=True, help="region JSON file")
-    p.add_argument("--realizations", type=int, default=1000, help="number of realizations")
-    p.add_argument("--grid", type=int, default=512, help="counting grid resolution")
-    p.add_argument(
-        "--quadrature-order", type=int, default=32, help="Gauss-Legendre order (non-stationary)"
-    )
-    _add_mc_flags(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_fz_compare, command_name="fieldzeros compare")
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, text, handler, rows in _COMMANDS:
+        group, _, leaf = name.rpartition(" ")
+        p = groups[group].add_parser(leaf, help=text)
+        if handler is None:
+            groups[name] = p.add_subparsers(dest="subcommand", required=True)
+            continue
+        for flag, options in (*rows, _VERBOSE):
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler, command_name=name)
     return parser
 
 
@@ -435,19 +378,15 @@ def _verbose_line(command: str, payload: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = getattr(args, "command_name", args.command)
+    args = build_parser().parse_args(argv)
+    command = args.command_name
     start = time.perf_counter()
     try:
         if getattr(args, "seed", None) is not None:
             RngStream(args.seed)  # OutOfRange unless 0 <= seed < 2^64, on every path
         payload, paths = args.handler(args)
         digest = _digest(paths)
-    except MixvolError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MixvolError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - last-resort fault barrier
@@ -458,7 +397,7 @@ def main(argv=None) -> int:
     report.update(payload)
     report["wall_time_ms"] = wall_ms
     print(json.dumps(report))
-    if getattr(args, "verbose", False):
+    if args.verbose:
         print(_verbose_line(command, payload), file=sys.stderr)
     return 0
 

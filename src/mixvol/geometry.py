@@ -212,11 +212,19 @@ def load_json(path):
 
 
 def float_array(obj, what: str) -> np.ndarray:
-    """obj as a float array; ragged or non-numeric entries raise OutOfRange."""
+    """obj as a float array; ragged, non-numeric or boolean entries raise
+    OutOfRange (numpy alone reads a boolean, even nested, as 1.0 or 0.0)."""
     try:
-        return np.asarray(obj, dtype=float)
+        a = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
         raise OutOfRange(f"{what} must be a rectangular array of numbers: {exc}") from exc
+    if isinstance(obj, np.ndarray) and obj.dtype != object:
+        kinds = {obj.dtype.type}
+    else:
+        kinds = set(map(type, np.asarray(obj, dtype=object).flat))
+    if kinds & {bool, np.bool_}:
+        raise OutOfRange(f"{what} must be numbers, got a boolean")
+    return a
 
 
 def ellipsoid_to_json(e: Ellipsoid) -> dict:
@@ -228,7 +236,7 @@ def ellipsoid_from_json(obj) -> Ellipsoid:
         raise DimensionMismatch(
             'ellipsoid JSON must be an object with "dim" and "sigma" fields'
         )
-    if isinstance(obj["dim"], bool):
+    if isinstance(obj["dim"], bool) or not isinstance(obj["dim"], (int, np.integer)):
         raise DimensionMismatch(f'"dim" must be an integer, got {obj["dim"]!r}')
     sigma = float_array(obj["sigma"], '"sigma"')
     if sigma.ndim != 2 or sigma.shape != (obj["dim"], obj["dim"]):

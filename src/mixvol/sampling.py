@@ -154,6 +154,20 @@ class MCEstimate:
     def interval(self) -> tuple[float, float]:
         return (self.mean - self.ci_half_width, self.mean + self.ci_half_width)
 
+    def times_pow2(self, e: int) -> "MCEstimate":
+        """Estimate of 2^e times the underlying expectation, exact in binary;
+        OutOfRange where a nonzero mean or standard error leaves the range of
+        normal doubles."""
+        values = (self.mean, self.std_error, self.ci_half_width)
+        try:
+            mean, se, half = (math.ldexp(v, e) for v in values)
+        except OverflowError:
+            raise OutOfRange(f"estimate {self.mean!r} * 2^{e} overflows a double") from None
+        for before, after in ((self.mean, mean), (self.std_error, se)):
+            if before != 0.0 and abs(after) < sys.float_info.min:
+                raise OutOfRange(f"estimate {self.mean!r} * 2^{e} underflows a double")
+        return replace(self, mean=mean, std_error=se, ci_half_width=half)
+
     def scaled(self, c: float) -> "MCEstimate":
         """Estimate of c times the underlying expectation."""
         return replace(
@@ -292,19 +306,6 @@ def chunked_mc_mean(
     return MCEstimate.from_moments(map_chunks(run_chunk, n, CHUNK, threads), seed, ci_level)
 
 
-def _times_pow2(est: MCEstimate, e: int) -> MCEstimate:
-    """est scaled by 2^e, which is exact; OutOfRange where a nonzero mean or
-    standard error leaves the range of normal doubles."""
-    try:
-        mean, se, half = (math.ldexp(v, e) for v in (est.mean, est.std_error, est.ci_half_width))
-    except OverflowError:
-        raise OutOfRange(f"estimate {est.mean!r} * 2^{e} overflows a double") from None
-    for before, after in ((est.mean, mean), (est.std_error, se)):
-        if before != 0.0 and abs(after) < sys.float_info.min:
-            raise OutOfRange(f"estimate {est.mean!r} * 2^{e} underflows a double")
-    return replace(est, mean=mean, std_error=se, ci_half_width=half)
-
-
 def expected_gram_volume(
     ensemble: MatrixEnsemble,
     n: int = 1_000_000,
@@ -349,4 +350,4 @@ def expected_gram_volume(
         threads=threads,
         stream_base=stream_base,
     )
-    return _times_pow2(est, sum(exponents))
+    return est.times_pow2(sum(exponents))

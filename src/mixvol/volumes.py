@@ -40,32 +40,6 @@ _CROSS_CHECK_STREAM_BASE = 1 << 32
 
 
 @dataclass(frozen=True)
-class MixedVolumeQuery:
-    """k ellipsoids in R^d; the remaining d-k mixed-volume slots are balls."""
-
-    ellipsoids: tuple[Ellipsoid, ...]
-
-    def __post_init__(self):
-        es = tuple(self.ellipsoids)
-        if not es:
-            raise DimensionMismatch("query needs at least one ellipsoid")
-        d = es[0].dim
-        if any(e.dim != d for e in es):
-            raise DimensionMismatch("all ellipsoids must share one dimension")
-        if len(es) > d:
-            raise DimensionMismatch(f"{len(es)} bodies exceed dimension {d}")
-        object.__setattr__(self, "ellipsoids", es)
-
-    @property
-    def dim(self) -> int:
-        return self.ellipsoids[0].dim
-
-    @property
-    def n_ellipsoids(self) -> int:
-        return len(self.ellipsoids)
-
-
-@dataclass(frozen=True)
 class PointCloud:
     """Finite nonempty set of points in R^d."""
 
@@ -99,21 +73,23 @@ def _ensemble(ellipsoids: Sequence[Ellipsoid]) -> MatrixEnsemble:
 
 
 def mixed_volume_with_balls(
-    query: MixedVolumeQuery | Sequence[Ellipsoid],
+    ellipsoids: Sequence[Ellipsoid],
     n: int = 1_000_000,
     seed: int = 0,
     *,
     ci_level: float = 0.99,
     threads: int = 1,
 ) -> MCEstimate:
-    """V_d(E_1, ..., E_k, B, ..., B) with d-k unit-ball slots."""
-    if not isinstance(query, MixedVolumeQuery):
-        query = MixedVolumeQuery(tuple(query))
-    _check_conditioning(query.ellipsoids)
-    k, d = query.n_ellipsoids, query.dim
-    raw = expected_gram_volume(
-        _ensemble(query.ellipsoids), n, seed, ci_level=ci_level, threads=threads
-    )
+    """V_d(E_1, ..., E_k, B, ..., B) with d-k unit-ball slots.
+
+    DimensionMismatch unless 1 <= k <= d bodies share one dimension, which
+    is checked before conditioning.
+    """
+    ellipsoids = tuple(ellipsoids)
+    ensemble = _ensemble(ellipsoids)
+    _check_conditioning(ellipsoids)
+    k, d = ensemble.n_rows, ensemble.dim
+    raw = expected_gram_volume(ensemble, n, seed, ci_level=ci_level, threads=threads)
     const = (
         (2.0 * math.pi) ** (k / 2.0)
         * unit_ball_volume(d - k)
@@ -139,9 +115,7 @@ def mixed_volume_full(
         raise DimensionMismatch(
             f"mixed volume needs exactly d={d} bodies, got {len(ellipsoids)}"
         )
-    return mixed_volume_with_balls(
-        MixedVolumeQuery(ellipsoids), n, seed, ci_level=ci_level, threads=threads
-    )
+    return mixed_volume_with_balls(ellipsoids, n, seed, ci_level=ci_level, threads=threads)
 
 
 def intrinsic_volume(
@@ -248,10 +222,16 @@ def sudakov_width(
     threads: int = 1,
 ) -> SudakovWidth:
     """E max_{x in A} <x, eta> for standard Gaussian eta, and sqrt(2 pi)
-    times it, which equals V_1 of the convex hull of A."""
+    times it, which equals V_1 of the convex hull of A.
+
+    The width is linear in the scale of A, so the points are divided by 2^e,
+    with e the binary exponent of the largest coordinate, and the estimate
+    multiplied by 2^e: exact in binary, as in expected_gram_volume.
+    """
+    e = math.frexp(float(np.max(np.abs(cloud.points))))[1]
     # a row-major copy of pts.T streams through the product; blocks of
     # 2^15 entries of z @ pts.T keep the max-reduction in cache
-    pts_t = np.ascontiguousarray(cloud.points.T)
+    pts_t = np.ascontiguousarray(np.ldexp(cloud.points.T, -e))
     block = max(1, (1 << 15) // pts_t.shape[1])
 
     def stat(z: np.ndarray) -> np.ndarray:
@@ -263,5 +243,5 @@ def sudakov_width(
 
     est = chunked_mc_mean(
         stat, (cloud.dim,), n, seed, ci_level=ci_level, threads=threads
-    )
+    ).times_pow2(e)
     return SudakovWidth(gaussian_mean=est, implied_v1=est.scaled(SQRT_TWO_PI))

@@ -13,6 +13,8 @@ Core claims:
   discriminant of diag(1,2), diag(3,4) is 5, the planar oracle returns the
   half-perimeter of the (2,1)-ellipse, and the stationary-field intensity
   takes the exact single-sample path.
+- Every subcommand of the command table prints --help and exits 0, and its
+  least argv parses to the documented defaults.
 - The fieldzeros alias entry point routes into the fieldzeros subtree.
 - `fieldzeros simulate` solves its realization once per grid.
 - `mixvol.cli` keeps the four solver names the benchmark traces.
@@ -21,6 +23,7 @@ Core claims:
 import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -151,12 +154,35 @@ def inputs(tmp_path_factory):
         "inf_points": text("inf_points.json", '{"points": [[1e400, 0.0], [0.0, 1.0]]}'),
         "bool_dim_field": dump("bool_dim_field.json", {**RICE, "dim": True}),
         "bool_dim_disk": dump("bool_dim_disk.json", {"dim": True, "sigma": [[1.0]]}),
+        "float_dim_disk": dump("float_dim_disk.json", {**DISK, "dim": 2.0}),
         "trig3d": dump(
             "trig3d.json",
             {"dim": 3, "components": [{"kind": "trig", "atoms": [{"w": 1.0, "omega": [1.0, 0.0, 0.0]}]}]},
         ),
         "cube": dump("cube.json", {"lower": [0.0, 0.0, 0.0], "upper": [1.0, 1.0, 1.0]}),
     }
+
+
+# each subcommand's required flags, with placeholder file names
+LEAST_ARGV = {
+    "full": ["--ellipsoids", "e.json"],
+    "withballs": ["--ellipsoids", "e.json"],
+    "intrinsic": ["--ellipsoid", "e.json", "--k", "1"],
+    "meanwidth": ["--ellipsoid", "e.json"],
+    "discriminant": ["--matrices", "m.json"],
+    "bounds": ["--ellipsoids", "e.json"],
+    "oracle2d": ["--ellipsoids", "e.json"],
+    "sudakov": ["--points", "p.json"],
+    "fieldzeros intensity": ["--field", "f.json"],
+    "fieldzeros measure": ["--field", "f.json", "--region", "r.json"],
+    "fieldzeros simulate": ["--field", "f.json", "--region", "r.json"],
+    "fieldzeros compare": ["--field", "f.json", "--region", "r.json"],
+}
+MC_COMMANDS = {"full", "withballs", "intrinsic", "meanwidth", "sudakov",
+               "fieldzeros intensity", "fieldzeros measure", "fieldzeros compare"}
+DOCUMENTED_DEFAULTS = {"samples": 1_000_000, "seed": 0, "confidence": 0.99, "grid": 512,
+                       "quadrature_order": 32, "realizations": 1000, "at": None}
+COMMANDS = [name for name, _, handler, _ in cli._COMMANDS if handler is not None]
 
 
 def mc_keys(report):
@@ -221,7 +247,33 @@ class TestReportEnvelope:
             assert name in fz.stdout
 
 
-# == 2. Volume and width subcommands ========================================
+# == 2. Command table =======================================================
+
+
+class TestCommandTable:
+    def test_every_subcommand_has_least_argv(self):
+        assert sorted(COMMANDS) == sorted(LEAST_ARGV)
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_subcommand_help_exits_zero(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*name.split(), "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: mixvol {name} [-h]")
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_least_argv_gives_documented_defaults(self, name):
+        args = cli.build_parser().parse_args([*name.split(), *LEAST_ARGV[name]])
+        assert args.command_name == name and args.verbose is False
+        assert hasattr(args, "samples") == (name in MC_COMMANDS)
+        if name in MC_COMMANDS:
+            assert args.threads == (os.cpu_count() or 1)
+        for key, value in DOCUMENTED_DEFAULTS.items():
+            if hasattr(args, key):
+                assert getattr(args, key) == value, key
+
+
+# == 3. Volume and width subcommands ========================================
 
 
 class TestVolumeCommands:
@@ -261,8 +313,16 @@ class TestVolumeCommands:
         assert abs(report["value"] - math.sqrt(2.0 / math.pi)) < 5 * report["std_error"]
         assert abs(report["implied_v1"] - 2.0) < 5 * report["implied_v1_std_error"]
 
+    def test_huge_points_exit_zero(self, inputs):
+        # used to exit 0 with "std_error": NaN, then 2 with OutOfRange; the
+        # width of 1e155-sized points is an ordinary double
+        report = report_of(run_cli("sudakov", "--points", inputs["huge_points"],
+                                   "--samples", 1000))
+        assert math.isfinite(report["value"]) and math.isfinite(report["std_error"])
+        assert 1e154 < report["value"] < 1e156
 
-# == 3. Deterministic subcommands ===========================================
+
+# == 4. Deterministic subcommands ===========================================
 
 
 class TestDeterministicCommands:
@@ -291,7 +351,7 @@ class TestDeterministicCommands:
         assert report["n_theta"] == 512
 
 
-# == 4. fieldzeros subcommands ==============================================
+# == 5. fieldzeros subcommands ==============================================
 
 
 class TestFieldzeros:
@@ -434,7 +494,7 @@ class TestFieldzeros:
         assert report["value"] == approx(RICE_INTENSITY, rel=1e-12)
 
 
-# == 5. Failure paths =======================================================
+# == 6. Failure paths =======================================================
 
 
 class TestFailurePaths:
@@ -482,13 +542,6 @@ class TestFailurePaths:
         assert "OutOfRange" in proc.stderr and "non-finite" in proc.stderr
         assert proc.stdout == ""
 
-    def test_huge_points_exit_two(self, inputs):
-        # used to exit 0 with "std_error": NaN
-        proc = run_cli("sudakov", "--points", inputs["huge_points"],
-                       "--samples", 1000, expect=2)
-        assert "OutOfRange" in proc.stderr
-        assert proc.stdout == ""
-
     def test_non_finite_points_exit_two(self, inputs):
         # PointCloud raised DimensionMismatch for a non-finite point
         proc = run_cli("sudakov", "--points", inputs["inf_points"],
@@ -501,10 +554,11 @@ class TestFailurePaths:
         [
             (["fieldzeros", "intensity", "--field", "bool_dim_field", "--samples", 1000], "OutOfRange"),
             (["meanwidth", "--ellipsoid", "bool_dim_disk", "--samples", 1000], "DimensionMismatch"),
+            (["meanwidth", "--ellipsoid", "float_dim_disk", "--samples", 1000], "DimensionMismatch"),
         ],
     )
     def test_boolean_dim_exits_two(self, inputs, argv, error):
-        # JSON true used to load as dimension 1
+        # JSON true used to load as dimension 1, and 2.0 as dimension 2
         proc = run_cli(*[inputs.get(a, a) for a in argv], expect=2)
         assert error in proc.stderr and "dim" in proc.stderr
         assert proc.stdout == ""

@@ -562,6 +562,15 @@ class TestFieldJSON:
         with pytest.raises(OutOfRange):
             PolyAtom(1.0, True)
 
+    @pytest.mark.parametrize(
+        "atom",
+        [{"w": True, "omega": [True]}, {"w": 1.0, "omega": [True]}, {"w": True, "omega": [1.0]}],
+    )
+    def test_boolean_trig_atom_rejected(self, atom):
+        # used to load as TrigAtom(w=1.0, omega=[1.])
+        with pytest.raises(OutOfRange, match="boolean"):
+            field_from_json({"dim": 1, "components": [{"kind": "trig", "atoms": [atom]}]})
+
     def test_non_numeric_region_rejected(self):
         with pytest.raises(OutOfRange):
             region_from_json({"lower": [0.0, "x"], "upper": [1.0, 1.0]})

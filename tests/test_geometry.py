@@ -336,6 +336,19 @@ class TestEllipsoidJSON:
         with pytest.raises(DimensionMismatch):
             ellipsoid_from_json({"dim": True, "sigma": [[1.0]]})
 
+    def test_float_dim_rejected(self):
+        # (2.0, 2.0) == (2, 2), so a float "dim" used to pass the shape check
+        with pytest.raises(DimensionMismatch, match="integer"):
+            ellipsoid_from_json({"dim": 2.0, "sigma": [[1.0, 0.0], [0.0, 1.0]]})
+
+    @pytest.mark.parametrize(
+        "sigma", [[[True, False], [False, True]], [[1.0, 0.0], [0.0, True]]]
+    )
+    def test_boolean_sigma_rejected(self, sigma):
+        # numpy reads true as 1.0, so this used to load as the identity
+        with pytest.raises(OutOfRange, match="boolean"):
+            ellipsoid_from_json({"dim": 2, "sigma": sigma})
+
     def test_asymmetric_rejected(self):
         with pytest.raises(NotSymmetric):
             ellipsoid_from_json({"dim": 2, "sigma": [[1.0, 0.3], [0.1, 1.0]]})

@@ -25,7 +25,6 @@ from mixvol import (
     DimensionMismatch,
     Ellipsoid,
     IllConditionedEllipsoid,
-    MixedVolumeQuery,
     OutOfRange,
     PointCloud,
     ball,
@@ -93,8 +92,11 @@ class TestMixedVolumeWithBalls:
             mixed_volume_with_balls([unit_ball(2), unit_ball(3)], 100, seed=0)
 
     def test_too_many_bodies_rejected(self):
+        # the body count is checked before conditioning: an ill-conditioned
+        # first body does not mask the DimensionMismatch
+        thin = Ellipsoid(make_spd(np.diag([1.0, 1e-14])))
         with pytest.raises(DimensionMismatch):
-            MixedVolumeQuery((unit_ball(2),) * 3)
+            mixed_volume_with_balls([thin] + [unit_ball(2)] * 2, 100, seed=0)
 
     def test_ill_conditioned_rejected(self):
         thin = Ellipsoid(make_spd(np.diag([1.0, 1e-14])))
@@ -301,12 +303,16 @@ class TestSudakovWidth:
         with pytest.raises(OutOfRange, match="finite"):
             PointCloud([[bad, 0.0], [0.0, 1.0]])
 
-    def test_huge_cloud_raises_instead_of_nan(self):
-        # the squared maxima (~1e310) leave the double range; the standard
-        # error used to come back NaN
-        cloud = PointCloud(1e155 * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]))
-        with pytest.raises(OutOfRange):
-            sudakov_width(cloud, 10_000, seed=20)
+    def test_huge_cloud_is_rescaled(self):
+        # the squared maxima (~1e310) would leave the double range; the
+        # points are scaled by a power of two, so the width is an ordinary
+        # double, 1e155 times the unit cloud's at the same seed
+        unit = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+        huge = sudakov_width(PointCloud(1e155 * unit), 10_000, seed=20).gaussian_mean
+        ref = sudakov_width(PointCloud(unit), 10_000, seed=20).gaussian_mean
+        assert math.isfinite(huge.mean) and math.isfinite(huge.std_error)
+        assert huge.mean == approx(1e155 * ref.mean, rel=1e-12)
+        assert huge.std_error == approx(1e155 * ref.std_error, rel=1e-12)
 
     @pytest.mark.parametrize("n_points, dim", [(4096, 2), (5, 3)])
     def test_blocked_statistic_matches_unblocked(self, n_points, dim):
