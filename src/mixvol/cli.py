@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -364,6 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser main uses: built on its first call, kept for the process.
+    argparse keeps no per-call state on a parser, so one serves every call."""
+    return build_parser()
+
+
 def _verbose_line(command: str, payload: dict) -> str:
     if "value" in payload and "std_error" in payload:
         return f"{command}: {payload['value']:.6g} +- {payload['std_error']:.2g} (s.e.)"
@@ -378,7 +385,7 @@ def _verbose_line(command: str, payload: dict) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     command = args.command_name
     start = time.perf_counter()
     try:

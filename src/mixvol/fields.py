@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -387,8 +387,16 @@ def _poly_intensity_values(spec: KernelSpec, ts: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(c, 0.0)) / math.pi
 
 
-def _gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, order: int) -> float:
+@lru_cache(maxsize=16)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once
+    per order: leggauss costs milliseconds at the orders measure uses."""
     x, w = np.polynomial.legendre.leggauss(order)
+    return freeze(x), freeze(w)
+
+
+def _gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, order: int) -> float:
+    x, w = _legendre_rule(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return half * float(np.sum(w * f(mid + half * x)))
 

@@ -212,8 +212,9 @@ def load_json(path):
 
 
 def float_array(obj, what: str) -> np.ndarray:
-    """obj as a float array; ragged, non-numeric or boolean entries raise
-    OutOfRange (numpy alone reads a boolean, even nested, as 1.0 or 0.0)."""
+    """obj as a float array; ragged, non-numeric, boolean or string entries
+    raise OutOfRange (numpy alone reads a boolean, even nested, as 1.0 or 0.0,
+    and a numeric string such as "4" or "1e0" as its number)."""
     try:
         a = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -224,6 +225,8 @@ def float_array(obj, what: str) -> np.ndarray:
         kinds = set(map(type, np.asarray(obj, dtype=object).flat))
     if kinds & {bool, np.bool_}:
         raise OutOfRange(f"{what} must be numbers, got a boolean")
+    if kinds & {str, np.str_}:
+        raise OutOfRange(f"{what} must be numbers, got a string")
     return a
 
 

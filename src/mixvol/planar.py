@@ -86,8 +86,7 @@ class SupportBody2D:
         )
 
     def scale(self, c: float) -> "SupportBody2D":
-        if c < 0.0:
-            raise OutOfRange(f"scale factor must be nonnegative, got {c}")
+        _check_scale(c)
         return SupportBody2D(
             h=lambda theta: c * self.h(theta),
             h_prime=lambda theta: c * self.h_prime(theta),
@@ -102,6 +101,11 @@ class SupportBody2D:
     __rmul__ = __mul__
 
 
+def _check_scale(c: float) -> None:
+    if c < 0.0:
+        raise OutOfRange(f"scale factor must be nonnegative, got {c}")
+
+
 def _grid(n_theta: int) -> tuple[np.ndarray, float]:
     if n_theta < 64 or n_theta % 2:
         raise OutOfRange(
@@ -111,15 +115,12 @@ def _grid(n_theta: int) -> tuple[np.ndarray, float]:
     return np.arange(n_theta) * delta, delta
 
 
-def area_from_support(body: SupportBody2D, n_theta: int = 512) -> float:
-    """Cauchy area integral on a uniform angular grid.
+def _sample(body: SupportBody2D, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.asarray(body.h(theta), dtype=float), np.asarray(body.h_prime(theta), dtype=float)
 
-    Rejects with NonConvexBody when the curvature test h + h'' >= 0 fails on
-    the grid (h'' by periodic central differences of h').
-    """
-    theta, delta = _grid(n_theta)
-    h = np.asarray(body.h(theta), dtype=float)
-    hp = np.asarray(body.h_prime(theta), dtype=float)
+
+def _area(h: np.ndarray, hp: np.ndarray, delta: float) -> float:
+    """area_from_support on (h, h') already sampled at grid spacing delta."""
     h_pp = (np.roll(hp, -1) - np.roll(hp, 1)) / (2.0 * delta)
     scale = max(1.0, float(np.max(np.abs(h))))
     defect = h + h_pp
@@ -131,10 +132,28 @@ def area_from_support(body: SupportBody2D, n_theta: int = 512) -> float:
     return 0.5 * float(np.sum(h * h - hp * hp)) * delta
 
 
+def area_from_support(body: SupportBody2D, n_theta: int = 512) -> float:
+    """Cauchy area integral on a uniform angular grid.
+
+    Rejects with NonConvexBody when the curvature test h + h'' >= 0 fails on
+    the grid (h'' by periodic central differences of h').
+    """
+    theta, delta = _grid(n_theta)
+    return _area(*_sample(body, theta), delta)
+
+
 def mixed_area_oracle(k: SupportBody2D, l: SupportBody2D, n_theta: int = 512) -> float:
-    """V(K, L) by polarizing the area of the Minkowski sum."""
-    total = area_from_support(k.add(l), n_theta)
-    return 0.5 * (total - area_from_support(k, n_theta) - area_from_support(l, n_theta))
+    """V(K, L) by polarizing the area of the Minkowski sum.
+
+    Each body is sampled once; the sum's support function is hk + hl, the
+    same arrays that k.add(l) would produce.  Convexity is tested on K + L,
+    then K, then L.
+    """
+    theta, delta = _grid(n_theta)
+    hk, hpk = _sample(k, theta)
+    hl, hpl = _sample(l, theta)
+    total = _area(hk + hl, hpk + hpl, delta)
+    return 0.5 * (total - _area(hk, hpk, delta) - _area(hl, hpl, delta))
 
 
 @dataclass(frozen=True)
@@ -183,9 +202,14 @@ def minkowski_poly_check(
     cond = float(np.linalg.cond(design))
     if cond > MAX_FIT_CONDITION:
         raise IllConditionedFit(f"scale grid condition {cond:.3e} exceeds 1e12")
-    areas = np.array(
-        [area_from_support(k.scale(s).add(l.scale(t)), n_theta) for s, t in pairs]
-    )
+    for s, t in pairs:
+        _check_scale(s)
+        _check_scale(t)
+    theta, delta = _grid(n_theta)
+    hk, hpk = _sample(k, theta)
+    hl, hpl = _sample(l, theta)
+    # s hk + t hl: the arrays of k.scale(s).add(l.scale(t)), from one sampling
+    areas = np.array([_area(s * hk + t * hl, s * hpk + t * hpl, delta) for s, t in pairs])
     coef, *_ = np.linalg.lstsq(design, areas, rcond=None)
     resid = float(np.max(np.abs(design @ coef - areas)))
     return MinkowskiFit(

@@ -7,7 +7,7 @@ that the suite promises to run under five independent seeds.
 
 import numpy as np
 
-from mixvol import Ellipsoid, chunked_mc_mean, make_spd
+from mixvol import Ellipsoid, MinkowskiFit, area_from_support, chunked_mc_mean, make_spd
 
 SEEDS = (1, 2, 3, 4, 5)
 
@@ -180,3 +180,29 @@ def reference_segment_lengths(values, xs, ys, center_value):
             dy = ey[e1, ci, cj] - ey[e2, ci, cj]
             total += float(np.sum(np.hypot(dx, dy)))
     return total
+
+
+# -- Reference planar oracle -------------------------------------------------
+#
+# The composed support functions that mixed_area_oracle and
+# minkowski_poly_check evaluated before they sampled each body once.  Tests
+# require the library to reproduce these bit for bit, and to raise the same
+# NonConvexBody from the same body first.
+
+
+def reference_mixed_area(k, l, n_theta):
+    total = area_from_support(k.add(l), n_theta)
+    return 0.5 * (total - area_from_support(k, n_theta) - area_from_support(l, n_theta))
+
+
+def reference_minkowski_fit(k, l, scales, n_theta):
+    pairs = [(float(s), float(t)) for s, t in scales]
+    design = np.array([[s * s, s * t, t * t] for s, t in pairs])
+    areas = np.array(
+        [area_from_support(k.scale(s).add(l.scale(t)), n_theta) for s, t in pairs]
+    )
+    coef, *_ = np.linalg.lstsq(design, areas, rcond=None)
+    resid = float(np.max(np.abs(design @ coef - areas)))
+    return MinkowskiFit(
+        c20=float(coef[0]), c11=float(coef[1]), c02=float(coef[2]), max_residual=resid
+    )

@@ -18,6 +18,8 @@ Core claims:
 - The fieldzeros alias entry point routes into the fieldzeros subtree.
 - `fieldzeros simulate` solves its realization once per grid.
 - `mixvol.cli` keeps the four solver names the benchmark traces.
+- One process builds the parser once, on the first call of main and not at
+  import, and reusing it changes no exit code, report or message.
 """
 
 import hashlib
@@ -142,6 +144,9 @@ def inputs(tmp_path_factory):
         "truncated": text("truncated.json", json.dumps([ELLIPSE_41])[:30]),
         "string_sigma": dump(
             "string_sigma.json", [{"dim": 2, "sigma": [[4.0, "x"], [0.0, 1.0]]}, DISK]
+        ),
+        "numeric_string_sigma": dump(
+            "numeric_string_sigma.json", [{"dim": 2, "sigma": [["4", "0"], ["0", "1e0"]]}, DISK]
         ),
         "ragged": dump("ragged.json", {"points": [[1.0, 0.0], [0.0]]}),
         # Python's json reads 1e400 as inf and NaN as nan
@@ -271,6 +276,59 @@ class TestCommandTable:
         for key, value in DOCUMENTED_DEFAULTS.items():
             if hasattr(args, key):
                 assert getattr(args, key) == value, key
+
+
+class TestSharedParser:
+    def _calls(self, inputs):
+        full = ["full", "--ellipsoids", inputs["two_balls"], "--samples", "4096", "--threads", "1"]
+        return [
+            [*full, "--bogus"],
+            ["full", "--help"],
+            [*full, "--verbose"],
+            full,
+            ["discriminant", "--matrices", inputs["mats"]],
+            ["fieldzeros", "measure", "--field", inputs["kac"], "--region", inputs["r55"]],
+            ["fieldzeros", "compare", "--field", inputs["rice"]],
+            full,
+        ]
+
+    def _run(self, argv, capsys):
+        try:
+            code = cli.main([str(a) for a in argv])
+        except SystemExit as exc:  # argparse exits on usage errors and --help
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, WALL_TIME.sub('"wall_time_ms": 0', out), err
+
+    def test_reuse_matches_fresh_parsers(self, inputs, capsys, monkeypatch):
+        cli._shared_parser.cache_clear()
+        shared = [self._run(argv, capsys) for argv in self._calls(inputs)]
+        monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+        fresh = [self._run(argv, capsys) for argv in self._calls(inputs)]
+        assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 0, 2, 0]
+        assert shared == fresh
+
+    def test_built_once_per_process(self, inputs, capsys, monkeypatch):
+        built, build = [], cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._shared_parser.cache_clear()
+        for argv in self._calls(inputs):
+            self._run(argv, capsys)
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        probe = "import mixvol.cli as c; print(c._shared_parser.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
 
 # == 3. Volume and width subcommands ========================================
@@ -521,6 +579,12 @@ class TestFailurePaths:
     def test_string_in_sigma_exits_two(self, inputs):
         proc = run_cli("withballs", "--ellipsoids", inputs["string_sigma"], expect=2)
         assert "OutOfRange" in proc.stderr and "sigma" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_numeric_string_in_sigma_exits_two(self, inputs):
+        # numpy reads "4" as 4.0, so this used to run on diag(4, 1)
+        proc = run_cli("withballs", "--ellipsoids", inputs["numeric_string_sigma"], expect=2)
+        assert "OutOfRange" in proc.stderr and "got a string" in proc.stderr
         assert proc.stdout == ""
 
     def test_ragged_points_file_exits_two(self, inputs):

@@ -10,7 +10,9 @@ Core claims:
   under seeds 1..5 at the Monte Carlo route's own 3-sigma tolerance.
 - expected_zero_measure is intensity times volume for stationary kernels,
   exact quadrature with an order-doubling error budget for the Kac kernel,
-  and agrees with a quadratic-formula root-counting oracle.
+  and agrees with a quadratic-formula root-counting oracle; each
+  Gauss-Legendre rule is computed once per order, read-only, and the Kac
+  value is the same to the bit on the first call and on later ones.
 - X(t) and grad X(t) are uncorrelated, realizations are bit-reproducible,
   and rescaling all atom weights changes nothing but the field's amplitude.
 """
@@ -50,6 +52,7 @@ from mixvol import (
     simulate_realization,
     zero_intensity,
 )
+from mixvol import fields
 
 from support import SEEDS, quadratic_root_count_oracle, rng_for
 
@@ -392,6 +395,26 @@ class TestExpectedZeroMeasure:
                 _rice_field(), Region([0.0, 0.0], [1.0, 1.0]), seed=0
             )
 
+    def test_legendre_rule_cached_and_read_only(self):
+        fields._legendre_rule.cache_clear()
+        region = Region([-5.0], [5.0])
+        first, *later = (
+            expected_zero_measure(_kac_field(), region, seed=0, quadrature_order=32)
+            for _ in range(3)
+        )
+        for est in later:
+            assert float.hex(est.mean) == float.hex(first.mean)
+            assert float.hex(est.std_error) == float.hex(first.std_error)
+        info = fields._legendre_rule.cache_info()
+        assert (info.misses, info.hits) == (2, 4)  # orders 32 and 64
+        x, w = fields._legendre_rule(32)
+        want_x, want_w = np.polynomial.legendre.leggauss(32)
+        assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+        for a in (x, w):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
 
 # == 5. simulate_realization ================================================
 
@@ -570,6 +593,22 @@ class TestFieldJSON:
         # used to load as TrigAtom(w=1.0, omega=[1.])
         with pytest.raises(OutOfRange, match="boolean"):
             field_from_json({"dim": 1, "components": [{"kind": "trig", "atoms": [atom]}]})
+
+    @pytest.mark.parametrize(
+        "atom",
+        [{"w": "1.0", "omega": ["3"]}, {"w": 1.0, "omega": ["3"]}, {"w": "1.0", "omega": [3.0]}],
+    )
+    def test_numeric_string_trig_atom_rejected(self, atom):
+        # numpy reads "3" as 3.0, so this used to load as TrigAtom(w=1.0, omega=[3.])
+        with pytest.raises(OutOfRange, match="got a string"):
+            field_from_json({"dim": 1, "components": [{"kind": "trig", "atoms": [atom]}]})
+
+    @pytest.mark.parametrize(
+        "bounds", [{"lower": ["0"], "upper": [1.0]}, {"lower": [0.0, 0.0], "upper": [1.0, "1e0"]}]
+    )
+    def test_numeric_string_region_rejected(self, bounds):
+        with pytest.raises(OutOfRange, match="got a string"):
+            region_from_json(bounds)
 
     def test_non_numeric_region_rejected(self):
         with pytest.raises(OutOfRange):

@@ -349,6 +349,18 @@ class TestEllipsoidJSON:
         with pytest.raises(OutOfRange, match="boolean"):
             ellipsoid_from_json({"dim": 2, "sigma": sigma})
 
+    @pytest.mark.parametrize(
+        "sigma", [[["4", "0"], ["0", "1e0"]], [[4.0, 0.0], [0.0, "1"]]]
+    )
+    def test_numeric_string_sigma_rejected(self, sigma):
+        # numpy reads "4" as 4.0, so this used to load as diag(4, 1)
+        with pytest.raises(OutOfRange, match="got a string"):
+            ellipsoid_from_json({"dim": 2, "sigma": sigma})
+
+    def test_non_numeric_string_keeps_conversion_message(self):
+        with pytest.raises(OutOfRange, match="rectangular array of numbers"):
+            ellipsoid_from_json({"dim": 2, "sigma": [[4.0, "x"], [0.0, 1.0]]})
+
     def test_asymmetric_rejected(self):
         with pytest.raises(NotSymmetric):
             ellipsoid_from_json({"dim": 2, "sigma": [[1.0, 0.3], [0.1, 1.0]]})

@@ -9,6 +9,9 @@ Core claims:
 - The fitted Minkowski quadratic has c11/2 equal to the polarization value,
   nonnegative coefficients, and residuals at round-off level.
 - Non-convex support inputs and degenerate scale grids are rejected.
+- Sampling each body once gives bit for bit the values of the composed
+  support functions k.add(l) and k.scale(s).add(l.scale(t)), and the same
+  NonConvexBody from the same body first.
 """
 
 import math
@@ -32,8 +35,15 @@ from mixvol import (
     mixed_volume_full,
     unit_ball,
 )
+from mixvol.planar import DEFAULT_SCALES
 
-from support import SEEDS, random_ellipsoid, rng_for
+from support import (
+    SEEDS,
+    random_ellipsoid,
+    reference_minkowski_fit,
+    reference_mixed_area,
+    rng_for,
+)
 
 HALF_PERIMETER_21 = 4.844224110273838  # ellipse with semi-axes 2, 1
 
@@ -47,6 +57,15 @@ def _ellipse_body(a, b):
 
 def _random_pair(rng):
     return random_ellipsoid(rng, 2), random_ellipsoid(rng, 2)
+
+
+def _wobbly_body(depth):
+    # h = 1 + depth cos(4 theta) has h + h'' = 1 - 15 depth cos(4 theta),
+    # convex for depth <= 1/15 and not beyond
+    return SupportBody2D(
+        h=lambda t: 1.0 + depth * np.cos(4.0 * t),
+        h_prime=lambda t: -4.0 * depth * np.sin(4.0 * t),
+    )
 
 
 # == 1. area_from_support ===================================================
@@ -216,3 +235,52 @@ class TestOracleVsMonteCarlo:
             est = mixed_volume_full([e1, e2], 100_000, seed=seed)
             misses += abs(est.mean - oracle) > 3.0 * est.std_error
         assert misses <= 1
+
+
+# == 5. one sampling per body ================================================
+
+
+def _pairs():
+    rng = rng_for(2012)
+    e1, e2 = _random_pair(rng)
+    ellipse, disk = _ellipse_body(2.0, 1.0), SupportBody2D.from_disk(1.5)
+    return {
+        "ellipse-ellipse": (SupportBody2D.from_ellipsoid(e1), SupportBody2D.from_ellipsoid(e2)),
+        "ellipse-disk": (ellipse, disk),
+        "disk-ellipse": (disk, ellipse),
+    }
+
+
+class TestSampledOnce:
+    @pytest.mark.parametrize("n_theta", [512, 8192])
+    @pytest.mark.parametrize("pair", ["ellipse-ellipse", "ellipse-disk", "disk-ellipse"])
+    def test_bit_identical_to_composed_bodies(self, pair, n_theta):
+        k, l = _pairs()[pair]
+        assert mixed_area_oracle(k, l, n_theta) == reference_mixed_area(k, l, n_theta)
+        fit = minkowski_poly_check(k, l, n_theta=n_theta)
+        assert fit == reference_minkowski_fit(k, l, DEFAULT_SCALES, n_theta)
+
+    @pytest.mark.parametrize(
+        "k, l",
+        [
+            # K + L, K and the first scale pair all fail; K + L is tested first
+            (_wobbly_body(0.5), SupportBody2D.from_disk(1.0)),
+            # K + L passes and K fails; three scale pairs pass, the fourth fails
+            (_wobbly_body(0.5), SupportBody2D.from_disk(8.0)),
+            # K + L and K pass, L fails; the second scale pair fails
+            (SupportBody2D.from_disk(8.0), _wobbly_body(0.5)),
+        ],
+        ids=["sum-first", "first-body", "second-body"],
+    )
+    def test_same_nonconvex_rejection(self, k, l):
+        # the message carries the minimum of h + h'', so it names the body
+        with pytest.raises(NonConvexBody) as want:
+            reference_mixed_area(k, l, 512)
+        with pytest.raises(NonConvexBody) as got:
+            mixed_area_oracle(k, l, 512)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(NonConvexBody) as want:
+            reference_minkowski_fit(k, l, DEFAULT_SCALES, 512)
+        with pytest.raises(NonConvexBody) as got:
+            minkowski_poly_check(k, l, n_theta=512)
+        assert str(got.value) == str(want.value)
