@@ -27,7 +27,6 @@ squares) validate the formula realization by realization.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
@@ -735,25 +734,41 @@ def _dedup(points: np.ndarray, radius: float) -> np.ndarray:
     """Greedy, order-preserving merge of the rows of points.
 
     A point survives unless an earlier survivor lies within Chebyshev
-    distance radius; survivors keep their input order.  Survivors are
-    bucketed by floor(p / (2 radius)), so any survivor that close to p sits
-    in one of the 3^d buckets around p's own, and the cost is linear in the
-    number of points.
+    distance radius; survivors keep their input order.  Candidate pairs come
+    from a window of width 2 radius on the sorted first coordinate, which
+    holds every pair whose computed distance is at most radius, rounding
+    included; the exact test then keeps the close pairs.  The greedy rule is
+    resolved in array rounds: a point is dropped once an earlier neighbour
+    is kept, and kept once all its earlier neighbours are dropped.  Each
+    round settles at least the first waiting point.
     """
-    side = 2.0 * radius
-    neighbours = list(itertools.product((-1, 0, 1), repeat=points.shape[1]))
-    buckets: dict[tuple[int, ...], list[list[float]]] = {}
-    kept = []
-    for i, p in enumerate(points.tolist()):
-        key = tuple(math.floor(v / side) for v in p)
-        near = (
-            q
-            for off in neighbours
-            for q in buckets.get(tuple(k + o for k, o in zip(key, off)), ())
-        )
-        if all(max(abs(a - b) for a, b in zip(p, q)) > radius for q in near):
-            buckets.setdefault(key, []).append(p)
-            kept.append(i)
+    n = points.shape[0]
+    order = np.argsort(points[:, 0], kind="stable")
+    xs = points[order, 0]
+    ends = np.searchsorted(xs, xs + 2.0 * radius, side="right")
+    # sorted position a pairs with positions a + 1 .. ends[a] - 1
+    counts = ends - np.arange(1, n + 1)
+    first = np.repeat(np.arange(n), counts)
+    offsets = np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    second = first + 1 + offsets
+    a, b = order[first], order[second]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    close = np.max(np.abs(points[hi] - points[lo]), axis=1) <= radius
+    lo, hi = lo[close], hi[close]
+    # points with no earlier close neighbour survive; the others wait
+    kept = np.ones(n, dtype=bool)
+    kept[hi] = False
+    waiting = ~kept
+    while lo.size:
+        dropped = np.zeros(n, dtype=bool)
+        dropped[hi[kept[lo]]] = True
+        blocked = np.zeros(n, dtype=bool)
+        blocked[hi[waiting[lo]]] = True
+        settled = waiting & (dropped | ~blocked)
+        kept |= settled & ~dropped
+        waiting &= ~settled
+        live = waiting[hi]
+        lo, hi = lo[live], hi[live]
     return points[kept]
 
 
@@ -773,7 +788,12 @@ def _trig_grid(spec: KernelSpec, xs: np.ndarray, ys: np.ndarray, coef: np.ndarra
     v = np.multiply.outer(om[:, 1], ys)[:, :, None]  # (A, ny, 1)
     cos_v, sin_v = np.cos(v), np.sin(v)
     a, b = coef[:, None, 0, :], coef[:, None, 1, :]  # (A, 1, R)
-    right = np.concatenate([a * cos_v + b * sin_v, b * cos_v - a * sin_v])
+    # the (2A, ny, R) right factor, written in place half by half
+    right = np.empty((2, om.shape[0], ys.shape[0], coef.shape[2]))
+    np.multiply(a, cos_v, out=right[0])
+    right[0] += b * sin_v
+    np.multiply(b, cos_v, out=right[1])
+    right[1] -= a * sin_v
     return (left @ right.reshape(left.shape[1], -1)).reshape(xs.shape[0], ys.shape[0], -1)
 
 
@@ -829,23 +849,40 @@ def _newton_roots_2d(
 
 
 def _chunk_roots_2d(
-    field: FieldSpec, coefs: list[np.ndarray], region: Region, grid_n: int, tol: float
+    field: FieldSpec,
+    coefs: list[np.ndarray],
+    region: Region,
+    grid_n: int,
+    tol: float,
+    threads: int = 1,
 ) -> list[np.ndarray]:
     """Roots of each realization of a chunk, from (R, A, 2) coefficient stacks.
 
     Cells where both components change sign seed Newton, realization by
-    realization and in row-major cell order within each.
+    realization and in row-major cell order within each.  Up to threads
+    workers share the chunk: the two component grids run at once, then
+    Newton and deduplication run on contiguous groups of realizations.
+    Every realization's roots are the same whatever the number of threads.
     """
     xs, ys = _grid_axes(region, grid_n)
-    first, second = (
-        _trig_grid(spec, xs, ys, np.moveaxis(coef, 0, 2))
-        for spec, coef in zip(field.components, coefs)
-    )
-    candidates = _cell_has_change(first) & _cell_has_change(second)
-    owner, ci, cj = np.nonzero(np.moveaxis(candidates, 2, 0))
+
+    def changes(i: int, _) -> np.ndarray:
+        coef = np.moveaxis(coefs[i], 0, 2)
+        return _cell_has_change(_trig_grid(field.components[i], xs, ys, coef))
+
+    first, second = map_chunks(changes, 2, 1, threads)
+    candidates = np.moveaxis(first & second, 2, 0)
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-    seeds = np.column_stack([xs[ci] + 0.5 * hx, ys[cj] + 0.5 * hy])
-    return _newton_roots_2d(field, coefs, seeds, owner, region, tol)
+
+    def group(start: int, size: int) -> list[np.ndarray]:
+        owner, ci, cj = np.nonzero(candidates[start : start + size])
+        seeds = np.column_stack([xs[ci] + 0.5 * hx, ys[cj] + 0.5 * hy])
+        mine = [c[start : start + size] for c in coefs]
+        return _newton_roots_2d(field, mine, seeds, owner, region, tol)
+
+    n = coefs[0].shape[0]
+    parts = map_chunks(group, n, -(-n // threads), threads)
+    return [roots for part in parts for roots in part]
 
 
 def _roots_2d(r: Realization, region: Region, grid_n: int, tol: float) -> np.ndarray:
@@ -1022,18 +1059,23 @@ def _experiment(
 ) -> MCEstimate:
     """Mean of a zero-set measure over realizations 0 .. n_realizations-1.
 
-    Every input is checked before any work.  measure(coefs, start) maps the
-    coefficient stacks of the chunk of realizations from start on to their
-    values and the number of them that moved under grid doubling; more than
-    1% of all realizations moving raises GridTooCoarse.
+    Every input is checked before any work.  measure(coefs, start, threads)
+    maps the coefficient stacks of the chunk of realizations from start on
+    to their values and the number of them that moved under grid doubling;
+    more than 1% of all realizations moving raises GridTooCoarse.  Chunks
+    run on up to threads workers, and each chunk may use
+    max(1, threads // n_chunks) workers of its own, so at most threads run
+    at once; chunk boundaries, and so every result, do not depend on threads.
     """
     _check_zero_set(kind, field, region, grid_n)
     if n_realizations < 2:
         raise OutOfRange(f"need at least 2 realizations, got {n_realizations}")
     normal_quantile(ci_level)
 
+    inner = max(1, threads // -(-n_realizations // EXPERIMENT_CHUNK))
+
     def work(start: int, size: int) -> tuple[Moments, int]:
-        values, moved = measure(_chunk_coefficients(field, seed, start, size), start)
+        values, moved = measure(_chunk_coefficients(field, seed, start, size), start, inner)
         return Moments.of(values), moved
 
     parts = map_chunks(work, n_realizations, EXPERIMENT_CHUNK, threads)
@@ -1062,7 +1104,7 @@ def zero_count_experiment_1d(
     under the doubling raises GridTooCoarse.
     """
 
-    def measure(coefs, start):
+    def measure(coefs, start, threads):
         coarse, fine = _chunk_counts_1d(field, coefs, region, grid_n)
         return fine, int(np.count_nonzero(fine != coarse))
 
@@ -1086,13 +1128,16 @@ def zero_count_experiment_2d(
 
     Each realization's count is len(zeros_2d(..., self_check=False)): all
     realizations of a chunk of 256 share one separable grid evaluation per
-    component and one Newton loop, and each realization's converged roots
-    are deduplicated in its own row-major seed order.  No grid-doubling
-    check runs.
+    component, the two evaluated at once, and the chunk's share of threads
+    runs Newton on contiguous groups of its realizations.  Each
+    realization's converged roots are deduplicated in its own row-major
+    seed order, so counts do not depend on threads.  No grid-doubling check
+    runs.
     """
 
-    def measure(coefs, start):
-        return [r.shape[0] for r in _chunk_roots_2d(field, coefs, region, grid_n, tol)], 0
+    def measure(coefs, start, threads):
+        roots = _chunk_roots_2d(field, coefs, region, grid_n, tol, threads)
+        return [r.shape[0] for r in roots], 0
 
     return _experiment(
         "count-2d", measure, field, region, n_realizations, seed, grid_n, ci_level, threads
@@ -1117,7 +1162,7 @@ def nodal_length_experiment(
     and the rest reuse the validated grid.
     """
 
-    def measure(coefs, start):
+    def measure(coefs, start, threads):
         lengths = _chunk_lengths_2d(field, coefs, region, grid_n)
         if start == 0:
             first = _chunk_lengths_2d(field, [c[:1] for c in coefs], region, 2 * grid_n)

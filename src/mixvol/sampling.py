@@ -270,12 +270,14 @@ def map_chunks(work, total: int, chunk: int, threads: int = 1) -> list:
 
     Chunk boundaries depend on total and chunk only, and results come back
     in chunk order whatever the number of threads, so a reduction over them
-    in list order is thread-count independent down to the last bit.
+    in list order is thread-count independent down to the last bit.  The
+    chunks run on min(threads, number of chunks) workers; work may call
+    map_chunks again with its own share of the threads.
     """
     spans = [(s, min(chunk, total - s)) for s in range(0, total, chunk)]
     if threads <= 1 or len(spans) == 1:
         return [work(s, m) for s, m in spans]
-    with futures.ThreadPoolExecutor(max_workers=threads) as pool:
+    with futures.ThreadPoolExecutor(max_workers=min(threads, len(spans))) as pool:
         return list(pool.map(lambda span: work(*span), spans))
 
 

@@ -111,9 +111,9 @@ def reference_expected_gram_volume(ensemble, n, seed):
 
 # -- Reference counting kernels ---------------------------------------------
 #
-# The quadratic deduplication and the all-cells marching squares that the
-# library's linear-cost kernels replaced.  Tests require the library kernels
-# to reproduce these bit for bit.
+# The quadratic deduplication, the all-cells marching squares and the
+# concatenating separable grid that the library's kernels replaced.  Tests
+# require the library kernels to reproduce these bit for bit.
 
 
 def reference_dedup(points, radius):
@@ -123,6 +123,19 @@ def reference_dedup(points, radius):
         if all(np.max(np.abs(p - q)) > radius for q in kept):
             kept.append(p)
     return np.array(kept) if kept else np.empty((0, points.shape[1]))
+
+
+def reference_trig_grid(spec, xs, ys, coef):
+    """(nx, ny, R) values of a 2-D trig component on the grid xs x ys, from
+    (A, 2, R) coefficients: the right GEMM factor built by concatenation."""
+    om = spec.frequencies
+    u = np.multiply.outer(xs, om[:, 0])
+    left = np.concatenate([np.cos(u), np.sin(u)], axis=1)
+    v = np.multiply.outer(om[:, 1], ys)[:, :, None]
+    cos_v, sin_v = np.cos(v), np.sin(v)
+    a, b = coef[:, None, 0, :], coef[:, None, 1, :]
+    right = np.concatenate([a * cos_v + b * sin_v, b * cos_v - a * sin_v])
+    return (left @ right.reshape(left.shape[1], -1)).reshape(xs.shape[0], ys.shape[0], -1)
 
 
 # case -> crossing edges (0 bottom, 1 right, 2 top, 3 left) of the corner-sign

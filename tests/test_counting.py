@@ -11,15 +11,23 @@ Core claims:
   public counting ops (2-D counts exactly, also across a chunk boundary;
   nodal lengths to 1e-12), are bit-identical across thread counts, and
   their means match the analytic intensities within 3 standard errors.
-- The linear-cost kernels (hashed root deduplication, crossing-cell
-  marching squares, sign counts over a chunk of realizations) reproduce
-  their quadratic and full-grid references bit for bit.
+- The fast kernels (array root deduplication, crossing-cell marching
+  squares, sign counts over a chunk of realizations) reproduce their
+  quadratic and full-grid references bit for bit.
 - Separable tensor-grid values match direct evaluation to 1e-12 of the
   coefficient mass, and the shared-phase values and Jacobians that drive
   the chunk-batched Newton loop equal Realization.values/jacobians exactly.
+- A chunk of 2-D realizations spreads over its share of the thread budget
+  (both grids at once, Newton by realization groups) with the same roots
+  and estimates at every thread count and never more workers than threads;
+  the in-place grid equals the concatenating one bit for bit, and the
+  array deduplication equals the quadratic one on chains, ties and
+  rounding edge cases.
 """
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -47,7 +55,7 @@ from mixvol import (
 )
 from mixvol import fields
 from mixvol.sampling import Moments
-from support import reference_dedup, reference_segment_lengths
+from support import reference_dedup, reference_segment_lengths, reference_trig_grid
 
 RICE_TARGET = 100.0 * math.sqrt(5.0) / math.pi      # zeros on [0, 100]
 WAVE_TARGET = 100.0 / (4.0 * math.pi)               # common zeros on [0,10]^2
@@ -520,3 +528,134 @@ class TestSeparableKernels:
             )
             assert np.array_equal(alone[0], vals[one])
             assert np.array_equal(alone[1], jac[one])
+
+
+# == 7. thread budget inside a chunk, lean grids, array deduplication ========
+
+
+def _concurrency_probe(monkeypatch):
+    """Wrap _trig_grid and _newton_roots_2d so that each call holds a slot
+    for a moment; returns the record of the most calls live at once."""
+    lock = threading.Lock()
+    record = {"live": 0, "peak": 0}
+
+    def hold(original):
+        def wrapped(*args, **kwargs):
+            with lock:
+                record["live"] += 1
+                record["peak"] = max(record["peak"], record["live"])
+            try:
+                time.sleep(0.02)
+                return original(*args, **kwargs)
+            finally:
+                with lock:
+                    record["live"] -= 1
+
+        return wrapped
+
+    monkeypatch.setattr(fields, "_trig_grid", hold(fields._trig_grid))
+    monkeypatch.setattr(fields, "_newton_roots_2d", hold(fields._newton_roots_2d))
+    return record
+
+
+class TestThreadBudget:
+    @pytest.mark.parametrize("n", [3, 60, 300])
+    def test_estimate_equal_at_every_thread_count(self, n):
+        # fewer realizations than threads, one chunk, and two chunks
+        region = Region([0.0, 0.0], [10.0, 10.0])
+        runs = [
+            zero_count_experiment_2d(_wave_field(2), region, n, seed=31, threads=t)
+            for t in (1, 2, 3, 4)
+        ]
+        assert runs[0].n_samples == n
+        assert runs[0] == runs[1] == runs[2] == runs[3]
+
+    def test_chunk_roots_equal_at_every_inner_budget(self):
+        field = _wave_field(2, 6.0)
+        region = Region([0.0, 0.0], [10.0, 10.0])
+        _, stacks = _chunk(field, 32, 7)
+        # realizations 1 and 6 are zero everywhere, so no cell seeds Newton;
+        # at 3 threads realization 6 is a group of its own
+        for s in stacks:
+            s[[1, 6]] = 0.0
+        runs = [fields._chunk_roots_2d(field, stacks, region, 128, 1e-9, t) for t in (1, 2, 3)]
+        for roots in runs:
+            assert len(roots) == 7
+            assert roots[1].shape == roots[6].shape == (0, 2)
+            assert all(r.shape[0] > 200 for i, r in enumerate(roots) if i not in (1, 6))
+            assert all(np.array_equal(r, s) for r, s in zip(roots, runs[0]))
+
+    @pytest.mark.parametrize("n, threads", [(60, 1), (60, 2), (60, 3), (300, 2), (300, 3), (300, 4)])
+    def test_live_workers_never_exceed_threads(self, n, threads, monkeypatch):
+        record = _concurrency_probe(monkeypatch)
+        zero_count_experiment_2d(
+            _wave_field(2), Region([0.0, 0.0], [10.0, 10.0]), n, seed=33, threads=threads
+        )
+        assert 1 <= record["peak"] <= threads
+        if n <= fields.EXPERIMENT_CHUNK:
+            # one chunk alone still spreads over the whole budget
+            assert record["peak"] == threads
+
+
+class TestLeanGrid:
+    @pytest.mark.parametrize("n_real", [1, 7, 96])
+    def test_grid_equals_concatenating_reference(self, n_real):
+        field = _wave_field(2, 6.0)
+        region = Region([50.3, 49.6], [60.3, 59.6])
+        _, stacks = _chunk(field, 34, n_real)
+        xs, ys = fields._grid_axes(region, 128)
+        for c, spec in enumerate(field.components):
+            coef = np.moveaxis(stacks[c], 0, 2)
+            grid = fields._trig_grid(spec, xs, ys, coef)
+            assert grid.shape == (129, 129, n_real)
+            assert np.array_equal(grid, reference_trig_grid(spec, xs, ys, coef))
+
+
+def _rounding_pair(radius):
+    """Two points on a horizontal line whose x gap computes to exactly radius
+    although x_first + radius rounds below x_second."""
+    ulp = np.spacing(radius)
+    return np.array([[-0.4 * ulp, 1.0], [radius, 1.0]])
+
+
+def _chain(step, n, direction):
+    return np.outer(step * np.arange(n), direction)
+
+
+class TestDedupEdges:
+    @pytest.mark.parametrize(
+        "pts, radius",
+        [
+            (_chain(0.9 * 0.25, 12, [1.0, 0.0]), 0.25),
+            (_chain(0.25, 12, [1.0, 0.0]), 0.25),
+            (_chain(0.9 * 0.25, 12, [1.0, 1.0]), 0.25),
+            (_chain(0.25, 12, [1.0, 1.0]), 0.25),
+            # the chain visited from its far end, and in a shuffled order
+            (_chain(0.9 * 0.25, 12, [1.0, 1.0])[::-1], 0.25),
+            (_chain(0.25, 12, [1.0, 0.0])[np.random.default_rng(35).permutation(12)], 0.25),
+            # equal x, different y: the x window holds all of them
+            (np.column_stack([np.full(9, 1.5), [0.0, 0.3, 0.1, 0.2, 0.25, 0.6, 0.5, 0.4, 0.45]]), 0.25),
+            # negative coordinates, across zero
+            (_chain(0.9 * 0.25, 12, [-1.0, -1.0]) + 0.5, 0.25),
+            (np.array([[-1.0, -2.0], [-1.25, -2.0], [-0.75, -1.75], [-1.5, -2.2], [-1.0, -2.0]]), 0.25),
+            # d = 1 and d = 3
+            (_chain(0.9 * 0.25, 12, [1.0]), 0.25),
+            (_chain(0.25, 12, [-1.0]), 0.25),
+            (_chain(0.9 * 0.25, 12, [1.0, -1.0, 1.0]), 0.25),
+            (_chain(0.25, 12, [0.0, 0.0, 1.0]), 0.25),
+            # x_i + r rounds below x_j although |x_j - x_i| <= r
+            (_rounding_pair(0.25), 0.25),
+            (_rounding_pair(0.25)[::-1], 0.25),
+            (_rounding_pair(1.0), 1.0),
+        ],
+    )
+    def test_equals_reference(self, pts, radius):
+        out = fields._dedup(pts, radius)
+        ref = reference_dedup(pts, radius)
+        assert out.shape == ref.shape and np.array_equal(out, ref)
+        assert ref.shape[0] < pts.shape[0]
+
+    def test_rounding_pair_premise(self):
+        for radius in (0.25, 1.0):
+            (xi, _), (xj, _) = _rounding_pair(radius)
+            assert xi + radius < xj and abs(xj - xi) <= radius

@@ -1,8 +1,11 @@
 """Module boundaries of the package.
 
-Core claim: no module of mixvol imports a private (underscore) name from
-another; the one exception is the pair of solvers the CLI module keeps
-bound under its own name so that they can be traced there.
+Core claims:
+- no module of mixvol imports a private (underscore) name from another; the
+  one exception is the pair of solvers the CLI module keeps bound under its
+  own name so that they can be traced there.
+- sampling.map_chunks is the package's only thread pool: no other function
+  names ThreadPoolExecutor.
 """
 
 import ast
@@ -25,3 +28,24 @@ def test_no_private_names_imported_across_modules():
                     if alias.name.startswith("_") and (path.name, alias.name) not in ALLOWED
                 ]
     assert found == []
+
+
+def _pool_scopes(node, scope=""):
+    """Qualified name of the function around each ThreadPoolExecutor name
+    (as a name, an attribute or an import) below node; "" at module level."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}" if scope else node.name
+    names = (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+    found = [scope] if "ThreadPoolExecutor" in names else []
+    for child in ast.iter_child_nodes(node):
+        found += _pool_scopes(child, scope)
+    return found
+
+
+def test_map_chunks_is_the_only_thread_pool():
+    found = {
+        (path.name, scope)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in _pool_scopes(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert found == {("sampling.py", "map_chunks")}
