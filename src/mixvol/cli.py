@@ -214,6 +214,8 @@ def _parse_at(field: FieldSpec, text: str | None) -> np.ndarray:
         raise OutOfRange(f"--at must be comma-separated numbers, got {text!r}")
     if t.shape != (field.dim,):
         raise DimensionMismatch(f"--at has {t.shape[0]} coordinates, field dimension is {field.dim}")
+    if not np.all(np.isfinite(t)):
+        raise OutOfRange(f"--at coordinates must be finite, got {text!r}")
     return t
 
 
@@ -269,7 +271,8 @@ def _cmd_fz_compare(args):
     )
     gap = empirical.mean - analytic.mean
     se = math.hypot(empirical.std_error, analytic.std_error)
-    z = gap / se if se > 0 else math.inf if gap else 0.0
+    # no standard error, no z-score: JSON has no infinity
+    z = gap / se if se > 0 else None
     payload = {
         "kind": kind,
         "analytic_measure": analytic.mean,
@@ -375,9 +378,10 @@ def _verbose_line(command: str, payload: dict) -> str:
     if "value" in payload and "std_error" in payload:
         return f"{command}: {payload['value']:.6g} +- {payload['std_error']:.2g} (s.e.)"
     if "empirical_mean" in payload:
+        z = "undefined" if payload["z_score"] is None else f"{payload['z_score']:.3f}"
         return (
             f"{command}: analytic {payload['analytic_measure']:.6g}, "
-            f"empirical {payload['empirical_mean']:.6g}, z = {payload['z_score']:.3f}"
+            f"empirical {payload['empirical_mean']:.6g}, z = {z}"
         )
     keys = [k for k in payload if isinstance(payload[k], (int, float))]
     body = ", ".join(f"{k} = {payload[k]:.6g}" for k in keys[:4])
@@ -392,18 +396,17 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None:
             RngStream(args.seed)  # OutOfRange unless 0 <= seed < 2^64, on every path
         payload, paths = args.handler(args)
-        digest = _digest(paths)
+        report = {"command": command, "inputs_digest": _digest(paths), **payload}
+        report["wall_time_ms"] = int(round(1000.0 * (time.perf_counter() - start)))
+        # a NaN or infinity is a fault, never a report: JSON has neither
+        line = json.dumps(report, allow_nan=False)
     except (MixvolError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - last-resort fault barrier
         print(f"InternalError({type(exc).__name__}): {exc}", file=sys.stderr)
         return 1
-    wall_ms = int(round(1000.0 * (time.perf_counter() - start)))
-    report = {"command": command, "inputs_digest": digest}
-    report.update(payload)
-    report["wall_time_ms"] = wall_ms
-    print(json.dumps(report))
+    print(line)
     if args.verbose:
         print(_verbose_line(command, payload), file=sys.stderr)
     return 0

@@ -6,6 +6,9 @@ from a finite atom sum with an exactly known covariance kernel:
     trig atoms (any d):       r(s, t) = sum_a w_a cos<omega_a, s - t>
     polynomial atoms (d = 1): r(s, t) = sum_a w_a (s t)^{degree_a}
 
+A component (KernelSpec) keeps its A atoms as read-only arrays: weights
+(A,) and either frequencies (A, d) or integer degrees (A,).
+
 Both families are C^1, exactly simulable (two standard normals per trig
 atom, one per polynomial atom), and have analytic derivatives, so the
 covariance C(t) of the normalized gradient grad[X/sqrt(Var X)](t) comes
@@ -28,8 +31,8 @@ squares) validate the formula realization by realization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,111 +74,84 @@ DEDUP_RADIUS = 1e-6
 # specs
 
 
-@dataclass(frozen=True)
-class TrigAtom:
-    """Kernel contribution w * cos<omega, s - t>."""
+def _frequency_matrix(omegas) -> np.ndarray:
+    """(A, d) read-only frequencies from one vector, or number, per atom."""
+    try:
+        om = float_array(omegas, "frequency")
+    except OutOfRange:
+        # ragged: a fault inside one atom raises here, unequal lengths below
+        rows = [np.atleast_1d(float_array(o, "frequency")) for o in omegas]
+        shapes = sorted({r.shape for r in rows})
+        if len(shapes) > 1:
+            raise DimensionMismatch(f"trig atoms disagree on frequency shape: {shapes}")
+        om = np.stack(rows)
+    if om.ndim == 1:
+        om = om[:, None]
+    if om.ndim != 2:
+        raise DimensionMismatch(f"each frequency must be a vector, got shape {om.shape[1:]}")
+    if not np.all(np.isfinite(om)):
+        raise OutOfRange("frequency entries must be finite")
+    return freeze(om)
 
-    w: float
-    omega: np.ndarray
 
-    def __post_init__(self):
-        w = float(float_array(self.w, "atom weight"))
-        if not (w > 0.0) or not math.isfinite(w):
-            raise OutOfRange(f"atom weight must be positive and finite, got {self.w}")
-        omega = np.atleast_1d(float_array(self.omega, "frequency"))
-        if omega.ndim != 1:
-            raise DimensionMismatch(f"frequency must be a vector, got shape {omega.shape}")
-        if not np.all(np.isfinite(omega)):
-            raise OutOfRange("frequency entries must be finite")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "omega", freeze(omega))
-
-
-@dataclass(frozen=True)
-class PolyAtom:
-    """Kernel contribution w * (s t)^degree, one dimension only."""
-
-    w: float
-    degree: int
-
-    def __post_init__(self):
-        w = float(float_array(self.w, "atom weight"))
-        if not (w > 0.0) or not math.isfinite(w):
-            raise OutOfRange(f"atom weight must be positive and finite, got {self.w}")
-        deg = self.degree
-        if isinstance(deg, bool) or not isinstance(deg, (int, np.integer)) or deg < 0:
-            raise OutOfRange(f"degree must be a nonnegative integer, got {deg!r}")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "degree", int(deg))
+def _degree_vector(degrees) -> np.ndarray:
+    """(A,) read-only integer degrees; booleans, floats and negatives raise."""
+    float_array(degrees, "degree")  # ragged, boolean or string entries raise
+    deg = np.array(degrees)
+    if deg.ndim != 1 or deg.dtype.kind not in "iu" or np.any(deg < 0):
+        raise OutOfRange(f"degrees must be nonnegative 64-bit integers, got {degrees!r}")
+    deg.flags.writeable = False
+    return deg
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """One field component: a kind tag plus a nonempty atom list."""
+    """One field component of A atoms: the kind, (A,) positive weights and
+    either (A, d) trig frequencies or (A,) polynomial degrees, each
+    validated once and stored as a read-only copy."""
 
     kind: str
-    atoms: tuple
+    weights: np.ndarray
+    frequencies: np.ndarray | None = None
+    degrees: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in (TRIG, POLYNOMIAL):
             raise OutOfRange(f"kernel kind must be 'trig' or 'polynomial', got {self.kind!r}")
-        atoms = tuple(self.atoms)
-        if not atoms:
-            raise OutOfRange("kernel needs at least one atom")
-        want = TrigAtom if self.kind == TRIG else PolyAtom
-        if any(not isinstance(a, want) for a in atoms):
-            raise OutOfRange(f"all atoms of a {self.kind} kernel must be {want.__name__}")
-        if self.kind == TRIG:
-            dims = {a.omega.shape[0] for a in atoms}
-            if len(dims) != 1:
-                raise DimensionMismatch(f"trig atoms disagree on dimension: {sorted(dims)}")
-        object.__setattr__(self, "atoms", atoms)
+        w = float_array(self.weights, "atom weight")
+        if w.ndim != 1 or w.size == 0:
+            raise OutOfRange(f"atom weights must be a nonempty vector of numbers, got shape {w.shape}")
+        if not np.all((w > 0.0) & (w < math.inf)):
+            raise OutOfRange(f"atom weights must be positive and finite, got {w.tolist()}")
+        trig = self.kind == TRIG
+        if (self.frequencies is None) == trig or (self.degrees is None) != trig:
+            need, other = ("frequencies", "degrees") if trig else ("degrees", "frequencies")
+            raise OutOfRange(f"a {self.kind} kernel needs {need} and no {other}")
+        table = _frequency_matrix(self.frequencies) if trig else _degree_vector(self.degrees)
+        if table.shape[0] != w.shape[0]:
+            raise DimensionMismatch(f"{w.shape[0]} weights for {table.shape[0]} atoms")
+        object.__setattr__(self, "weights", freeze(w))
+        object.__setattr__(self, "frequencies" if trig else "degrees", table)
 
     @staticmethod
     def trig(atoms: Sequence[tuple[float, Sequence[float]]]) -> "KernelSpec":
-        return KernelSpec(TRIG, tuple(TrigAtom(w, om) for w, om in atoms))
+        return KernelSpec(TRIG, [w for w, _ in atoms], frequencies=[om for _, om in atoms])
 
     @staticmethod
     def polynomial(atoms: Sequence[tuple[float, int]]) -> "KernelSpec":
-        return KernelSpec(POLYNOMIAL, tuple(PolyAtom(w, d) for w, d in atoms))
+        return KernelSpec(POLYNOMIAL, [w for w, _ in atoms], degrees=[d for _, d in atoms])
 
     @property
     def dim(self) -> int:
-        if self.kind == TRIG:
-            return self.atoms[0].omega.shape[0]
-        return 1
+        return self.frequencies.shape[1] if self.kind == TRIG else 1
 
     @property
     def stationary(self) -> bool:
         return self.kind == TRIG
 
-    # cached: the realization kernels read weights and frequencies on every
-    # evaluation
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """(n_atoms,) atom weights, read-only."""
-        return freeze([a.w for a in self.atoms])
-
-    @cached_property
-    def frequencies(self) -> np.ndarray:
-        """(n_atoms, d) frequency matrix, read-only; trig kernels only."""
-        if self.kind != TRIG:
-            raise OutOfRange("frequencies are defined for trig kernels only")
-        return freeze([a.omega for a in self.atoms])
-
-    @property
-    def degrees(self) -> np.ndarray:
-        if self.kind != POLYNOMIAL:
-            raise OutOfRange("degrees are defined for polynomial kernels only")
-        return np.array([a.degree for a in self.atoms])
-
     def scaled(self, c: float) -> "KernelSpec":
         """Same kernel with every atom weight multiplied by c > 0."""
-        if not (c > 0.0):
-            raise OutOfRange(f"weight scale must be positive, got {c}")
-        if self.kind == TRIG:
-            return KernelSpec(TRIG, tuple(TrigAtom(c * a.w, a.omega) for a in self.atoms))
-        return KernelSpec(POLYNOMIAL, tuple(PolyAtom(c * a.w, a.degree) for a in self.atoms))
+        return replace(self, weights=c * self.weights)
 
 
 def covariance(spec: KernelSpec, s, t) -> float:
@@ -187,7 +163,7 @@ def covariance(spec: KernelSpec, s, t) -> float:
     if spec.kind == TRIG:
         return float(np.sum(spec.weights * np.cos(spec.frequencies @ (s - t))))
     st = float(s[0] * t[0])
-    return float(np.sum(spec.weights * st ** spec.degrees.astype(float)))
+    return float(np.sum(spec.weights * st ** spec.degrees))
 
 
 @dataclass(frozen=True)
@@ -271,14 +247,13 @@ class Region:
 def _poly_moments(spec: KernelSpec, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sigma^2, g, h) of a polynomial kernel at each point of ts: variance,
     d_s r|_{s=t} and d_s d_t r|_{s=t}."""
-    w = spec.weights
-    deg = spec.degrees.astype(float)
+    w, deg = spec.weights, spec.degrees
     x = ts[:, None]
     sigma2 = np.sum(w * x ** (2.0 * deg), axis=1)
     # derivative conventions: x**negative never evaluated, degree-0 terms drop
     pos = deg > 0
     g = np.sum(w[pos] * deg[pos] * x ** (2.0 * deg[pos] - 1.0), axis=1)
-    h = np.sum(w[pos] * deg[pos] ** 2 * x ** (2.0 * deg[pos] - 2.0), axis=1)
+    h = np.sum(w[pos] * deg[pos] ** 2.0 * x ** (2.0 * deg[pos] - 2.0), axis=1)
     return sigma2, g, h
 
 
@@ -461,7 +436,7 @@ class Realization:
         frozen = []
         for spec, block in zip(comps, self.coefficients):
             arr = np.asarray(block, dtype=float)
-            want = (len(spec.atoms), 2) if spec.kind == TRIG else (len(spec.atoms),)
+            want = (len(spec.weights), 2) if spec.kind == TRIG else (len(spec.weights),)
             if arr.shape != want:
                 raise DimensionMismatch(
                     f"coefficient block shape {arr.shape}, expected {want}"
@@ -486,7 +461,7 @@ class Realization:
         coef = self.coefficients[index]
         if spec.kind == TRIG:
             return _trig_eval(spec.frequencies, coef, pts)
-        powers = pts[:, 0, None] ** spec.degrees.astype(float)[None, :]
+        powers = pts[:, 0, None] ** spec.degrees[None, :]
         return powers @ coef
 
     def component_gradients(self, index: int, points) -> np.ndarray:
@@ -496,7 +471,7 @@ class Realization:
         coef = self.coefficients[index]
         if spec.kind == TRIG:
             return _trig_eval(spec.frequencies, coef, pts, gradients=True)[1]
-        deg = spec.degrees.astype(float)
+        deg = spec.degrees
         pos = deg > 0
         if not np.any(pos):
             return np.zeros((pts.shape[0], 1))
@@ -559,9 +534,9 @@ def _coefficient_blocks(field: FieldSpec, rng: np.random.Generator) -> tuple[np.
     for spec in field.components:
         scale = np.sqrt(spec.weights)
         if spec.kind == TRIG:
-            blocks.append(rng.standard_normal((len(spec.atoms), 2)) * scale[:, None])
+            blocks.append(rng.standard_normal((len(spec.weights), 2)) * scale[:, None])
         else:
-            blocks.append(rng.standard_normal(len(spec.atoms)) * scale)
+            blocks.append(rng.standard_normal(len(spec.weights)) * scale)
     return tuple(blocks)
 
 
@@ -624,7 +599,7 @@ def _line_values(spec: KernelSpec, nodes: np.ndarray, coef: np.ndarray) -> np.nd
     if spec.kind == TRIG:
         phase = nodes[:, None] * spec.frequencies[:, 0][None, :]
         return np.cos(phase) @ coef[:, :, 0].T + np.sin(phase) @ coef[:, :, 1].T
-    return (nodes[:, None] ** spec.degrees.astype(float)[None, :]) @ coef.T
+    return (nodes[:, None] ** spec.degrees[None, :]) @ coef.T
 
 
 def _sign_change_count(values: np.ndarray):
@@ -1181,24 +1156,10 @@ def nodal_length_experiment(
 def field_to_json(field: FieldSpec) -> dict:
     comps = []
     for spec in field.components:
-        if spec.kind == TRIG:
-            atoms = [{"w": a.w, "omega": a.omega.tolist()} for a in spec.atoms]
-        else:
-            atoms = [{"w": a.w, "degree": a.degree} for a in spec.atoms]
+        key, table = ("omega", spec.frequencies) if spec.kind == TRIG else ("degree", spec.degrees)
+        atoms = [{"w": w, key: t} for w, t in zip(spec.weights.tolist(), table.tolist())]
         comps.append({"kind": spec.kind, "atoms": atoms})
     return {"dim": field.dim, "components": comps}
-
-
-def _atom_from_json(kind: str, obj, where: str):
-    if not isinstance(obj, dict) or "w" not in obj:
-        raise OutOfRange(f"{where}: atom must be an object with a 'w' field")
-    if kind == TRIG:
-        if "omega" not in obj or set(obj) - {"w", "omega"}:
-            raise OutOfRange(f"{where}: trig atom needs exactly 'w' and 'omega'")
-        return TrigAtom(obj["w"], obj["omega"])
-    if "degree" not in obj or set(obj) - {"w", "degree"}:
-        raise OutOfRange(f"{where}: polynomial atom needs exactly 'w' and 'degree'")
-    return PolyAtom(obj["w"], obj["degree"])
 
 
 def field_from_json(obj) -> FieldSpec:
@@ -1221,8 +1182,11 @@ def field_from_json(obj) -> FieldSpec:
         atoms_raw = c["atoms"]
         if not isinstance(atoms_raw, list) or not atoms_raw:
             raise OutOfRange(f"{where}: 'atoms' must be a nonempty array")
-        atoms = tuple(_atom_from_json(kind, a, where) for a in atoms_raw)
-        comps.append(KernelSpec(kind, atoms))
+        key = "omega" if kind == TRIG else "degree"
+        if any(not isinstance(a, dict) or set(a) != {"w", key} for a in atoms_raw):
+            raise OutOfRange(f"{where}: each {kind} atom needs exactly 'w' and '{key}'")
+        pairs = [(a["w"], a[key]) for a in atoms_raw]
+        comps.append(KernelSpec.trig(pairs) if kind == TRIG else KernelSpec.polynomial(pairs))
     return FieldSpec(dim, tuple(comps))
 
 

@@ -7,8 +7,11 @@ Core claims:
 - Reports are byte-identical across repeated runs and across --threads
   settings once the wall_time_ms field is masked.
 - All validation failures exit 2 with the error name on stderr and nothing
-  on stdout, malformed input files and seeds outside [0, 2^64) included;
-  argparse usage errors also exit 2.
+  on stdout, malformed input files, array-valued atom weights, non-finite
+  --at coordinates and seeds outside [0, 2^64) included; argparse usage
+  errors also exit 2.
+- stdout only ever carries valid JSON: a z-score without a standard error
+  is null, and a report holding NaN or infinity exits 1 as an InternalError.
 - Deterministic subcommands reproduce known closed forms exactly: the mixed
   discriminant of diag(1,2), diag(3,4) is 5, the planar oracle returns the
   half-perimeter of the (2,1)-ellipse, and the stationary-field intensity
@@ -165,6 +168,13 @@ def inputs(tmp_path_factory):
             {"dim": 3, "components": [{"kind": "trig", "atoms": [{"w": 1.0, "omega": [1.0, 0.0, 0.0]}]}]},
         ),
         "cube": dump("cube.json", {"lower": [0.0, 0.0, 0.0], "upper": [1.0, 1.0, 1.0]}),
+        "array_weight_trig": dump("array_weight_trig.json", {"dim": 1, "components": [
+            {"kind": "trig", "atoms": [{"w": [1.0], "omega": [1.0]}]}]}),
+        "array_weight_poly": dump("array_weight_poly.json", {"dim": 1, "components": [
+            {"kind": "polynomial", "atoms": [{"w": [2.0], "degree": 1}]}]}),
+        "one_wave": dump("one_wave.json", {"dim": 1, "components": [
+            {"kind": "trig", "atoms": [{"w": 1.0, "omega": [1.0]}]}]}),
+        "r10pi": dump("r10pi.json", {"lower": [0.0], "upper": [10.0 * math.pi]}),
     }
 
 
@@ -669,6 +679,41 @@ class TestFailurePaths:
         proc = run_cli("fieldzeros", "intensity", "--field", inputs["rice"],
                        "--at", "a,b", expect=2)
         assert "OutOfRange" in proc.stderr
+
+    @pytest.mark.parametrize("field, at", [("wave_pair", "nan,inf"), ("kac", "inf")])
+    def test_non_finite_at_exits_two(self, inputs, field, at):
+        # a stationary field printed "at": [NaN, Infinity], a polynomial one
+        # blamed a non-finite matrix entry
+        proc = run_cli("fieldzeros", "intensity", "--field", inputs[field],
+                       "--at", at, "--samples", 1000, expect=2)
+        assert "OutOfRange" in proc.stderr and "--at" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("name", ["array_weight_trig", "array_weight_poly"])
+    def test_array_weight_exits_two(self, inputs, name):
+        # float() of a one-element weight array was an InternalError, exit 1
+        proc = run_cli("fieldzeros", "intensity", "--field", inputs[name], expect=2)
+        assert "OutOfRange" in proc.stderr and "weight" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_zero_standard_error_gives_null_z_score(self, inputs):
+        # exact analytic side and a constant count of 10: the z-score used
+        # to print as -Infinity, which is not JSON
+        proc = run_cli("fieldzeros", "compare", "--field", inputs["one_wave"],
+                       "--region", inputs["r10pi"], "--realizations", 50,
+                       "--grid", 2048, "--verbose")
+        report = report_of(proc)
+        assert report["analytic_std_error"] == 0.0 and report["empirical_std_error"] == 0.0
+        assert report["empirical_mean"] == 10.0
+        assert report["z_score"] is None
+        assert "z = undefined" in proc.stderr
+
+    def test_non_finite_report_is_internal_error(self, inputs, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "mixed_discriminant", lambda mats: math.nan)
+        assert cli.main(["discriminant", "--matrices", str(inputs["mats"])]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("InternalError(ValueError)")
 
     def test_at_dimension_checked(self, inputs):
         proc = run_cli("fieldzeros", "intensity", "--field", inputs["rice"],

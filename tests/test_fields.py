@@ -15,8 +15,13 @@ Core claims:
   value is the same to the bit on the first call and on later ones.
 - X(t) and grad X(t) are uncorrelated, realizations are bit-reproducible,
   and rescaling all atom weights changes nothing but the field's amplitude.
+- A KernelSpec is read-only weights plus frequencies or integer degrees;
+  each invalid kernel input raises the same error class through
+  KernelSpec.trig/polynomial and field_from_json, an array-valued weight
+  included, and field_to_json(field_from_json(obj)) == obj.
 """
 
+import json
 import math
 
 import numpy as np
@@ -31,12 +36,10 @@ from mixvol import (
     FieldSpec,
     KernelSpec,
     OutOfRange,
-    PolyAtom,
     Realization,
     Region,
     RngStream,
     SupportBody2D,
-    TrigAtom,
     covariance,
     expected_zero_measure,
     field_from_json,
@@ -131,13 +134,13 @@ def _fd_gradient_covariance(spec, t, h=1e-4):
 class TestSpecValidation:
     def test_atom_weight_must_be_positive(self):
         with pytest.raises(OutOfRange):
-            TrigAtom(0.0, [1.0])
+            KernelSpec.trig([(0.0, [1.0])])
         with pytest.raises(OutOfRange):
-            PolyAtom(-1.0, 2)
+            KernelSpec.polynomial([(-1.0, 2)])
 
     def test_poly_degree_nonnegative(self):
         with pytest.raises(OutOfRange):
-            PolyAtom(1.0, -1)
+            KernelSpec.polynomial([(1.0, -1)])
 
     def test_kernel_needs_atoms(self):
         with pytest.raises(OutOfRange):
@@ -145,7 +148,7 @@ class TestSpecValidation:
 
     def test_kernel_kind_checked(self):
         with pytest.raises(OutOfRange):
-            KernelSpec("spline", (TrigAtom(1.0, [1.0]),))
+            KernelSpec("spline", [1.0], frequencies=[[1.0]])
 
     def test_trig_atoms_must_agree_on_dim(self):
         with pytest.raises(DimensionMismatch):
@@ -172,6 +175,93 @@ class TestSpecValidation:
         assert covariance(kac, s, t) == approx(
             1.0 + s * t + (s * t) ** 2, rel=1e-14
         )
+
+
+
+# each invalid kernel input with the error class it raises, both through
+# KernelSpec.trig / KernelSpec.polynomial and through field_from_json
+INVALID_TRIG = [
+    ([(0.0, [1.0])], OutOfRange),
+    ([(-1.0, [1.0])], OutOfRange),
+    ([(math.inf, [1.0])], OutOfRange),
+    ([(math.nan, [1.0])], OutOfRange),
+    ([(True, [1.0])], OutOfRange),
+    ([("1.0", [1.0])], OutOfRange),
+    ([(1.0, [1.0]), (1.0, [1.0, 2.0])], DimensionMismatch),
+    ([(1.0, [[1.0]])], DimensionMismatch),
+    ([(1.0, [[1.0]]), (1.0, [1.0])], DimensionMismatch),
+    ([(1.0, [math.inf])], OutOfRange),
+    ([(1.0, [math.nan])], OutOfRange),
+    ([(1.0, [1.0, [2.0]])], OutOfRange),
+    ([], OutOfRange),
+]
+INVALID_POLY = [
+    ([(0.0, 1)], OutOfRange),
+    ([(-1.0, 1)], OutOfRange),
+    ([(math.inf, 1)], OutOfRange),
+    ([(math.nan, 1)], OutOfRange),
+    ([(True, 1)], OutOfRange),
+    ([("2", 1)], OutOfRange),
+    ([(1.0, -1)], OutOfRange),
+    ([(1.0, True)], OutOfRange),
+    ([(1.0, 0), (1.0, True)], OutOfRange),
+    ([(1.0, 2.0)], OutOfRange),
+    ([(1.0, "2")], OutOfRange),
+    ([], OutOfRange),
+]
+
+
+def _field_obj(kind, atoms):
+    key = "omega" if kind == "trig" else "degree"
+    atoms = [{"w": w, key: v} for w, v in atoms]
+    return {"dim": 1, "components": [{"kind": kind, "atoms": atoms}]}
+
+
+class TestKernelArrays:
+    @pytest.mark.parametrize("atoms, error", INVALID_TRIG)
+    def test_invalid_trig_input(self, atoms, error):
+        with pytest.raises(error):
+            KernelSpec.trig(atoms)
+        with pytest.raises(error):
+            field_from_json(_field_obj("trig", atoms))
+
+    @pytest.mark.parametrize("atoms, error", INVALID_POLY)
+    def test_invalid_polynomial_input(self, atoms, error):
+        with pytest.raises(error):
+            KernelSpec.polynomial(atoms)
+        with pytest.raises(error):
+            field_from_json(_field_obj("polynomial", atoms))
+
+    @pytest.mark.parametrize("kind, atom", [("trig", ([1.0], [1.0])), ("polynomial", ([2.0], 1))])
+    def test_array_weight_is_out_of_range(self, kind, atom):
+        # float() of a 1-element array raised TypeError under numpy 2
+        build = KernelSpec.trig if kind == "trig" else KernelSpec.polynomial
+        with pytest.raises(OutOfRange, match="weight"):
+            build([atom])
+        with pytest.raises(OutOfRange, match="weight"):
+            field_from_json(_field_obj(kind, [atom]))
+
+    def test_arrays_read_only(self):
+        trig, poly = _aniso_kernel(), _kac_field().components[0]
+        assert trig.frequencies.shape == (3, 2) and trig.degrees is None
+        assert poly.degrees.tolist() == [0, 1, 2] and poly.frequencies is None
+        for a in (trig.weights, trig.frequencies, poly.weights, poly.degrees):
+            assert not a.flags.writeable
+
+    def test_one_table_per_kind(self):
+        with pytest.raises(OutOfRange):
+            KernelSpec("trig", [1.0], frequencies=[[1.0]], degrees=[1])
+        with pytest.raises(OutOfRange):
+            KernelSpec("polynomial", [1.0], frequencies=[[1.0]])
+        with pytest.raises(DimensionMismatch):
+            KernelSpec("trig", [1.0, 2.0], frequencies=[[1.0]])
+
+    def test_scaled_keeps_the_tables(self):
+        kac = _kac_field().components[0].scaled(3.0)
+        assert kac.weights.tolist() == [3.0, 3.0, 3.0]
+        assert kac.degrees.tolist() == [0, 1, 2]
+        with pytest.raises(OutOfRange):
+            kac.scaled(0.0)
 
 
 class TestRegion:
@@ -537,6 +627,22 @@ class TestFieldJSON:
         )
         assert np.allclose(back.components[0].weights, field.components[0].weights)
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"dim": 2, "components": [
+                {"kind": "trig", "atoms": [{"w": 0.8, "omega": [1.0, 0.3]}, {"w": 1e-3, "omega": [-0.7, 2.5]}]},
+                {"kind": "trig", "atoms": [{"w": 1.25, "omega": [0.0, 1.0]}]},
+            ]},
+            {"dim": 1, "components": [
+                {"kind": "polynomial", "atoms": [{"w": 1.0, "degree": 0}, {"w": 0.5, "degree": 3}]},
+            ]},
+        ],
+    )
+    def test_json_round_trip_is_exact(self, obj):
+        # compared as text, so a degree cannot come back as a float
+        assert json.dumps(field_to_json(field_from_json(obj))) == json.dumps(obj)
+
     def test_round_trip_poly(self):
         back = field_from_json(field_to_json(_kac_field()))
         assert back.components[0].kind == "polynomial"
@@ -583,7 +689,7 @@ class TestFieldJSON:
         with pytest.raises(OutOfRange):
             field_from_json({"dim": 1, "components": [{"kind": "polynomial", "atoms": [atom]}]})
         with pytest.raises(OutOfRange):
-            PolyAtom(1.0, True)
+            KernelSpec.polynomial([(1.0, True)])
 
     @pytest.mark.parametrize(
         "atom",

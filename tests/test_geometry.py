@@ -23,6 +23,7 @@ from pytest import approx
 from mixvol import (
     DimensionMismatch,
     Ellipsoid,
+    KernelSpec,
     NonOrthonormalBasis,
     NotPositiveDefinite,
     NotSymmetric,
@@ -31,7 +32,6 @@ from mixvol import (
     PointCloud,
     Region,
     SingularTransform,
-    TrigAtom,
     ball,
     ellipsoid_from_axes,
     ellipsoid_from_json,
@@ -125,7 +125,7 @@ class TestMakeSPD:
             (make_spd, np.eye(2), lambda m: m.entries),
             (lambda a: Region(a, a + 1.0), np.zeros(2), lambda r: r.lower),
             (PointCloud, np.ones((3, 2)), lambda c: c.points),
-            (lambda a: TrigAtom(1.0, a), np.ones(2), lambda t: t.omega),
+            (lambda a: KernelSpec("trig", [1.0], a), np.ones((1, 2)), lambda k: k.frequencies),
         ],
     )
     def test_freezing_keeps_the_callers_array_writable(self, build, array, stored):

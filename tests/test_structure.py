@@ -6,6 +6,7 @@ Core claims:
   own name so that they can be traced there.
 - sampling.map_chunks is the package's only thread pool: no other function
   names ThreadPoolExecutor.
+- every name in mixvol.__all__ resolves, and none is listed twice.
 """
 
 import ast
@@ -49,3 +50,9 @@ def test_map_chunks_is_the_only_thread_pool():
         for scope in _pool_scopes(ast.parse(path.read_text(), filename=str(path)))
     }
     assert found == {("sampling.py", "map_chunks")}
+
+
+def test_every_export_resolves_once():
+    missing = [name for name in mixvol.__all__ if not hasattr(mixvol, name)]
+    assert missing == []
+    assert len(set(mixvol.__all__)) == len(mixvol.__all__)
