@@ -31,7 +31,7 @@ squares) validate the formula realization by realization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from typing import Callable, Sequence
 
@@ -74,6 +74,14 @@ DEDUP_RADIUS = 1e-6
 # specs
 
 
+def _spec_eq(a, b) -> bool:
+    """== of two specs of one class: fields in order, arrays by np.array_equal."""
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return type(a) is type(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in pairs
+    )
+
+
 def _frequency_matrix(omegas) -> np.ndarray:
     """(A, d) read-only frequencies from one vector, or number, per atom."""
     try:
@@ -114,6 +122,7 @@ class KernelSpec:
     weights: np.ndarray
     frequencies: np.ndarray | None = None
     degrees: np.ndarray | None = None
+    __eq__ = _spec_eq
 
     def __post_init__(self):
         if self.kind not in (TRIG, POLYNOMIAL):
@@ -172,6 +181,7 @@ class FieldSpec:
 
     dim: int
     components: tuple[KernelSpec, ...]
+    __eq__ = _spec_eq
 
     def __post_init__(self):
         d = int(self.dim)
@@ -209,6 +219,7 @@ class Region:
 
     lower: np.ndarray
     upper: np.ndarray
+    __eq__ = _spec_eq
 
     def __post_init__(self):
         lo = np.atleast_1d(float_array(self.lower, "region bound"))

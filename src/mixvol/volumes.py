@@ -163,10 +163,10 @@ class NormComparison:
     direct: MCEstimate
     via_intrinsic: MCEstimate
 
-    def z_score(self) -> float:
+    def z_score(self) -> float | None:  # None where both standard errors are 0
         gap = self.direct.mean - self.via_intrinsic.mean
         se = math.hypot(self.direct.std_error, self.via_intrinsic.std_error)
-        return gap / se if se > 0 else 0.0
+        return gap / se if se > 0 else None
 
 
 def expected_norm(

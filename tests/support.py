@@ -5,6 +5,8 @@ variances stay small; the fixed SEEDS tuple is reused by every property test
 that the suite promises to run under five independent seeds.
 """
 
+import math
+
 import numpy as np
 
 from mixvol import Ellipsoid, MinkowskiFit, area_from_support, chunked_mc_mean, make_spd
@@ -95,10 +97,21 @@ def reference_gram_volumes(m):
     return np.prod(np.abs(np.diagonal(r, axis1=-2, axis2=-1)), axis=-1)
 
 
-def reference_expected_gram_volume(ensemble, n, seed):
+def reference_expected_gram_volume(ensemble, n, seed, condition=True):
     """expected_gram_volume through the QR kernel: same draws, same reduction,
-    factors applied as they are (no power-of-two scaling)."""
+    factors applied as they are (no power-of-two scaling).
+
+    For k = d >= 2 the last row L_d xi_d is conditioned out, as the library
+    does: the (n, d-1, d) draws give sqrt(2/pi) |det L_d| times the
+    (d-1)-volume of the rows L_d^-1 L_i xi_i.  condition=False averages the
+    plain |det M| over (n, d, d) draws instead.
+    """
     factors = [s.covariance.factor for s in ensemble.specs]
+    scale = 1.0
+    if condition and len(factors) == ensemble.dim > 1:
+        last = factors.pop()
+        scale = math.sqrt(2.0 / math.pi) * abs(np.linalg.det(last))
+        factors = [np.linalg.solve(last, f) for f in factors]
 
     def stat(z):
         m = np.empty_like(z)
@@ -106,7 +119,7 @@ def reference_expected_gram_volume(ensemble, n, seed):
             m[:, i, :] = z[:, i, :] @ f.T
         return reference_gram_volumes(m)
 
-    return chunked_mc_mean(stat, (ensemble.n_rows, ensemble.dim), n, seed)
+    return chunked_mc_mean(stat, (len(factors), ensemble.dim), n, seed).scaled(scale)
 
 
 # -- Reference counting kernels ---------------------------------------------

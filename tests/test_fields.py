@@ -19,6 +19,8 @@ Core claims:
   each invalid kernel input raises the same error class through
   KernelSpec.trig/polynomial and field_from_json, an array-valued weight
   included, and field_to_json(field_from_json(obj)) == obj.
+- KernelSpec, FieldSpec and Region compare by value: kinds and dimensions
+  with ==, their arrays with np.array_equal.
 """
 
 import json
@@ -262,6 +264,28 @@ class TestKernelArrays:
         assert kac.degrees.tolist() == [0, 1, 2]
         with pytest.raises(OutOfRange):
             kac.scaled(0.0)
+
+
+class TestSpecEquality:
+    def test_kernels_compare_by_value(self):
+        poly = lambda w: KernelSpec.polynomial([(1.0, 0), (w, 1)])
+        trig = lambda w: KernelSpec.trig([(1.0, [1.0, 0.0]), (w, [0.0, 1.0])])
+        assert poly(1.0) == poly(1.0) and trig(1.0) == trig(1.0)
+        assert poly(1.0) != poly(2.0) and trig(1.0) != trig(2.0)
+        assert poly(1.0) != KernelSpec.polynomial([(1.0, 0), (1.0, 2)])
+        assert KernelSpec.trig([(1.0, [1.0])]) != KernelSpec.polynomial([(1.0, 1)])
+
+    def test_fields_compare_by_value(self):
+        comp = lambda w: KernelSpec.trig([(1.0, [1.0, 0.0]), (w, [0.0, 1.0])])
+        assert FieldSpec(2, (comp(1.0), comp(2.0))) == FieldSpec(2, (comp(1.0), comp(2.0)))
+        assert FieldSpec(2, (comp(1.0), comp(2.0))) != FieldSpec(2, (comp(1.0), comp(1.0)))
+        assert FieldSpec(2, (comp(1.0),)) != FieldSpec(2, (comp(1.0), comp(1.0)))
+
+    def test_regions_compare_by_value(self):
+        assert Region([0, 0], [1, 1]) == Region([0.0, 0.0], [1.0, 1.0])
+        assert Region([0, 0], [1, 1]) != Region([0, 0], [1, 2])
+        assert Region([0], [1]) != Region([0, 0], [1, 1])
+        assert Region([0], [1]) != ([0], [1])
 
 
 class TestRegion:

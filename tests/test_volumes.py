@@ -6,7 +6,8 @@ Core claims:
 - Permutation symmetry, affine equivariance, homogeneity, and the planar
   projection-integral identity hold within combined Monte Carlo error.
 - expected_norm's two independent routes (direct averaging vs V_1/sqrt(2 pi))
-  agree, and intrinsic volumes do not depend on the ambient dimension.
+  agree, and intrinsic volumes do not depend on the ambient dimension; with
+  both standard errors 0 the comparison has no z-score (None).
 - Ill-conditioned ellipsoids are rejected rather than estimated; bodies
   whose mixed volume leaves the double range raise OutOfRange instead of a
   NaN standard error or 0 +- 0.
@@ -25,6 +26,8 @@ from mixvol import (
     DimensionMismatch,
     Ellipsoid,
     IllConditionedEllipsoid,
+    MCEstimate,
+    NormComparison,
     OutOfRange,
     PointCloud,
     ball,
@@ -267,6 +270,12 @@ class TestExpectedNorm:
         d = 2 + seed % 4  # dims 3, 4, 5, 2, 3
         cmp = expected_norm(random_ellipsoid(rng, d), N, seed=seed)
         assert abs(cmp.z_score()) <= 3.0
+
+    def test_zero_standard_errors_give_no_z_score(self):
+        # 1.0 +- 0 against 2.0 +- 0 used to read 0.0, as if they agreed
+        one, two = (MCEstimate.exact(v, seed=0, ci_level=0.99) for v in (1.0, 2.0))
+        assert NormComparison(direct=one, via_intrinsic=two).z_score() is None
+        assert NormComparison(direct=one, via_intrinsic=one).z_score() is None
 
 
 # == 5. sudakov_width =======================================================
