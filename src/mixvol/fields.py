@@ -6,8 +6,8 @@ from a finite atom sum with an exactly known covariance kernel:
     trig atoms (any d):       r(s, t) = sum_a w_a cos<omega_a, s - t>
     polynomial atoms (d = 1): r(s, t) = sum_a w_a (s t)^{degree_a}
 
-A component (KernelSpec) keeps its A atoms as read-only arrays: weights
-(A,) and either frequencies (A, d) or integer degrees (A,).
+A component (KernelSpec) is read-only weights (A,) and a table, trig
+frequencies (A, d) or polynomial degrees (A,), read through _KINDS.
 
 Both families are C^1, exactly simulable (two standard normals per trig
 atom, one per polynomial atom), and have analytic derivatives, so the
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -112,51 +112,136 @@ def _degree_vector(degrees) -> np.ndarray:
     return deg
 
 
+def _trig_moments(spec: "KernelSpec", ts: np.ndarray):
+    """sigma^2 = sum w, g = 0 and H = sum w omega omega^T at each of m points."""
+    om, w = spec.table, spec.weights
+    h = (om * w[:, None]).T @ om
+    return np.full(len(ts), np.sum(w)), np.zeros(ts.shape), np.broadcast_to(h, ts.shape[:1] + h.shape)
+
+
+def _poly_moments(spec: "KernelSpec", ts: np.ndarray):
+    """sigma^2 (m,), g (m, 1) and H (m, 1, 1) at the m points ts (m, 1)."""
+    w, deg = spec.weights, spec.table
+    sigma2 = np.sum(w * ts ** (2.0 * deg), axis=1)
+    # derivative conventions: x**negative never evaluated, degree-0 terms drop
+    pos = deg > 0
+    g = np.sum(w[pos] * deg[pos] * ts ** (2.0 * deg[pos] - 1.0), axis=1)
+    h = np.sum(w[pos] * deg[pos] ** 2.0 * ts ** (2.0 * deg[pos] - 2.0), axis=1)
+    return sigma2, g[:, None], h[:, None, None]
+
+
+def _trig_eval(om: np.ndarray, coef: np.ndarray, pts: np.ndarray, gradients: bool = False):
+    """sum_a c_a cos<om_a, p> + s_a sin<om_a, p> at m points p, shape (m,).
+
+    coef holds the (c_a, s_a) pairs: one (A, 2) block shared by all points,
+    or an (m, A, 2) stack with one block per point, which evaluates the
+    points of many realizations at once.  With gradients on, returns
+    (values, (m, d) gradients), both from one phase matrix.  Phases and
+    outputs are elementwise sums, not BLAS products, so a point's result
+    does not depend on the other points evaluated with it.
+    """
+    phase = pts[:, :1] * om[:, 0]
+    for j in range(1, om.shape[1]):
+        phase += pts[:, j : j + 1] * om[:, j]
+    cos, sin = np.cos(phase), np.sin(phase)
+    c, s = coef[..., 0], coef[..., 1]
+    values = np.sum(cos * c + sin * s, axis=1)
+    if not gradients:
+        return values
+    radial = cos * s - sin * c
+    return values, np.stack([np.sum(radial * w, axis=1) for w in om.T], axis=1)
+
+
+def _poly_eval(deg: np.ndarray, coef: np.ndarray, pts: np.ndarray, gradients: bool = False):
+    """sum_a c_a x^deg_a at m points x, shape (m,), from one (A,) block shared
+    by all points; with gradients on, returns (values, (m, 1) derivatives)."""
+    x = pts[:, :1]
+    values = x**deg @ coef
+    if not gradients:
+        return values
+    pos = deg > 0
+    return values, ((deg[pos] * x ** (deg[pos] - 1.0)) @ coef[pos])[:, None]
+
+
+def _trig_line(om: np.ndarray, nodes: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    phase = nodes[:, None] * om[:, 0][None, :]
+    return np.cos(phase) @ coef[:, :, 0].T + np.sin(phase) @ coef[:, :, 1].T
+
+
+class _Kind(NamedTuple):
+    """Everything that depends on a kernel kind, as one row of _KINDS."""
+
+    key: str  # JSON key of an atom's table entry
+    stationary: bool
+    shape: tuple[int, ...]  # coefficients drawn per atom
+    parse: Callable  # raw table -> validated read-only (A, d) or (A,) array
+    kernel: Callable  # (spec, s, t) -> r(s, t)
+    moments: Callable  # (spec, (m, d) points) -> sigma^2 (m,), g (m, d), H (m, d, d)
+    evaluate: Callable  # (table, coef, (m, d) points, gradients) -> (m,) values[, (m, d)]
+    line: Callable  # (table, (m,) nodes, (R, A, ...) coefficients) -> (m, R) values
+
+
+_KINDS = {
+    TRIG: _Kind(
+        "omega", True, (2,), _frequency_matrix,
+        lambda spec, s, t: float(np.sum(spec.weights * np.cos(spec.table @ (s - t)))),
+        _trig_moments, _trig_eval, _trig_line,
+    ),
+    POLYNOMIAL: _Kind(
+        "degree", False, (), _degree_vector,
+        lambda spec, s, t: float(np.sum(spec.weights * float(s[0] * t[0]) ** spec.table)),
+        _poly_moments, _poly_eval,
+        lambda deg, nodes, coef: (nodes[:, None] ** deg[None, :]) @ coef.T,
+    ),
+}
+
+
+def _kind_row(kind, where: str) -> _Kind:
+    """The _KINDS row of kind; OutOfRange for anything else, unhashable included."""
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise OutOfRange(f"{where}: unknown kind {kind!r}, expected {' or '.join(map(repr, _KINDS))}")
+    return _KINDS[kind]
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """One field component of A atoms: the kind, (A,) positive weights and
-    either (A, d) trig frequencies or (A,) polynomial degrees, each
-    validated once and stored as a read-only copy."""
+    the kind's table, (A, d) trig frequencies or (A,) polynomial degrees,
+    each validated once and stored as a read-only copy."""
 
     kind: str
     weights: np.ndarray
-    frequencies: np.ndarray | None = None
-    degrees: np.ndarray | None = None
+    table: np.ndarray
     __eq__ = _spec_eq
 
     def __post_init__(self):
-        if self.kind not in (TRIG, POLYNOMIAL):
-            raise OutOfRange(f"kernel kind must be 'trig' or 'polynomial', got {self.kind!r}")
+        row = _kind_row(self.kind, "kernel")
         w = float_array(self.weights, "atom weight")
         if w.ndim != 1 or w.size == 0:
             raise OutOfRange(f"atom weights must be a nonempty vector of numbers, got shape {w.shape}")
         if not np.all((w > 0.0) & (w < math.inf)):
             raise OutOfRange(f"atom weights must be positive and finite, got {w.tolist()}")
-        trig = self.kind == TRIG
-        if (self.frequencies is None) == trig or (self.degrees is None) != trig:
-            need, other = ("frequencies", "degrees") if trig else ("degrees", "frequencies")
-            raise OutOfRange(f"a {self.kind} kernel needs {need} and no {other}")
-        table = _frequency_matrix(self.frequencies) if trig else _degree_vector(self.degrees)
+        table = row.parse(self.table)
         if table.shape[0] != w.shape[0]:
             raise DimensionMismatch(f"{w.shape[0]} weights for {table.shape[0]} atoms")
         object.__setattr__(self, "weights", freeze(w))
-        object.__setattr__(self, "frequencies" if trig else "degrees", table)
+        object.__setattr__(self, "table", table)
 
     @staticmethod
     def trig(atoms: Sequence[tuple[float, Sequence[float]]]) -> "KernelSpec":
-        return KernelSpec(TRIG, [w for w, _ in atoms], frequencies=[om for _, om in atoms])
+        return KernelSpec(TRIG, [w for w, _ in atoms], [om for _, om in atoms])
 
     @staticmethod
     def polynomial(atoms: Sequence[tuple[float, int]]) -> "KernelSpec":
-        return KernelSpec(POLYNOMIAL, [w for w, _ in atoms], degrees=[d for _, d in atoms])
+        return KernelSpec(POLYNOMIAL, [w for w, _ in atoms], [d for _, d in atoms])
 
     @property
     def dim(self) -> int:
-        return self.frequencies.shape[1] if self.kind == TRIG else 1
+        return self.table.shape[1] if self.table.ndim == 2 else 1
 
     @property
     def stationary(self) -> bool:
-        return self.kind == TRIG
+        return _KINDS[self.kind].stationary
 
     def scaled(self, c: float) -> "KernelSpec":
         """Same kernel with every atom weight multiplied by c > 0."""
@@ -169,10 +254,7 @@ def covariance(spec: KernelSpec, s, t) -> float:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if s.shape != (spec.dim,) or t.shape != (spec.dim,):
         raise DimensionMismatch(f"points must have shape ({spec.dim},)")
-    if spec.kind == TRIG:
-        return float(np.sum(spec.weights * np.cos(spec.frequencies @ (s - t))))
-    st = float(s[0] * t[0])
-    return float(np.sum(spec.weights * st ** spec.degrees))
+    return _KINDS[spec.kind].kernel(spec, s, t)
 
 
 @dataclass(frozen=True)
@@ -193,14 +275,8 @@ class FieldSpec:
         if len(comps) > d:
             raise DimensionMismatch(f"{len(comps)} components exceed dimension {d}")
         for idx, c in enumerate(comps):
-            if c.kind == POLYNOMIAL and d != 1:
-                raise DimensionMismatch(
-                    f"component {idx}: polynomial kernels are one-dimensional"
-                )
             if c.dim != d:
-                raise DimensionMismatch(
-                    f"component {idx} lives in dimension {c.dim}, field in {d}"
-                )
+                raise DimensionMismatch(f"component {idx} lives in dimension {c.dim}, field in {d}")
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "components", comps)
 
@@ -255,28 +331,6 @@ class Region:
 # normalized-gradient covariance
 
 
-def _poly_moments(spec: KernelSpec, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sigma^2, g, h) of a polynomial kernel at each point of ts: variance,
-    d_s r|_{s=t} and d_s d_t r|_{s=t}."""
-    w, deg = spec.weights, spec.degrees
-    x = ts[:, None]
-    sigma2 = np.sum(w * x ** (2.0 * deg), axis=1)
-    # derivative conventions: x**negative never evaluated, degree-0 terms drop
-    pos = deg > 0
-    g = np.sum(w[pos] * deg[pos] * x ** (2.0 * deg[pos] - 1.0), axis=1)
-    h = np.sum(w[pos] * deg[pos] ** 2.0 * x ** (2.0 * deg[pos] - 2.0), axis=1)
-    return sigma2, g, h
-
-
-def _kernel_moments(spec: KernelSpec, t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """(sigma^2, g, H) at t: variance, grad_s r|_{s=t}, d_s d_t r|_{s=t}."""
-    if spec.kind == TRIG:
-        om, w = spec.frequencies, spec.weights
-        return float(np.sum(w)), np.zeros(spec.dim), (om * w[:, None]).T @ om
-    sigma2, g, h = _poly_moments(spec, t[:1])
-    return float(sigma2[0]), g, h[:, None]
-
-
 def gradient_covariance(spec: KernelSpec, t) -> SPDMatrix:
     """Covariance of grad[X/sqrt(Var X)](t), as an SPD matrix.
 
@@ -288,10 +342,15 @@ def gradient_covariance(spec: KernelSpec, t) -> SPDMatrix:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape != (spec.dim,):
         raise DimensionMismatch(f"point must have shape ({spec.dim},), got {t.shape}")
-    sigma2, g, h = _kernel_moments(spec, t)
+    sigma2, g, h = (a[0] for a in _KINDS[spec.kind].moments(spec, t[None]))
     if sigma2 <= VARIANCE_FLOOR:
         raise DegenerateVariance(f"field variance {sigma2:.3e} at t={t.tolist()}")
-    c = h / sigma2 - np.outer(g, g) / sigma2**2
+    with np.errstate(over="ignore"):
+        gg, s4 = np.outer(g, g), sigma2**2
+    if not (np.isfinite(s4) and np.all(np.isfinite(gg))):
+        q = g / sigma2  # weights near the top of the double range
+        gg, s4 = np.outer(q, q), 1.0
+    c = h / sigma2 - gg / s4
     c = 0.5 * (c + c.T)
     try:
         return SPDMatrix(c)
@@ -363,10 +422,10 @@ def zero_intensity(
 
 def _poly_intensity_values(spec: KernelSpec, ts: np.ndarray) -> np.ndarray:
     """Exact d=1 intensity sqrt(C(t))/pi on an array of points."""
-    sigma2, g, h = _poly_moments(spec, ts)
+    sigma2, g, h = _KINDS[spec.kind].moments(spec, ts[:, None])
     if np.min(sigma2) <= VARIANCE_FLOOR:
         raise DegenerateVariance("field variance vanishes inside the region")
-    c = h / sigma2 - (g / sigma2) ** 2
+    c = h[:, 0, 0] / sigma2 - (g[:, 0] / sigma2) ** 2
     if np.min(c) < -1e-9:
         raise DegenerateGradient("normalized-gradient variance is negative in the region")
     return np.sqrt(np.maximum(c, 0.0)) / math.pi
@@ -447,7 +506,7 @@ class Realization:
         frozen = []
         for spec, block in zip(comps, self.coefficients):
             arr = np.asarray(block, dtype=float)
-            want = (len(spec.weights), 2) if spec.kind == TRIG else (len(spec.weights),)
+            want = spec.weights.shape + _KINDS[spec.kind].shape
             if arr.shape != want:
                 raise DimensionMismatch(
                     f"coefficient block shape {arr.shape}, expected {want}"
@@ -467,87 +526,37 @@ class Realization:
 
     def component_values(self, index: int, points) -> np.ndarray:
         """X_index at m points, shape (m,)."""
-        pts = self._points(points)
         spec = self.field.components[index]
-        coef = self.coefficients[index]
-        if spec.kind == TRIG:
-            return _trig_eval(spec.frequencies, coef, pts)
-        powers = pts[:, 0, None] ** spec.degrees[None, :]
-        return powers @ coef
-
-    def component_gradients(self, index: int, points) -> np.ndarray:
-        """grad X_index at m points, shape (m, d)."""
-        pts = self._points(points)
-        spec = self.field.components[index]
-        coef = self.coefficients[index]
-        if spec.kind == TRIG:
-            return _trig_eval(spec.frequencies, coef, pts, gradients=True)[1]
-        deg = spec.degrees
-        pos = deg > 0
-        if not np.any(pos):
-            return np.zeros((pts.shape[0], 1))
-        dpowers = deg[pos] * pts[:, 0, None] ** (deg[pos] - 1.0)
-        return (dpowers @ coef[pos])[:, None]
+        return _KINDS[spec.kind].evaluate(spec.table, self.coefficients[index], self._points(points))
 
     def values(self, points) -> np.ndarray:
         """X at m points, shape (m, k)."""
-        pts = self._points(points)
-        return np.stack(
-            [self.component_values(i, pts) for i in range(self.field.n_components)], axis=1
-        )
+        return _evaluate(self.field, self.coefficients, self._points(points))
 
     def jacobians(self, points) -> np.ndarray:
         """X' at m points, shape (m, k, d)."""
-        pts = self._points(points)
-        return np.stack(
-            [self.component_gradients(i, pts) for i in range(self.field.n_components)],
-            axis=1,
-        )
+        return _evaluate(self.field, self.coefficients, self._points(points), gradients=True)[1]
 
 
-def _trig_eval(om: np.ndarray, coef: np.ndarray, pts: np.ndarray, gradients: bool = False):
-    """sum_a c_a cos<om_a, p> + s_a sin<om_a, p> at m points p, shape (m,).
-
-    coef holds the (c_a, s_a) pairs: one (A, 2) block shared by all points,
-    or an (m, A, 2) stack with one block per point, which evaluates the
-    points of many realizations at once.  With gradients on, returns
-    (values, (m, d) gradients), both from one phase matrix.  Phases and
-    outputs are elementwise sums, not BLAS products, so a point's result
-    does not depend on the other points evaluated with it.
-    """
-    phase = pts[:, :1] * om[:, 0]
-    for j in range(1, om.shape[1]):
-        phase += pts[:, j : j + 1] * om[:, j]
-    cos, sin = np.cos(phase), np.sin(phase)
-    c, s = coef[..., 0], coef[..., 1]
-    values = np.sum(cos * c + sin * s, axis=1)
+def _evaluate(field: FieldSpec, coefs: Sequence[np.ndarray], pts: np.ndarray, gradients: bool = False):
+    """X (m, k), and with gradients on X' (m, k, d), at m points from one block per
+    component shared by all points or, for trig, one (m, A, 2) block per point."""
+    per = [
+        _KINDS[spec.kind].evaluate(spec.table, coef, pts, gradients)
+        for spec, coef in zip(field.components, coefs)
+    ]
     if not gradients:
-        return values
-    radial = cos * s - sin * c
-    return values, np.stack([np.sum(radial * w, axis=1) for w in om.T], axis=1)
-
-
-def _values_and_jacobians(
-    field: FieldSpec, coefs: list[np.ndarray], owner: np.ndarray, pts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """X (m, k) and X' (m, k, d) of a trig field at m points, point i taken
-    in realization owner[i] of the per-component (R, A, 2) coefficient
-    stacks coefs; one phase matrix per component serves both."""
-    m, k = pts.shape[0], field.n_components
-    vals, jac = np.empty((m, k)), np.empty((m, k, field.dim))
-    for i, (spec, coef) in enumerate(zip(field.components, coefs)):
-        vals[:, i], jac[:, i] = _trig_eval(spec.frequencies, coef[owner], pts, gradients=True)
-    return vals, jac
+        return np.stack(per, axis=1)
+    return tuple(np.stack(part, axis=1) for part in zip(*per))
 
 
 def _coefficient_blocks(field: FieldSpec, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """Per component, (A,) + the kind's shape standard normals, atom a's times sqrt(w_a)."""
     blocks = []
     for spec in field.components:
-        scale = np.sqrt(spec.weights)
-        if spec.kind == TRIG:
-            blocks.append(rng.standard_normal((len(spec.weights), 2)) * scale[:, None])
-        else:
-            blocks.append(rng.standard_normal(len(spec.weights)) * scale)
+        shape = _KINDS[spec.kind].shape
+        scale = np.sqrt(spec.weights).reshape((-1,) + (1,) * len(shape))
+        blocks.append(rng.standard_normal(spec.weights.shape + shape) * scale)
     return tuple(blocks)
 
 
@@ -604,15 +613,6 @@ def _grid_axes(region: Region, grid_n: int) -> list[np.ndarray]:
 # counting: d = 1
 
 
-def _line_values(spec: KernelSpec, nodes: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """(m, R) values at m nodes of R realizations of a 1-D component, from
-    its (R, A, 2) trig or (R, A) polynomial coefficient stack."""
-    if spec.kind == TRIG:
-        phase = nodes[:, None] * spec.frequencies[:, 0][None, :]
-        return np.cos(phase) @ coef[:, :, 0].T + np.sin(phase) @ coef[:, :, 1].T
-    return (nodes[:, None] ** spec.degrees[None, :]) @ coef.T
-
-
 def _sign_change_count(values: np.ndarray):
     """Crossings along axis 0, half-open in the last node.
 
@@ -630,7 +630,8 @@ def _chunk_counts_1d(
     """Sign-change counts of each realization of a chunk at grid_n and at
     2 grid_n, both from one evaluation at the 2 grid_n + 1 nodes."""
     (nodes,) = _grid_axes(region, 2 * grid_n)
-    values = _line_values(field.components[0], nodes, coefs[0])
+    spec = field.components[0]
+    values = _KINDS[spec.kind].line(spec.table, nodes, coefs[0])
     return _sign_change_count(values[::2]), _sign_change_count(values)
 
 
@@ -653,7 +654,8 @@ def _bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.
 
 def _zeros_1d(r: Realization, region: Region, grid_n: int, tol: float) -> np.ndarray:
     (nodes,) = _grid_axes(region, grid_n)
-    values = _line_values(r.field.components[0], nodes, r.coefficients[0][None])[:, 0]
+    spec = r.field.components[0]
+    values = _KINDS[spec.kind].line(spec.table, nodes, r.coefficients[0][None])[:, 0]
     f = lambda x: r.component_values(0, x)
     bracket = values[:-1] * values[1:] < 0.0
     roots = _bisect_roots(f, nodes[:-1][bracket], nodes[1:][bracket], tol)
@@ -768,7 +770,7 @@ def _trig_grid(spec: KernelSpec, xs: np.ndarray, ys: np.ndarray, coef: np.ndarra
     cost is O(nx ny R A) multiply-adds and O((nx + ny) A) cos/sin, and no
     (nx ny, A) table of cos and sin is built.
     """
-    om = spec.frequencies
+    om = spec.table
     u = np.multiply.outer(xs, om[:, 0])
     left = np.concatenate([np.cos(u), np.sin(u)], axis=1)
     v = np.multiply.outer(om[:, 1], ys)[:, :, None]  # (A, ny, 1)
@@ -807,7 +809,7 @@ def _newton_roots_2d(
         if idx.size == 0:
             break
         pts = x[idx]
-        vals, jac = _values_and_jacobians(field, coefs, owner[idx], pts)
+        vals, jac = _evaluate(field, [c[owner[idx]] for c in coefs], pts, gradients=True)
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         ok = np.abs(det) > 1e-300
         step = np.empty_like(vals)
@@ -991,7 +993,7 @@ def _chunk_lengths_2d(
     spec, (coef,) = field.components[0], coefs
     grid = _trig_grid(spec, xs, ys, np.moveaxis(coef, 0, 2))
     return [
-        _segment_lengths(grid[:, :, i], xs, ys, partial(_trig_eval, spec.frequencies, coef[i]))
+        _segment_lengths(grid[:, :, i], xs, ys, partial(_trig_eval, spec.table, coef[i]))
         for i in range(coef.shape[0])
     ]
 
@@ -1167,8 +1169,8 @@ def nodal_length_experiment(
 def field_to_json(field: FieldSpec) -> dict:
     comps = []
     for spec in field.components:
-        key, table = ("omega", spec.frequencies) if spec.kind == TRIG else ("degree", spec.degrees)
-        atoms = [{"w": w, key: t} for w, t in zip(spec.weights.tolist(), table.tolist())]
+        key = _KINDS[spec.kind].key
+        atoms = [{"w": w, key: t} for w, t in zip(spec.weights.tolist(), spec.table.tolist())]
         comps.append({"kind": spec.kind, "atoms": atoms})
     return {"dim": field.dim, "components": comps}
 
@@ -1188,16 +1190,13 @@ def field_from_json(obj) -> FieldSpec:
         if not isinstance(c, dict) or set(c) != {"kind", "atoms"}:
             raise OutOfRange(f"{where}: must be an object with 'kind' and 'atoms'")
         kind = c["kind"]
-        if kind not in (TRIG, POLYNOMIAL):
-            raise OutOfRange(f"{where}: unknown kind {kind!r}")
+        key = _kind_row(kind, where).key
         atoms_raw = c["atoms"]
         if not isinstance(atoms_raw, list) or not atoms_raw:
             raise OutOfRange(f"{where}: 'atoms' must be a nonempty array")
-        key = "omega" if kind == TRIG else "degree"
         if any(not isinstance(a, dict) or set(a) != {"w", key} for a in atoms_raw):
             raise OutOfRange(f"{where}: each {kind} atom needs exactly 'w' and '{key}'")
-        pairs = [(a["w"], a[key]) for a in atoms_raw]
-        comps.append(KernelSpec.trig(pairs) if kind == TRIG else KernelSpec.polynomial(pairs))
+        comps.append(KernelSpec(kind, [a["w"] for a in atoms_raw], [a[key] for a in atoms_raw]))
     return FieldSpec(dim, tuple(comps))
 
 

@@ -141,7 +141,7 @@ def reference_dedup(points, radius):
 def reference_trig_grid(spec, xs, ys, coef):
     """(nx, ny, R) values of a 2-D trig component on the grid xs x ys, from
     (A, 2, R) coefficients: the right GEMM factor built by concatenation."""
-    om = spec.frequencies
+    om = spec.table
     u = np.multiply.outer(xs, om[:, 0])
     left = np.concatenate([np.cos(u), np.sin(u)], axis=1)
     v = np.multiply.outer(om[:, 1], ys)[:, :, None]

@@ -7,9 +7,13 @@ Core claims:
 - Reports are byte-identical across repeated runs and across --threads
   settings once the wall_time_ms field is masked.
 - All validation failures exit 2 with the error name on stderr and nothing
-  on stdout, malformed input files, array-valued atom weights, non-finite
-  --at coordinates and seeds outside [0, 2^64) included; argparse usage
-  errors also exit 2.
+  on stdout, malformed input files, array-valued atom weights, non-string
+  kernel kinds, non-finite --at coordinates and seeds outside [0, 2^64)
+  included; argparse usage errors also exit 2.
+- Atom weights near the top of the double range work: trig weights of
+  1e200 and polynomial weights of 4e153, whose sigma^4 overflows, give the
+  unit-weight intensity and measure, and polynomial weights of 1e308 that
+  overflow the moments exit 2.
 - stdout only ever carries valid JSON: a z-score without a standard error
   is null, and a report holding NaN or infinity exits 1 as an InternalError.
 - Deterministic subcommands reproduce known closed forms exactly: the mixed
@@ -175,6 +179,22 @@ def inputs(tmp_path_factory):
         "one_wave": dump("one_wave.json", {"dim": 1, "components": [
             {"kind": "trig", "atoms": [{"w": 1.0, "omega": [1.0]}]}]}),
         "r10pi": dump("r10pi.json", {"lower": [0.0], "upper": [10.0 * math.pi]}),
+        "huge_wave": dump("huge_wave.json", {"dim": 1, "components": [
+            {"kind": "trig", "atoms": [{"w": 1e200, "omega": 1.0}]}]}),
+        "axes_waves": dump("axes_waves.json", {"dim": 2, "components": [
+            {"kind": "trig", "atoms": [{"w": 1.0, "omega": [1.0, 0.0]}, {"w": 1.0, "omega": [0.0, 1.0]}]}]}),
+        "huge_axes_waves": dump("huge_axes_waves.json", {"dim": 2, "components": [
+            {"kind": "trig", "atoms": [{"w": 1e200, "omega": [1.0, 0.0]}, {"w": 1e200, "omega": [0.0, 1.0]}]}]}),
+        "line_poly": dump("line_poly.json", {"dim": 1, "components": [
+            {"kind": "polynomial", "atoms": [{"w": 1.0, "degree": 0}, {"w": 1.0, "degree": 1}]}]}),
+        "huge_line_poly": dump("huge_line_poly.json", {"dim": 1, "components": [
+            {"kind": "polynomial", "atoms": [{"w": 4e153, "degree": 0}, {"w": 4e153, "degree": 1}]}]}),
+        "huge_poly": dump("huge_poly.json", {"dim": 1, "components": [
+            {"kind": "polynomial", "atoms": [{"w": 1e308, "degree": 0}, {"w": 1e308, "degree": 2}]}]}),
+        "list_kind": dump("list_kind.json", {"dim": 1, "components": [
+            {"kind": ["trig"], "atoms": [{"w": 1.0, "omega": [1.0]}]}]}),
+        "dict_kind": dump("dict_kind.json", {"dim": 1, "components": [
+            {"kind": {}, "atoms": [{"w": 1.0, "omega": [1.0]}]}]}),
     }
 
 
@@ -694,6 +714,41 @@ class TestFailurePaths:
         # float() of a one-element weight array was an InternalError, exit 1
         proc = run_cli("fieldzeros", "intensity", "--field", inputs[name], expect=2)
         assert "OutOfRange" in proc.stderr and "weight" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("command", ["intensity", "measure"])
+    @pytest.mark.parametrize(
+        "huge, unit, region, at",
+        [
+            ("huge_wave", "one_wave", "r10pi", "1"),
+            ("huge_axes_waves", "axes_waves", "box", "1,1"),
+            # at t = 2, sigma^4 = 4e308 overflows but g g^T = 6.4e307 does
+            # not, and C = 0.2 - 0.16 needs the g g^T / sigma^4 term
+            ("huge_line_poly", "line_poly", "r10pi", "2"),
+        ],
+    )
+    def test_huge_weights_give_unit_weight_value(self, inputs, command, huge, unit, region, at):
+        # sigma^4 >= 1e400 overflowed a Python float: exit 1, InternalError(OverflowError)
+        extra = ["--region", inputs[region]] if command == "measure" else ["--at", at]
+        values = [
+            report_of(run_cli("fieldzeros", command, "--field", inputs[name], *extra))["value"]
+            for name in (huge, unit)
+        ]
+        assert values[0] == approx(values[1], rel=1e-12)
+        if huge == "huge_line_poly" and command == "intensity":
+            assert values[1] == approx(0.2 / math.pi, rel=1e-12)
+
+    def test_huge_polynomial_weights_exit_two(self, inputs):
+        # at t = 0, w * 2 overflows in g and H, which turn NaN; the Python
+        # float sigma^4 = 1e616 used to raise OverflowError first, exit 1
+        proc = run_cli("fieldzeros", "intensity", "--field", inputs["huge_poly"], expect=2)
+        assert "OutOfRange" in proc.stderr and "non-finite" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("name", ["list_kind", "dict_kind"])
+    def test_non_string_kind_exits_two(self, inputs, name):
+        proc = run_cli("fieldzeros", "intensity", "--field", inputs[name], expect=2)
+        assert "OutOfRange" in proc.stderr and "kind" in proc.stderr
         assert proc.stdout == ""
 
     def test_zero_standard_error_gives_null_z_score(self, inputs):

@@ -516,16 +516,14 @@ class TestSeparableKernels:
         rng = np.random.default_rng(24)
         pts = rng.uniform(45.0, 65.0, size=(500, 2))
         owner = np.sort(rng.integers(0, 3, size=500))
-        vals, jac = fields._values_and_jacobians(field, stacks, owner, pts)
+        vals, jac = fields._evaluate(field, [s[owner] for s in stacks], pts, gradients=True)
         for i, r in enumerate(reals):
             mine = owner == i
             assert np.array_equal(vals[mine], r.values(pts[mine]))
             assert np.array_equal(jac[mine], r.jacobians(pts[mine]))
             # the same point alone, as a chunk of one
             one = np.flatnonzero(mine)[:1]
-            alone = fields._values_and_jacobians(
-                field, [s[i : i + 1] for s in stacks], np.zeros(1, dtype=int), pts[one]
-            )
+            alone = fields._evaluate(field, [s[i : i + 1] for s in stacks], pts[one], gradients=True)
             assert np.array_equal(alone[0], vals[one])
             assert np.array_equal(alone[1], jac[one])
 

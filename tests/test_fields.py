@@ -15,10 +15,13 @@ Core claims:
   value is the same to the bit on the first call and on later ones.
 - X(t) and grad X(t) are uncorrelated, realizations are bit-reproducible,
   and rescaling all atom weights changes nothing but the field's amplitude.
-- A KernelSpec is read-only weights plus frequencies or integer degrees;
-  each invalid kernel input raises the same error class through
+- Realization i of seed s draws, component by component from stream
+  (s, i), (A, 2) trig or (A,) polynomial normals times sqrt(w_a), alone and
+  in an experiment's chunk.
+- A KernelSpec is read-only weights plus one table, frequencies or integer
+  degrees; each invalid kernel input raises the same error class through
   KernelSpec.trig/polynomial and field_from_json, an array-valued weight
-  included, and field_to_json(field_from_json(obj)) == obj.
+  and a non-string kind included, and field_to_json(field_from_json(obj)) == obj.
 - KernelSpec, FieldSpec and Region compare by value: kinds and dimensions
   with ==, their arrays with np.array_equal.
 """
@@ -149,8 +152,10 @@ class TestSpecValidation:
             KernelSpec.trig([])
 
     def test_kernel_kind_checked(self):
-        with pytest.raises(OutOfRange):
-            KernelSpec("spline", [1.0], frequencies=[[1.0]])
+        # a non-string kind must not reach the kind lookup as an unhashable key
+        for kind in ["spline", ["trig"], {}, 1, None]:
+            with pytest.raises(OutOfRange, match="kind"):
+                KernelSpec(kind, [1.0], [[1.0]])
 
     def test_trig_atoms_must_agree_on_dim(self):
         with pytest.raises(DimensionMismatch):
@@ -245,23 +250,19 @@ class TestKernelArrays:
 
     def test_arrays_read_only(self):
         trig, poly = _aniso_kernel(), _kac_field().components[0]
-        assert trig.frequencies.shape == (3, 2) and trig.degrees is None
-        assert poly.degrees.tolist() == [0, 1, 2] and poly.frequencies is None
-        for a in (trig.weights, trig.frequencies, poly.weights, poly.degrees):
+        assert trig.table.shape == (3, 2)
+        assert poly.table.tolist() == [0, 1, 2]
+        for a in (trig.weights, trig.table, poly.weights, poly.table):
             assert not a.flags.writeable
 
     def test_one_table_per_kind(self):
-        with pytest.raises(OutOfRange):
-            KernelSpec("trig", [1.0], frequencies=[[1.0]], degrees=[1])
-        with pytest.raises(OutOfRange):
-            KernelSpec("polynomial", [1.0], frequencies=[[1.0]])
         with pytest.raises(DimensionMismatch):
-            KernelSpec("trig", [1.0, 2.0], frequencies=[[1.0]])
+            KernelSpec("trig", [1.0, 2.0], [[1.0]])
 
     def test_scaled_keeps_the_tables(self):
         kac = _kac_field().components[0].scaled(3.0)
         assert kac.weights.tolist() == [3.0, 3.0, 3.0]
-        assert kac.degrees.tolist() == [0, 1, 2]
+        assert kac.table.tolist() == [0, 1, 2]
         with pytest.raises(OutOfRange):
             kac.scaled(0.0)
 
@@ -567,6 +568,31 @@ class TestSimulateRealization:
         p = simulate_realization(_kac_field(), RngStream(0, 0))
         assert [c.shape for c in p.coefficients] == [(3,)]
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            FieldSpec(2, (_aniso_kernel(), _aniso_kernel().scaled(3.0))),
+            FieldSpec(1, (KernelSpec.polynomial([(1.0, 0), (0.25, 1), (4.0, 3)]),)),
+        ],
+        ids=["trig", "polynomial"],
+    )
+    def test_draw_order_and_scaling(self, field):
+        # realization i of seed s: per component, (A, 2) trig or (A,)
+        # polynomial normals from stream (s, i), atom a's times sqrt(w_a);
+        # the chunked draw of the experiments gives the same blocks
+        chunk = fields._chunk_coefficients(field, 13, 0, 3)
+        for i in range(3):
+            gen = RngStream(13, i).generator()
+            r = simulate_realization(field, RngStream(13, i))
+            for c, spec in enumerate(field.components):
+                root = np.sqrt(spec.weights)
+                if spec.kind == "trig":
+                    want = gen.standard_normal((root.size, 2)) * root[:, None]
+                else:
+                    want = gen.standard_normal(root.size) * root
+                assert np.array_equal(r.coefficients[c], want)
+                assert np.array_equal(chunk[c][i], want)
+
     def test_wrong_block_shape_rejected(self):
         field = _rice_field()
         with pytest.raises(DimensionMismatch):
@@ -596,7 +622,7 @@ class TestSimulateRealization:
         spec = _aniso_kernel()
         field = FieldSpec(2, (spec,))
         h = (spec.weights[:, None, None] *
-             spec.frequencies[:, :, None] * spec.frequencies[:, None, :]).sum(axis=0)
+             spec.table[:, :, None] * spec.table[:, None, :]).sum(axis=0)
         n = 20_000
         vals = np.empty(n)
         grads = np.empty((n, 2))
@@ -647,7 +673,7 @@ class TestFieldJSON:
         back = field_from_json(field_to_json(field))
         assert back.dim == 2 and back.n_components == 2
         assert np.allclose(
-            back.components[0].frequencies, field.components[0].frequencies
+            back.components[0].table, field.components[0].table
         )
         assert np.allclose(back.components[0].weights, field.components[0].weights)
 
@@ -670,13 +696,12 @@ class TestFieldJSON:
     def test_round_trip_poly(self):
         back = field_from_json(field_to_json(_kac_field()))
         assert back.components[0].kind == "polynomial"
-        assert back.components[0].degrees.tolist() == [0, 1, 2]
+        assert back.components[0].table.tolist() == [0, 1, 2]
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(OutOfRange):
-            field_from_json(
-                {"dim": 1, "components": [{"kind": "wavelet", "atoms": []}]}
-            )
+        for kind in ["wavelet", ["trig"], {}, 1, None]:
+            with pytest.raises(OutOfRange, match="kind"):
+                field_from_json({"dim": 1, "components": [{"kind": kind, "atoms": []}]})
 
     def test_extra_keys_rejected(self):
         with pytest.raises(OutOfRange):

@@ -3,7 +3,7 @@
 Core claims:
 - make_spd validates symmetry and positive-definiteness and caches a
   Cholesky factor that reproduces the entries to 1e-10 relative.
-- Frozen values (SPD entries, region bounds, point clouds, frequencies)
+- Frozen values (SPD entries, region bounds, point clouds, kernel tables)
   hold a private read-only copy; the caller's array stays writable.
 - unit_ball_volume and falling_factorial hit their closed-form values,
   including the recursion kappa_n = kappa_{n-2} * 2 pi / n.
@@ -125,7 +125,7 @@ class TestMakeSPD:
             (make_spd, np.eye(2), lambda m: m.entries),
             (lambda a: Region(a, a + 1.0), np.zeros(2), lambda r: r.lower),
             (PointCloud, np.ones((3, 2)), lambda c: c.points),
-            (lambda a: KernelSpec("trig", [1.0], a), np.ones((1, 2)), lambda k: k.frequencies),
+            (lambda a: KernelSpec("trig", [1.0], a), np.ones((1, 2)), lambda k: k.table),
         ],
     )
     def test_freezing_keeps_the_callers_array_writable(self, build, array, stored):

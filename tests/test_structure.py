@@ -7,6 +7,8 @@ Core claims:
 - sampling.map_chunks is the package's only thread pool: no other function
   names ThreadPoolExecutor.
 - every name in mixvol.__all__ resolves, and none is listed twice.
+- no comparison in the package names a kernel kind: what depends on the
+  kind is a row of fields._KINDS, so a new kind is a new row.
 """
 
 import ast
@@ -56,3 +58,22 @@ def test_every_export_resolves_once():
     missing = [name for name in mixvol.__all__ if not hasattr(mixvol, name)]
     assert missing == []
     assert len(set(mixvol.__all__)) == len(mixvol.__all__)
+
+
+def _names_a_kind(node) -> bool:
+    """Whether the TRIG or POLYNOMIAL constant, or its string, occurs below node."""
+    return any(
+        {getattr(n, "id", None), getattr(n, "attr", None)} & {"TRIG", "POLYNOMIAL"}
+        or (isinstance(n, ast.Constant) and n.value in ("trig", "polynomial"))
+        for n in ast.walk(node)
+    )
+
+
+def test_no_comparison_names_a_kernel_kind():
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Compare) and _names_a_kind(node)
+    ]
+    assert found == []
