@@ -51,10 +51,6 @@ class NonConvexBody(MixvolError):
     """Support function violates convexity (h + h'' < 0) on the grid."""
 
 
-class IllConditionedFit(MixvolError):
-    """Polynomial least-squares system is rank deficient."""
-
-
 class DegenerateVariance(MixvolError):
     """Field variance vanishes at the evaluation point."""
 

@@ -68,6 +68,9 @@ VARIANCE_FLOOR = 1e-12
 NEWTON_MAX_ITER = 60
 NEWTON_STEP_TOL = 1e-10
 DEDUP_RADIUS = 1e-6
+# t is a root of X_i where |X_i(t)| < ROOT_TOL * sigma_i(t): a test on X_i/sigma_i,
+# which a constant factor on a component does not change
+ROOT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +334,17 @@ class Region:
 # normalized-gradient covariance
 
 
+def _gradient_covariances(spec: KernelSpec, ts: np.ndarray) -> np.ndarray:
+    """C(t) = H/sigma^2 - q q^T, q = g/sigma^2, at m points ts (m, d), shape (m, d, d);
+    DegenerateVariance at the first point where r(t,t) <= 1e-12."""
+    sigma2, g, h = _KINDS[spec.kind].moments(spec, ts)
+    low = np.flatnonzero(sigma2 <= VARIANCE_FLOOR)
+    if low.size:
+        raise DegenerateVariance(f"field variance {sigma2[low[0]]:.3e} at t={ts[low[0]].tolist()}")
+    q = g / sigma2[:, None]
+    return h / sigma2[:, None, None] - q[:, :, None] * q[:, None, :]
+
+
 def gradient_covariance(spec: KernelSpec, t) -> SPDMatrix:
     """Covariance of grad[X/sqrt(Var X)](t), as an SPD matrix.
 
@@ -342,15 +356,7 @@ def gradient_covariance(spec: KernelSpec, t) -> SPDMatrix:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape != (spec.dim,):
         raise DimensionMismatch(f"point must have shape ({spec.dim},), got {t.shape}")
-    sigma2, g, h = (a[0] for a in _KINDS[spec.kind].moments(spec, t[None]))
-    if sigma2 <= VARIANCE_FLOOR:
-        raise DegenerateVariance(f"field variance {sigma2:.3e} at t={t.tolist()}")
-    with np.errstate(over="ignore"):
-        gg, s4 = np.outer(g, g), sigma2**2
-    if not (np.isfinite(s4) and np.all(np.isfinite(gg))):
-        q = g / sigma2  # weights near the top of the double range
-        gg, s4 = np.outer(q, q), 1.0
-    c = h / sigma2 - gg / s4
+    c = _gradient_covariances(spec, t[None])[0]
     c = 0.5 * (c + c.T)
     try:
         return SPDMatrix(c)
@@ -422,10 +428,7 @@ def zero_intensity(
 
 def _poly_intensity_values(spec: KernelSpec, ts: np.ndarray) -> np.ndarray:
     """Exact d=1 intensity sqrt(C(t))/pi on an array of points."""
-    sigma2, g, h = _KINDS[spec.kind].moments(spec, ts[:, None])
-    if np.min(sigma2) <= VARIANCE_FLOOR:
-        raise DegenerateVariance("field variance vanishes inside the region")
-    c = h[:, 0, 0] / sigma2 - (g[:, 0] / sigma2) ** 2
+    c = _gradient_covariances(spec, ts[:, None])[:, 0, 0]
     if np.min(c) < -1e-9:
         raise DegenerateGradient("normalized-gradient variance is negative in the region")
     return np.sqrt(np.maximum(c, 0.0)) / math.pi
@@ -477,6 +480,8 @@ def expected_zero_measure(
     spec = field.components[0]
     f = lambda ts: _poly_intensity_values(spec, ts)
     a, b = float(region.lower[0]), float(region.upper[0])
+    # sigma^2 = sum w t^(2 deg) is least where |t| is; no quadrature node need be there
+    _gradient_covariances(spec, np.array([[min(max(a, 0.0), b)]]))
     coarse = _gauss_legendre(f, a, b, quadrature_order)
     fine = _gauss_legendre(f, a, b, 2 * quadrature_order)
     return MCEstimate.exact(fine, seed, ci_level, std_error=abs(fine - coarse))
@@ -635,14 +640,25 @@ def _chunk_counts_1d(
     return _sign_change_count(values[::2]), _sign_change_count(values)
 
 
-def _bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
-    """Vectorized bisection on bracketing intervals until |f(mid)| < tol."""
+def _sigmas(field: FieldSpec, pts: np.ndarray) -> np.ndarray:
+    """sigma_i = sqrt(r_i(t, t)) at m points (m, d), shape (m, k)."""
+    return np.stack([np.sqrt(_KINDS[c.kind].moments(c, pts)[0]) for c in field.components], axis=1)
+
+
+def _is_root(values: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """|X_i| < ROOT_TOL * sigma_i, or X_i exactly 0: a product, so sigma = 0
+    (a polynomial at t = 0) divides nothing."""
+    return (np.abs(values) < ROOT_TOL * sigmas) | (values == 0.0)
+
+
+def _bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Vectorized bisection on bracketing intervals until each midpoint is a
+    root by _is_root, against one sigma per bracket."""
     flo = f(lo)
     mid = 0.5 * (lo + hi)
     for _ in range(200):
         fmid = f(mid)
-        done = np.abs(fmid) < tol
-        if np.all(done):
+        if np.all(_is_root(fmid, sigma)):
             break
         left = flo * fmid < 0.0
         hi = np.where(left, mid, hi)
@@ -652,34 +668,34 @@ def _bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.
     return mid
 
 
-def _zeros_1d(r: Realization, region: Region, grid_n: int, tol: float) -> np.ndarray:
+def _zeros_1d(r: Realization, region: Region, grid_n: int) -> np.ndarray:
     (nodes,) = _grid_axes(region, grid_n)
     spec = r.field.components[0]
     values = _KINDS[spec.kind].line(spec.table, nodes, r.coefficients[0][None])[:, 0]
     f = lambda x: r.component_values(0, x)
     bracket = values[:-1] * values[1:] < 0.0
-    roots = _bisect_roots(f, nodes[:-1][bracket], nodes[1:][bracket], tol)
+    lo, hi = nodes[:-1][bracket], nodes[1:][bracket]
+    # sigma at the bracket's point nearest 0 is its least on the bracket: a
+    # polynomial sigma grows with |t|, and a trig one is constant
+    sigma = _sigmas(r.field, np.clip(0.0, lo, hi)[:, None])[:, 0]
+    roots = _bisect_roots(f, lo, hi, sigma)
     exact = nodes[:-1][values[:-1] == 0.0]
     roots = np.sort(np.concatenate([roots, exact]))
     return roots[(roots >= region.lower[0]) & (roots < region.upper[0])]
 
 
 def zeros_1d(
-    r: Realization,
-    region: Region,
-    grid_n: int = 512,
-    tol: float = 1e-9,
-    *,
-    self_check: bool = True,
+    r: Realization, region: Region, grid_n: int = 512, *, self_check: bool = True
 ) -> np.ndarray:
     """Sorted zeros of the single component on [lower, upper).
 
-    Sign changes on the grid, each certified by bisection down to |X| < tol.
-    With self_check on, the number of sign changes is recomputed at double
-    resolution and a mismatch raises GridTooCoarse.
+    Each sign change on the grid is bisected until |X| < ROOT_TOL * sigma,
+    sigma = sqrt(r(t, t)); exact zeros at nodes are kept.  With self_check
+    on, the number of sign changes is recomputed at double resolution and a
+    mismatch raises GridTooCoarse.
     """
     _check_zero_set("count-1d", r.field, region, grid_n)
-    roots = _zeros_1d(r, region, grid_n, tol)
+    roots = _zeros_1d(r, region, grid_n)
     if self_check:
         _, refined = _chunk_counts_1d(r.field, [c[None] for c in r.coefficients], region, grid_n)
         _check_doubling("count", roots.shape[0], refined[0], grid_n)
@@ -687,15 +703,10 @@ def zeros_1d(
 
 
 def count_zeros_1d(
-    r: Realization,
-    region: Region,
-    grid_n: int = 512,
-    tol: float = 1e-9,
-    *,
-    self_check: bool = True,
+    r: Realization, region: Region, grid_n: int = 512, *, self_check: bool = True
 ) -> int:
     """Number of zeros of the single component on [lower, upper): len(zeros_1d)."""
-    return zeros_1d(r, region, grid_n, tol, self_check=self_check).shape[0]
+    return zeros_1d(r, region, grid_n, self_check=self_check).shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +802,6 @@ def _newton_roots_2d(
     seeds: np.ndarray,
     owner: np.ndarray,
     region: Region,
-    tol: float,
 ) -> list[np.ndarray]:
     """Converged, deduplicated roots of (X1, X2) for each realization of a chunk.
 
@@ -825,7 +835,7 @@ def _newton_roots_2d(
         )
         done = (
             inside
-            & (np.max(np.abs(vals), axis=1) < tol)
+            & np.all(_is_root(vals, _sigmas(field, pts)), axis=1)
             & (np.max(np.abs(step), axis=1) < NEWTON_STEP_TOL)
         )
         x[idx] = np.where(inside[:, None], new, pts)
@@ -841,7 +851,6 @@ def _chunk_roots_2d(
     coefs: list[np.ndarray],
     region: Region,
     grid_n: int,
-    tol: float,
     threads: int = 1,
 ) -> list[np.ndarray]:
     """Roots of each realization of a chunk, from (R, A, 2) coefficient stacks.
@@ -866,60 +875,47 @@ def _chunk_roots_2d(
         owner, ci, cj = np.nonzero(candidates[start : start + size])
         seeds = np.column_stack([xs[ci] + 0.5 * hx, ys[cj] + 0.5 * hy])
         mine = [c[start : start + size] for c in coefs]
-        return _newton_roots_2d(field, mine, seeds, owner, region, tol)
+        return _newton_roots_2d(field, mine, seeds, owner, region)
 
     n = coefs[0].shape[0]
     parts = map_chunks(group, n, -(-n // threads), threads)
     return [roots for part in parts for roots in part]
 
 
-def _roots_2d(r: Realization, region: Region, grid_n: int, tol: float) -> np.ndarray:
+def _roots_2d(r: Realization, region: Region, grid_n: int) -> np.ndarray:
     """Roots of one realization: a chunk of one."""
-    return _chunk_roots_2d(r.field, [c[None] for c in r.coefficients], region, grid_n, tol)[0]
+    return _chunk_roots_2d(r.field, [c[None] for c in r.coefficients], region, grid_n)[0]
 
 
 def zeros_2d(
-    r: Realization,
-    region: Region,
-    grid_n: int = 512,
-    tol: float = 1e-9,
-    *,
-    self_check: bool = True,
+    r: Realization, region: Region, grid_n: int = 512, *, self_check: bool = True
 ) -> np.ndarray:
     """Common zeros of (X1, X2) in the half-open box, as an (n, 2) array.
 
     Node values come from the separable grid evaluation of level_length_2d.
     Cells where both components change sign seed a Newton iteration, in
-    row-major cell order; roots are accepted at ||X|| < tol with final step
-    below 1e-10.  Divergent seeds are discarded.  Converged roots are then
-    merged greedily in seed order: a root is kept unless an earlier kept
-    root lies within Chebyshev distance 1e-6, so each cluster is
-    represented by its first member.  Kept roots outside the half-open box
-    are dropped.  With self_check on, a doubled grid must reproduce the
-    count or GridTooCoarse is raised.
+    row-major cell order; roots are accepted where each |X_i| < ROOT_TOL *
+    sigma_i, sigma_i = sqrt(r_i(t, t)), with final step below 1e-10.
+    Divergent seeds are discarded.  Converged roots are then merged greedily
+    in seed order: a root is kept unless an earlier kept root lies within
+    Chebyshev distance 1e-6, so each cluster is represented by its first
+    member.  Kept roots outside the half-open box are dropped.  With
+    self_check on, a doubled grid must reproduce the count or GridTooCoarse
+    is raised.
     """
     _check_zero_set("count-2d", r.field, region, grid_n)
-    roots = _roots_2d(r, region, grid_n, tol)
+    roots = _roots_2d(r, region, grid_n)
     if self_check:
-        refined = _roots_2d(r, region, 2 * grid_n, tol)
+        refined = _roots_2d(r, region, 2 * grid_n)
         _check_doubling("count", roots.shape[0], refined.shape[0], grid_n)
     return roots
 
 
 def count_zeros_2d(
-    r: Realization,
-    region: Region,
-    grid_n: int = 512,
-    tol: float = 1e-9,
-    *,
-    self_check: bool = True,
+    r: Realization, region: Region, grid_n: int = 512, *, self_check: bool = True
 ) -> int:
-    """Number of common zeros of (X1, X2) in the half-open box: len(zeros_2d).
-
-    Converged Newton roots are merged greedily in seed order, a root being
-    kept unless an earlier kept root lies within Chebyshev distance 1e-6.
-    """
-    return zeros_2d(r, region, grid_n, tol, self_check=self_check).shape[0]
+    """Number of common zeros of (X1, X2) in the half-open box: len(zeros_2d)."""
+    return zeros_2d(r, region, grid_n, self_check=self_check).shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1108,7 +1104,6 @@ def zero_count_experiment_2d(
     seed: int = 0,
     *,
     grid_n: int = 128,
-    tol: float = 1e-9,
     ci_level: float = 0.99,
     threads: int = 1,
 ) -> MCEstimate:
@@ -1124,7 +1119,7 @@ def zero_count_experiment_2d(
     """
 
     def measure(coefs, start, threads):
-        roots = _chunk_roots_2d(field, coefs, region, grid_n, tol, threads)
+        roots = _chunk_roots_2d(field, coefs, region, grid_n, threads)
         return [r.shape[0] for r in roots], 0
 
     return _experiment(

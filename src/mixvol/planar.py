@@ -19,16 +19,12 @@ quadratic Area(s K + t L) = c20 s^2 + c11 s t + c02 t^2 with c11 = 2 V(K, L).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, IllConditionedFit, NonConvexBody, OutOfRange
-from .geometry import Ellipsoid
-
-# Condition ceiling for the Minkowski quadratic fit; the default scale grid
-# stays far below it, so tripping this means a degenerate caller-supplied grid.
-MAX_FIT_CONDITION = 1e12
+from .errors import DimensionMismatch, NonConvexBody, OutOfRange
+from .geometry import Ellipsoid, freeze
 
 # Convexity slack for the grid test of h + h'' >= 0: second differences of a
 # spectrally sampled support function carry O(delta^2) noise, not exact zeros.
@@ -178,40 +174,26 @@ class MinkowskiFit:
         return self.c02
 
 
-# Default (s, t) scale pairs for the quadratic fit: a 3 x 3 product grid,
-# well separated so the Vandermonde-like design stays mildly conditioned.
+# The (s, t) scale pairs of the quadratic fit: a 3 x 3 product grid, well
+# separated so the Vandermonde-like design stays mildly conditioned.
 DEFAULT_SCALES = tuple((s, t) for s in (0.5, 1.0, 1.5) for t in (0.5, 1.0, 1.5))
+_DESIGN = freeze(np.array([[s * s, s * t, t * t] for s, t in DEFAULT_SCALES]))
 
 
-def minkowski_poly_check(
-    k: SupportBody2D,
-    l: SupportBody2D,
-    scales: Sequence[tuple[float, float]] = DEFAULT_SCALES,
-    n_theta: int = 512,
-) -> MinkowskiFit:
-    """Fit the Minkowski quadratic over a grid of scale pairs.
+def minkowski_poly_check(k: SupportBody2D, l: SupportBody2D, n_theta: int = 512) -> MinkowskiFit:
+    """Fit the Minkowski quadratic over the 3 x 3 grid DEFAULT_SCALES of
+    scale pairs.
 
     The fitted c11 / 2 must agree with mixed_area_oracle; a disagreement
-    flags a broken support function.  Raises IllConditionedFit when the
-    design matrix condition exceeds 1e12.
+    flags a broken support function.
     """
-    pairs = [(float(s), float(t)) for s, t in scales]
-    if len(pairs) < 3:
-        raise OutOfRange(f"need at least 3 scale pairs, got {len(pairs)}")
-    design = np.array([[s * s, s * t, t * t] for s, t in pairs])
-    cond = float(np.linalg.cond(design))
-    if cond > MAX_FIT_CONDITION:
-        raise IllConditionedFit(f"scale grid condition {cond:.3e} exceeds 1e12")
-    for s, t in pairs:
-        _check_scale(s)
-        _check_scale(t)
     theta, delta = _grid(n_theta)
     hk, hpk = _sample(k, theta)
     hl, hpl = _sample(l, theta)
     # s hk + t hl: the arrays of k.scale(s).add(l.scale(t)), from one sampling
-    areas = np.array([_area(s * hk + t * hl, s * hpk + t * hpl, delta) for s, t in pairs])
-    coef, *_ = np.linalg.lstsq(design, areas, rcond=None)
-    resid = float(np.max(np.abs(design @ coef - areas)))
+    areas = np.array([_area(s * hk + t * hl, s * hpk + t * hpl, delta) for s, t in DEFAULT_SCALES])
+    coef, *_ = np.linalg.lstsq(_DESIGN, areas, rcond=None)
+    resid = float(np.max(np.abs(_DESIGN @ coef - areas)))
     return MinkowskiFit(
         c20=float(coef[0]), c11=float(coef[1]), c02=float(coef[2]), max_residual=resid
     )

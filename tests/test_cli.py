@@ -24,21 +24,30 @@ Core claims:
   least argv parses to the documented defaults.
 - The fieldzeros alias entry point routes into the fieldzeros subtree.
 - `fieldzeros simulate` solves its realization once per grid.
-- `mixvol.cli` keeps the four solver names the benchmark traces.
+- Every name the benchmark's probes trace resolves to a callable of its
+  layer module and keeps the count parameter the trace binds.
+- `fieldzeros measure` of a polynomial field whose variance vanishes inside
+  the region exits 2 with DegenerateVariance, even where no quadrature node
+  falls on the vanishing point.
 - One process builds the parser once, on the first call of main and not at
   import, and reusing it changes no exit code, report or message.
 """
 
+import ast
 import hashlib
+import importlib
+import inspect
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from pytest import approx
+from scipy.integrate import quad
 
 from mixvol import (
     FieldSpec,
@@ -92,6 +101,14 @@ KAC = {
         }
     ],
 }
+# sigma^2 = t^2 + t^6 vanishes at t = 0 only
+ODD_POLY = {
+    "dim": 1,
+    "components": [
+        {"kind": "polynomial", "atoms": [{"w": 1, "degree": 1}, {"w": 1, "degree": 3}]}
+    ],
+}
+PROBES = Path(__file__).resolve().parents[1] / "perfbench" / "probes.py"
 
 
 # -- Helpers ----------------------------------------------------------------
@@ -195,6 +212,11 @@ def inputs(tmp_path_factory):
             {"kind": ["trig"], "atoms": [{"w": 1.0, "omega": [1.0]}]}]}),
         "dict_kind": dump("dict_kind.json", {"dim": 1, "components": [
             {"kind": {}, "atoms": [{"w": 1.0, "omega": [1.0]}]}]}),
+        "odd_poly": dump("odd_poly.json", ODD_POLY),
+        "r_m1_1": dump("r_m1_1.json", {"lower": [-1.0], "upper": [1.0]}),
+        "r_0_1": dump("r_0_1.json", {"lower": [0.0], "upper": [1.0]}),
+        "r_m1_0": dump("r_m1_0.json", {"lower": [-1.0], "upper": [0.0]}),
+        "r_half_1": dump("r_half_1.json", {"lower": [0.5], "upper": [1.0]}),
     }
 
 
@@ -503,11 +525,23 @@ class TestFieldzeros:
         )
 
     def test_traced_names_stay_importable(self):
-        # the benchmark's traced run patches these names on mixvol.cli, so a
-        # rename or a dropped import breaks it
-        for name in ("_roots_2d", "_zeros_1d", "count_zeros_1d", "count_zeros_2d"):
-            assert callable(getattr(cli, name))
-            assert getattr(cli, name) is getattr(fields, name)
+        # the benchmark's traced run patches every CROSS_MODULE name of its
+        # probes on the module named there and binds the count argument by
+        # name, so a rename, a dropped import or a renamed count breaks it;
+        # the table is read, not imported, to keep the benchmark out of tier 1
+        tree = ast.parse(PROBES.read_text(encoding="utf-8"))
+        (table,) = [
+            node.value for node in tree.body
+            if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["CROSS_MODULE"]
+        ]
+        entries = [(e.elts[0].id, *map(ast.literal_eval, e.elts[1:])) for e in table.elts]
+        assert len(entries) == 27
+        for module, name, layer, count in entries:
+            fn = getattr(importlib.import_module(f"mixvol.{module}"), name)
+            assert callable(fn)
+            assert fn is getattr(importlib.import_module(f"mixvol.{layer}"), name)
+            if count is not None:
+                assert count in inspect.signature(fn).parameters, (module, name, count)
 
     @pytest.mark.parametrize(
         "solver, field, region, grid, solved",
@@ -538,7 +572,7 @@ class TestFieldzeros:
             realization = simulate_realization(field_from_json(json.load(fh)), RngStream(3, 0))
         with open(inputs[region]) as fh:
             box = Region(**json.load(fh))
-        zeros = solve(realization, box, grid, 1e-9)
+        zeros = solve(realization, box, grid)
         assert report["count"] == zeros.shape[0] > 0
         assert report["zeros"] == zeros.tolist()
 
@@ -750,6 +784,24 @@ class TestFailurePaths:
         proc = run_cli("fieldzeros", "intensity", "--field", inputs[name], expect=2)
         assert "OutOfRange" in proc.stderr and "kind" in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("region", ["r_m1_1", "r_0_1", "r_m1_0"])
+    def test_variance_vanishing_in_region_exits_two(self, inputs, region):
+        # no Gauss-Legendre node falls on t = 0, so measure exited 0 with
+        # 0.500 on [-1, 1], where simulated realizations average 1.5 zeros
+        proc = run_cli("fieldzeros", "measure", "--field", inputs["odd_poly"],
+                       "--region", inputs[region], expect=2)
+        assert "DegenerateVariance" in proc.stderr and "t=[0.0]" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_variance_away_from_zero_is_measured(self, inputs):
+        def intensity(t):
+            s2, g, h = t**2 + t**6, t + 3.0 * t**5, 1.0 + 9.0 * t**4
+            return math.sqrt(h / s2 - (g / s2) ** 2) / math.pi
+
+        report = report_of(run_cli("fieldzeros", "measure", "--field", inputs["odd_poly"],
+                                   "--region", inputs["r_half_1"]))
+        assert report["value"] == approx(quad(intensity, 0.5, 1.0, epsabs=0.0)[0], rel=1e-12)
 
     def test_zero_standard_error_gives_null_z_score(self, inputs):
         # exact analytic side and a constant count of 10: the z-score used

@@ -1,9 +1,12 @@
 """Zero counting and nodal-length extraction on sampled realizations.
 
 Core claims:
-- count_zeros_1d certifies sign changes by bisection, honors the half-open
+- count_zeros_1d refines sign changes by bisection, honors the half-open
   region convention, and its grid-doubling self-check catches undersampled
   spectra with GridTooCoarse.
+- Roots are accepted on the normalized field, |X_i| <= 1e-9 sigma_i: weights
+  multiplied by 1e+-30 (1-D) or 1e+-20 (2-D) give the counts and roots of
+  unit weights, and every returned root passes that residual.
 - count_zeros_2d finds all common zeros of forced product realizations via
   the Newton polish, and level_length_2d recovers straight nodal lines to
   1e-6.
@@ -45,6 +48,7 @@ from mixvol import (
     RngStream,
     count_zeros_1d,
     count_zeros_2d,
+    covariance,
     level_length_2d,
     nodal_length_experiment,
     simulate_realization,
@@ -202,6 +206,77 @@ class TestCountZeros2D:
         r = simulate_realization(_wave_field(1), RngStream(0, 0))
         with pytest.raises(DimensionMismatch):
             count_zeros_2d(r, Region([0.0, 0.0], [1.0, 1.0]))
+
+
+# == 2b. roots of the normalized field ======================================
+
+
+def _quintic_field(scale=1.0):
+    atoms = [(1.0, degree) for degree in range(6)]
+    return FieldSpec(1, (KernelSpec.polynomial(atoms).scaled(scale),))
+
+
+def _scaled(field, scale):
+    return FieldSpec(field.dim, tuple(c.scaled(scale) for c in field.components))
+
+
+ONE_D_CASES = [
+    (_rice_field(), Region([0.0], [100.0]), 2048),
+    (_quintic_field(), Region([-2.0], [2.0]), 512),
+    # sigma(0) = 1e-4 and 0 is no grid node: the bracket holding 0 has a
+    # 30 times larger sigma at its ends
+    (FieldSpec(1, (KernelSpec.polynomial([(1e-8, 0), (1.0, 1)]),)), Region([-1.0], [1.01]), 512),
+]
+
+
+def _assert_relative_residual(r, roots):
+    """Every root has |X_i| <= 1e-9 sigma_i, sigma_i^2 = r_i(t, t)."""
+    pts = roots.reshape(roots.shape[0], r.field.dim)
+    values = r.values(pts)
+    for p, v in zip(pts, values):
+        sigmas = [math.sqrt(covariance(c, p, p)) for c in r.field.components]
+        assert np.all(np.abs(v) <= 1e-9 * np.array(sigmas)), (p, v, sigmas)
+
+
+class TestRootsOfNormalizedField:
+    """Roots are accepted on X_i / sigma_i, so multiplying every weight by a
+    constant changes no count and no root."""
+
+    @pytest.mark.parametrize("case", [0, 1, 2], ids=["rice", "quintic", "line"])
+    @pytest.mark.parametrize("scale", [1e-30, 1e30])
+    def test_1d_roots_invariant_to_weight_scale(self, case, scale):
+        field, region, grid_n = ONE_D_CASES[case]
+        found = 0
+        for seed in range(4):
+            unit = zeros_1d(simulate_realization(field, RngStream(seed, 0)), region, grid_n)
+            scaled = zeros_1d(simulate_realization(_scaled(field, scale), RngStream(seed, 0)), region, grid_n)
+            assert np.array_equal(scaled, unit)
+            found += unit.shape[0]
+        assert found >= 3
+
+    @pytest.mark.parametrize("scale", [1e-20, 1e20])
+    def test_2d_roots_invariant_to_weight_scale(self, scale):
+        region = Region([0.0, 0.0], [10.0, 10.0])
+        for seed in range(3):
+            unit = zeros_2d(simulate_realization(_wave_field(2), RngStream(seed, 0)), region, 128)
+            field = _scaled(_wave_field(2), scale)
+            scaled = zeros_2d(simulate_realization(field, RngStream(seed, 0)), region, 128)
+            assert unit.shape[0] > 0 and scaled.shape == unit.shape
+            assert np.allclose(scaled, unit, rtol=0.0, atol=1e-12)
+        unit = zero_count_experiment_2d(_wave_field(2), region, 40, seed=2)
+        scaled = zero_count_experiment_2d(_scaled(_wave_field(2), scale), region, 40, seed=2)
+        assert (scaled.mean, scaled.std_error) == (unit.mean, unit.std_error)
+
+    @pytest.mark.parametrize("scale", [1e-30, 1.0, 1e30])
+    def test_every_root_passes_the_relative_residual(self, scale):
+        for field, region, grid_n in ONE_D_CASES:
+            for seed in range(20):
+                r = simulate_realization(_scaled(field, scale), RngStream(seed, 0))
+                _assert_relative_residual(r, zeros_1d(r, region, grid_n))
+        plane_scale = min(max(scale, 1e-20), 1e20)
+        for seed in range(3):
+            r = simulate_realization(_scaled(_wave_field(2), plane_scale), RngStream(seed, 0))
+            _assert_relative_residual(r, zeros_2d(r, Region([0.0, 0.0], [10.0, 10.0]), 128))
 
 
 # == 3. level_length_2d =====================================================
@@ -402,9 +477,9 @@ class TestKernelsMatchReferences:
     def test_dense_roots_equal_quadratic_dedup(self, grid_n, monkeypatch):
         region = Region([0.0, 0.0], [10.0, 10.0])
         reals = [simulate_realization(_wave_field(2, 6.0), RngStream(21, i)) for i in range(2)]
-        fast = [fields._roots_2d(r, region, grid_n, 1e-9) for r in reals]
+        fast = [fields._roots_2d(r, region, grid_n) for r in reals]
         monkeypatch.setattr(fields, "_dedup", reference_dedup)
-        slow = [fields._roots_2d(r, region, grid_n, 1e-9) for r in reals]
+        slow = [fields._roots_2d(r, region, grid_n) for r in reals]
         for f, s in zip(fast, slow):
             assert f.shape[0] > 200
             assert f.dtype == s.dtype and f.shape == s.shape
@@ -576,7 +651,7 @@ class TestThreadBudget:
         # at 3 threads realization 6 is a group of its own
         for s in stacks:
             s[[1, 6]] = 0.0
-        runs = [fields._chunk_roots_2d(field, stacks, region, 128, 1e-9, t) for t in (1, 2, 3)]
+        runs = [fields._chunk_roots_2d(field, stacks, region, 128, t) for t in (1, 2, 3)]
         for roots in runs:
             assert len(roots) == 7
             assert roots[1].shape == roots[6].shape == (0, 2)
