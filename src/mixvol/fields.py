@@ -820,12 +820,17 @@ def _newton_roots_2d(
             break
         pts = x[idx]
         vals, jac = _evaluate(field, [c[owner[idx]] for c in coefs], pts, gradients=True)
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        sigmas = _sigmas(field, pts)
+        # Newton on X_i / sigma_i: the same step, and a determinant guard
+        # that does not depend on the scale of the weights
+        unit = np.where(sigmas > 0.0, sigmas, 1.0)
+        nv, nj = vals / unit, jac / unit[:, :, None]
+        det = nj[:, 0, 0] * nj[:, 1, 1] - nj[:, 0, 1] * nj[:, 1, 0]
         ok = np.abs(det) > 1e-300
         step = np.empty_like(vals)
         safe = np.where(ok, det, 1.0)
-        step[:, 0] = (jac[:, 1, 1] * vals[:, 0] - jac[:, 0, 1] * vals[:, 1]) / safe
-        step[:, 1] = (jac[:, 0, 0] * vals[:, 1] - jac[:, 1, 0] * vals[:, 0]) / safe
+        step[:, 0] = (nj[:, 1, 1] * nv[:, 0] - nj[:, 0, 1] * nv[:, 1]) / safe
+        step[:, 1] = (nj[:, 0, 0] * nv[:, 1] - nj[:, 1, 0] * nv[:, 0]) / safe
         new = pts - step
         # a wandering iterate left its basin; drop the seed, no error
         inside = (
@@ -835,7 +840,7 @@ def _newton_roots_2d(
         )
         done = (
             inside
-            & np.all(_is_root(vals, _sigmas(field, pts)), axis=1)
+            & np.all(_is_root(vals, sigmas), axis=1)
             & (np.max(np.abs(step), axis=1) < NEWTON_STEP_TOL)
         )
         x[idx] = np.where(inside[:, None], new, pts)

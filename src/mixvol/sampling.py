@@ -4,9 +4,15 @@ Reproducibility contract: every estimator splits its n samples into fixed
 chunks of 2^16, chunk i draws from a counter-based Philox stream keyed by
 (seed, stream_base + i), and reduces to its moments (count, mean, M2), which
 are merged in chunk order by the pairwise update of Chan, Golub & LeVeque.
-The result is therefore a pure function of (seed, n) and is bit-identical
-for any number of worker threads.  Realization experiments run on the same
-engine, `map_chunks`, with chunks of realizations instead of samples.
+Where the exact E[y^2] of the statistic y is known and there are two or more
+chunks, each chunk also keeps the co-moments of c = y^2, and chunk i's
+moments become those of y - beta_i (c - E c), with beta_i the regression
+slope of the merged other chunks: a control variate whose coefficient is
+independent of the samples it adjusts.  Either way the result is a function
+of the chunk results only, so it is a pure function of (seed, n) and is
+bit-identical for any number of worker threads; a one-chunk estimate never
+uses the control.  Realization experiments run on the same engine,
+`map_chunks`, with chunks of realizations instead of samples.
 
 Volumes of random parallelotopes come from one structure-of-arrays kernel:
 the k rows of a block of samples are stored as a (k, d, block) array, and the
@@ -28,17 +34,22 @@ import sys
 from concurrent import futures
 from dataclasses import dataclass, replace
 from functools import reduce
+from itertools import accumulate
 from statistics import NormalDist
 
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .discriminant import expected_gram_determinant
 from .errors import DimensionMismatch, OutOfRange
 from .geometry import SPDMatrix
 
 CHUNK = 1 << 16  # samples per substream; fixed so parallel == serial
 BLOCK = 1 << 12  # samples per Gram-kernel block; (k, d, BLOCK) stays in cache
 SEED_LIMIT = 1 << 64  # seeds and stream indices are 64-bit Philox key words
+# most determinants, C(d, k) (2^k - 1), spent on the exact second moment
+# that controls a multi-chunk Gram estimate: (8, 4) needs 1050, (16, 8) 3.3e6
+CONTROL_DETERMINANTS = 4096
 
 
 @dataclass(frozen=True)
@@ -114,6 +125,54 @@ class Moments:
             self.mean + delta * (other.count / n),
             self.m2 + other.m2 + delta * delta * (self.count * other.count / n),
         )
+
+
+@dataclass(frozen=True)
+class _CoMoments:
+    """Moments of y, the mean of c = y^2 and the co-moments
+    M2_yc = sum (y - mean y)(c - mean c) and M2_cc of a batch."""
+
+    y: Moments
+    c_mean: float
+    m2_yc: float
+    m2_cc: float
+
+    @classmethod
+    def of(cls, values) -> "_CoMoments":
+        y = Moments.of(values)
+        v = np.asarray(values, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # in place, so a chunk costs two temporaries beyond Moments.of
+            dc = v * v
+            c_mean = float(np.mean(dc))
+            dc -= c_mean
+            dy_dc = v - y.mean
+            dy_dc *= dc
+            dc *= dc
+            return cls(y, c_mean, float(np.sum(dy_dc)), float(np.sum(dc)))
+
+    def merge(self, other: "_CoMoments") -> "_CoMoments":
+        """The Chan-Golub-LeVeque update, extended to the co-moments."""
+        n = self.y.count + other.y.count
+        weight = self.y.count * other.y.count / n
+        dy = other.y.mean - self.y.mean
+        dc = other.c_mean - self.c_mean
+        return _CoMoments(
+            self.y.merge(other.y),
+            self.c_mean + dc * (other.y.count / n),
+            self.m2_yc + other.m2_yc + dy * dc * weight,
+            self.m2_cc + other.m2_cc + dc * dc * weight,
+        )
+
+    @property
+    def beta(self) -> float:
+        """Regression slope of y on c; 0 where c does not vary."""
+        return self.m2_yc / self.m2_cc if self.m2_cc > 0.0 else 0.0
+
+    def adjusted(self, beta: float, c_exact: float) -> Moments:
+        """Moments of y - beta (c - c_exact)."""
+        m2 = self.y.m2 - 2.0 * beta * self.m2_yc + beta * beta * self.m2_cc
+        return Moments(self.y.count, self.y.mean - beta * (self.c_mean - c_exact), max(m2, 0.0))
 
 
 @dataclass(frozen=True)
@@ -291,22 +350,57 @@ def chunked_mc_mean(
     ci_level: float = 0.99,
     threads: int = 1,
     stream_base: int = 0,
+    second_moment: tuple[float, float] | None = None,
 ) -> MCEstimate:
     """Mean of stat(z) over n standard-normal blocks z of the given shape.
 
     stat maps an (m,) + sample_shape array to m statistic values.
+    second_moment, when the caller knows it, is (E[stat^2], a bound on its
+    error).  With two or more chunks, stat^2 is then a control variate:
+    chunk i's values y become y - beta_i (y^2 - E[stat^2]), beta_i the slope
+    M2_yc / M2_cc of every other chunk merged, so beta_i is independent of
+    chunk i and the estimate is exactly unbiased.  The control is kept only
+    if max |beta_i| times the error bound is at most 1e-3 of the standard
+    error it reports; otherwise, and with one chunk or no second_moment,
+    the result is the plain mean of the same draws.
     """
     if n < 2:
         raise OutOfRange(f"need n >= 2 samples, got {n}")
     # checked here so a bad ci_level, seed or stream index raises before any draw
     normal_quantile(ci_level)
     streams = [RngStream(seed, stream_base + ci) for ci in range((n + CHUNK - 1) // CHUNK)]
+    controlled = second_moment is not None and len(streams) > 1
 
-    def run_chunk(start: int, m: int) -> Moments:
+    def run_chunk(start: int, m: int):
         z = streams[start // CHUNK].generator().standard_normal((m,) + sample_shape)
-        return Moments.of(stat(z))
+        return (_CoMoments if controlled else Moments).of(stat(z))
 
-    return MCEstimate.from_moments(map_chunks(run_chunk, n, CHUNK, threads), seed, ci_level)
+    chunks = map_chunks(run_chunk, n, CHUNK, threads)
+    if not controlled:
+        return MCEstimate.from_moments(chunks, seed, ci_level)
+    return _controlled_estimate(chunks, *second_moment, seed, ci_level)
+
+
+def _controlled_estimate(
+    chunks: list[_CoMoments], c_exact: float, error_bound: float, seed: int, ci_level: float
+) -> MCEstimate:
+    """The control-variate estimate of chunked_mc_mean, or the plain one
+    where the error bound of c_exact could bias it by more than 1e-3 SE."""
+    plain = MCEstimate.from_moments([c.y for c in chunks], seed, ci_level)
+    # chunk i's slope is that of chunks < i merged with chunks > i
+    prefix = list(accumulate(chunks, _CoMoments.merge))
+    suffix = list(accumulate(reversed(chunks), lambda acc, c: c.merge(acc)))[::-1]
+    others = [suffix[1]] + [p.merge(s) for p, s in zip(prefix, suffix[2:])] + [prefix[-2]]
+    betas = [o.beta for o in others]
+    try:
+        est = MCEstimate.from_moments(
+            [c.adjusted(b, c_exact) for c, b in zip(chunks, betas)], seed, ci_level
+        )
+    except OutOfRange:  # y^2 overflowed; the plain estimate did not
+        return plain
+    if np.max(np.abs(betas)) * error_bound <= 1e-3 * est.std_error:
+        return est
+    return plain
 
 
 def expected_gram_volume(
@@ -329,6 +423,10 @@ def expected_gram_volume(
     by 2^(e_1 + ..) and by |det L_d| as the mantissas and exponents of its
     diagonal: exact in binary, and the statistic and its square stay within
     double range.  A true value outside that range raises OutOfRange.
+    For n > CHUNK the square of the sampled volume, whose mean is the exact
+    E det(M M^T) of expected_gram_determinant, is its control variate (see
+    chunked_mc_mean), where that costs at most CONTROL_DETERMINANTS
+    determinants.
     """
     d = ensemble.dim
     raw = [s.covariance.factor for s in ensemble.specs]
@@ -354,6 +452,9 @@ def expected_gram_volume(
             out[lo:hi] = _soa_gram_volumes(block)
         return out
 
+    control = None
+    if n > CHUNK and math.comb(d, k) * ((1 << k) - 1) <= CONTROL_DETERMINANTS:
+        control = expected_gram_determinant([f @ f.T for f in factors])
     est = chunked_mc_mean(
         stat,
         (k, d),
@@ -362,5 +463,6 @@ def expected_gram_volume(
         ci_level=ci_level,
         threads=threads,
         stream_base=stream_base,
+        second_moment=control,
     )
     return est.scaled(scale).times_pow2(det_exponent + sum(exponents))

@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .discriminant import expected_gram_determinant
 from .errors import DimensionMismatch, IllConditionedEllipsoid, OutOfRange
 from .geometry import Ellipsoid, falling_factorial, freeze, unit_ball_volume
 from .sampling import (
@@ -179,7 +180,8 @@ def expected_norm(
 ) -> NormComparison:
     """E||xi|| for xi ~ N(0, sigma), with the intrinsic-volume cross-check.
 
-    The direct estimate averages ||factor @ z||; the second value is
+    The direct estimate averages ||factor @ z||, with ||factor @ z||^2 as
+    its control variate (see chunked_mc_mean); the second value is
     V_1(E)/sqrt(2 pi) from an independent substream, which the Gaussian
     width identity says must agree.
     """
@@ -189,8 +191,15 @@ def expected_norm(
     def stat(z: np.ndarray) -> np.ndarray:
         return np.linalg.norm(z @ factor.T, axis=1)
 
+    # E||xi||^2 = tr sigma controls the direct run
     direct = chunked_mc_mean(
-        stat, (e.dim,), n, seed, ci_level=ci_level, threads=threads
+        stat,
+        (e.dim,),
+        n,
+        seed,
+        ci_level=ci_level,
+        threads=threads,
+        second_moment=expected_gram_determinant([e.sigma.entries]),
     )
     # V_1(E)/sqrt(2 pi) is the mean one-row gram volume; it runs on a disjoint
     # substream, so it is independent of the direct run for equal seeds.

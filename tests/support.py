@@ -9,7 +9,16 @@ import math
 
 import numpy as np
 
-from mixvol import Ellipsoid, MinkowskiFit, area_from_support, chunked_mc_mean, make_spd
+from mixvol import (
+    CHUNK,
+    Ellipsoid,
+    MinkowskiFit,
+    area_from_support,
+    chunked_mc_mean,
+    expected_gram_determinant,
+    make_spd,
+)
+from mixvol.sampling import CONTROL_DETERMINANTS
 
 SEEDS = (1, 2, 3, 4, 5)
 
@@ -97,14 +106,16 @@ def reference_gram_volumes(m):
     return np.prod(np.abs(np.diagonal(r, axis1=-2, axis2=-1)), axis=-1)
 
 
-def reference_expected_gram_volume(ensemble, n, seed, condition=True):
+def reference_expected_gram_volume(ensemble, n, seed, condition=True, control=True):
     """expected_gram_volume through the QR kernel: same draws, same reduction,
     factors applied as they are (no power-of-two scaling).
 
     For k = d >= 2 the last row L_d xi_d is conditioned out, as the library
     does: the (n, d-1, d) draws give sqrt(2/pi) |det L_d| times the
     (d-1)-volume of the rows L_d^-1 L_i xi_i.  condition=False averages the
-    plain |det M| over (n, d, d) draws instead.
+    plain |det M| over (n, d, d) draws instead.  For n > CHUNK the squared
+    volume's exact mean goes to chunked_mc_mean as the library passes it;
+    control=False leaves it out.
     """
     factors = [s.covariance.factor for s in ensemble.specs]
     scale = 1.0
@@ -112,6 +123,10 @@ def reference_expected_gram_volume(ensemble, n, seed, condition=True):
         last = factors.pop()
         scale = math.sqrt(2.0 / math.pi) * abs(np.linalg.det(last))
         factors = [np.linalg.solve(last, f) for f in factors]
+    k, d = len(factors), ensemble.dim
+    second_moment = None
+    if control and n > CHUNK and math.comb(d, k) * ((1 << k) - 1) <= CONTROL_DETERMINANTS:
+        second_moment = expected_gram_determinant([f @ f.T for f in factors])
 
     def stat(z):
         m = np.empty_like(z)
@@ -119,7 +134,7 @@ def reference_expected_gram_volume(ensemble, n, seed, condition=True):
             m[:, i, :] = z[:, i, :] @ f.T
         return reference_gram_volumes(m)
 
-    return chunked_mc_mean(stat, (len(factors), ensemble.dim), n, seed).scaled(scale)
+    return chunked_mc_mean(stat, (k, d), n, seed, second_moment=second_moment).scaled(scale)
 
 
 # -- Reference counting kernels ---------------------------------------------

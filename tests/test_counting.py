@@ -254,7 +254,8 @@ class TestRootsOfNormalizedField:
             found += unit.shape[0]
         assert found >= 3
 
-    @pytest.mark.parametrize("scale", [1e-20, 1e20])
+    # at 1e-300 and 1e-305 the raw Jacobian determinant is below 1e-300
+    @pytest.mark.parametrize("scale", [1e-20, 1e20, 1e-300, 1e-305])
     def test_2d_roots_invariant_to_weight_scale(self, scale):
         region = Region([0.0, 0.0], [10.0, 10.0])
         for seed in range(3):

@@ -7,10 +7,15 @@ Core claims:
 - The discriminant is symmetric in its arguments and multilinear in each.
 - barvinok_bounds sandwiches the Monte Carlo mixed volume for random PD
   tuples in dimensions 2..5.
+- expected_gram_determinant, E det(M M^T) for independent Gaussian rows, is
+  within its own error bound of exact rational arithmetic for d <= 5 at
+  eigenvalue spreads 1, 1e6 and 1e12; at k = d it is d! D_d and at k = 1
+  the trace.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +30,7 @@ from mixvol import (
     OutOfRange,
     SymmetricTuple,
     barvinok_bounds,
+    expected_gram_determinant,
     make_spd,
     mixed_discriminant,
     mixed_volume_full,
@@ -36,6 +42,8 @@ from support import (
     SEEDS,
     fd_mixed_discriminant,
     random_ellipsoid,
+    random_orthogonal,
+    random_spd_entries,
     random_symmetric,
     rng_for,
 )
@@ -202,3 +210,85 @@ class TestBarvinokBounds:
             kd = unit_ball_volume(d)
             assert hi == approx(kd, rel=1e-12)
             assert lo == approx(kd * 3.0 ** (-(d - 1) / 2.0), rel=1e-12)
+
+
+# == 5. Exact second moment of the Gram statistic ===========================
+
+
+def _exact_gram_second_moment(mats):
+    """E det(M M^T) in exact arithmetic, by Cauchy-Binet and the permutation
+    expansion E det(M_J)^2 = sum over sigma, tau of sgn(sigma) sgn(tau)
+    prod_i S_i[J_sigma(i), J_tau(i)]; independent of inclusion-exclusion."""
+    k, d = len(mats), mats[0].shape[0]
+    # every double is an integer over a power of two: scale to integers
+    fracs = [[[Fraction(float(x)) for x in row] for row in m] for m in mats]
+    den = max(f.denominator for m in fracs for row in m for f in row)
+    ints = [[[int(f * den) for f in row] for row in m] for m in fracs]
+
+    def sign(p):
+        return (-1) ** sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k))
+
+    perms = [(p, sign(p)) for p in itertools.permutations(range(k))]
+    total = 0
+    for cols in itertools.combinations(range(d), k):
+        for p, sp in perms:
+            for q, sq in perms:
+                term = sp * sq
+                for i in range(k):
+                    term *= ints[i][cols[p[i]]][cols[q[i]]]
+                total += term
+    return Fraction(total, den**k)
+
+
+def _spread_covariances(rng, d, k, spread, shared):
+    """k SPD matrices with eigenvalues from 1 to about spread; shared puts
+    every one in the same eigenbasis, where inclusion-exclusion cancels most."""
+    q = random_orthogonal(rng, d)
+    mats = []
+    for _ in range(k):
+        if not shared:
+            q = random_orthogonal(rng, d)
+        ev = np.logspace(0.0, math.log10(spread), d) * rng.uniform(0.5, 2.0, size=d)
+        m = (q * ev) @ q.T
+        mats.append(0.5 * (m + m.T))
+    return mats
+
+
+class TestExpectedGramDeterminant:
+    @pytest.mark.parametrize("shared", [False, True], ids=["bases", "shared"])
+    @pytest.mark.parametrize("spread", [1.0, 1e6, 1e12])
+    def test_within_bound_of_exact_arithmetic(self, spread, shared):
+        rng = rng_for(int(math.log10(spread)) + 40 * shared)
+        for d in range(1, 6):
+            for k in range(1, d + 1):
+                mats = _spread_covariances(rng, d, k, spread, shared)
+                value, bound = expected_gram_determinant(mats)
+                exact = _exact_gram_second_moment(mats)
+                assert abs(Fraction(value) - exact) <= Fraction(bound), (d, k)
+                if spread == 1.0:  # the bound is no blanket
+                    assert bound <= 1e-12 * value, (d, k)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_full_rank_is_d_factorial_times_discriminant(self, d):
+        rng = rng_for(70 + d)
+        mats = [random_spd_entries(rng, d) for _ in range(d)]
+        value, _ = expected_gram_determinant(mats)
+        assert value == approx(math.factorial(d) * mixed_discriminant(mats), rel=1e-13)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_one_row_is_the_trace(self, d):
+        s = random_spd_entries(rng_for(80 + d), d)
+        assert expected_gram_determinant([s])[0] == np.trace(s)
+
+    def test_singular_minor_has_no_finite_bound(self):
+        value, bound = expected_gram_determinant([np.diag([1.0, 0.0])] * 2)
+        assert value == 0.0 and bound == math.inf
+
+    @pytest.mark.parametrize(
+        "mats",
+        [[], [np.eye(2)] * 3, [np.eye(2), np.eye(3)]],
+        ids=["empty", "k_above_d", "mixed_dims"],
+    )
+    def test_bad_shapes_rejected(self, mats):
+        with pytest.raises(DimensionMismatch):
+            expected_gram_determinant(mats)
