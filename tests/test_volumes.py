@@ -12,7 +12,14 @@ Core claims:
   whose mixed volume leaves the double range raise OutOfRange instead of a
   NaN standard error or 0 +- 0.
 - sudakov_width's cache-sized blocks give the estimate of one unblocked
-  product; a point cloud with a non-finite entry raises OutOfRange.
+  product; a point cloud with a non-finite entry, or that is not an (N, d)
+  array, is rejected.
+- In the plane the statistic is the support function of the convex hull:
+  per sample it equals the max over every point to within 8 eps ||z||
+  max||x|| on regular, anisotropic, collinear, repeated, tiny, huge and
+  grid clouds, and at directions on and beside every cone edge it is the
+  max of the same float products over all points, bit for bit.  Its
+  estimates are bit-identical across thread counts.
 """
 
 import math
@@ -48,6 +55,7 @@ from mixvol import (
     unit_ball,
     unit_ball_volume,
 )
+from mixvol.volumes import _planar_hull, _planar_support
 
 from support import SEEDS, random_ellipsoid, rng_for
 
@@ -323,7 +331,7 @@ class TestSudakovWidth:
         assert huge.mean == approx(1e155 * ref.mean, rel=1e-12)
         assert huge.std_error == approx(1e155 * ref.std_error, rel=1e-12)
 
-    @pytest.mark.parametrize("n_points, dim", [(4096, 2), (5, 3)])
+    @pytest.mark.parametrize("n_points, dim", [(4096, 2), (5, 3), (4096, 3)])
     def test_blocked_statistic_matches_unblocked(self, n_points, dim):
         # the max over z @ pts.T runs in cache-sized blocks of rows; one
         # product over the whole chunk must give the same estimate
@@ -333,6 +341,88 @@ class TestSudakovWidth:
         ref = chunked_mc_mean(lambda z: (z @ pts.T).max(axis=1), (dim,), n, seed=34)
         assert out.mean == approx(ref.mean, rel=1e-15)
         assert out.std_error == approx(ref.std_error, rel=1e-15)
+
+    @pytest.mark.parametrize("points", [[1.0, -2.0, 3.0], [[[1.0, 2.0]], [[3.0, 4.0]]]])
+    def test_cloud_must_be_a_matrix(self, points):
+        # a flat list was read as one point in R^3, whose width is 0
+        with pytest.raises(DimensionMismatch, match="(N, d)"):
+            PointCloud(points)
+
+
+def _gon(m):
+    theta = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
+    return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+
+def _planar_clouds():
+    rng = rng_for(41)
+    gauss = rng.normal(size=(4096, 2)) @ np.array([[3.0, 1.0], [0.0, 0.2]])
+    t = rng.normal(size=64)
+    grid = np.stack(np.meshgrid(np.arange(10.0), np.arange(10.0)), axis=-1).reshape(-1, 2)
+    return {
+        "gon4096": _gon(4096),
+        "gauss": gauss,
+        "collinear": np.stack([t, -2.0 * t], axis=1),
+        "repeated": rng.permutation(np.repeat(rng.normal(size=(9, 2)), 7, axis=0)),
+        "one": np.array([[0.25, -3.0]]),
+        "two": np.array([[1.0, 2.0], [-3.0, 0.5]]),
+        "grid": grid,
+        "gauss_1e155": 1e155 * gauss,
+        "gauss_1e-150": 1e-150 * gauss,
+    }
+
+
+PLANAR = _planar_clouds()
+
+
+def _scaled_support(pts):
+    """sudakov_width's planar statistic in the units of pts: the points
+    divided by 2^e, the values multiplied back."""
+    e = math.frexp(float(np.max(np.abs(pts))))[1]
+    stat = _planar_support(np.ldexp(pts, -e))
+    return lambda z: np.ldexp(stat(z), e)
+
+
+class TestPlanarSupport:
+    @pytest.mark.parametrize("name", PLANAR)
+    def test_equals_max_over_every_point(self, name):
+        pts = PLANAR[name]
+        z = rng_for(42).normal(size=(CHUNK, 2))
+        got = _scaled_support(pts)(z)
+        ref = (z @ pts.T).max(axis=1)
+        # hypot: the squared norms of the 1e155 cloud overflow
+        radius = np.max(np.hypot(pts[:, 0], pts[:, 1]))
+        tol = 8.0 * np.finfo(float).eps * np.hypot(z[:, 0], z[:, 1]) * radius
+        assert np.isfinite(radius) and np.all(np.abs(got - ref) <= tol)
+
+    @pytest.mark.parametrize("name", ["gon4096", "gauss", "grid"])
+    def test_cone_edges_give_the_float_max(self, name):
+        # z on and a few ulps beside each edge normal, where two vertices
+        # tie to rounding: the value is the larger of their float products
+        pts = PLANAR[name]
+        v = _planar_hull(pts)
+        d = np.roll(v, -1, axis=0) - v
+        normal = np.stack([d[:, 1], -d[:, 0]], axis=1)
+        turn = np.stack([-normal[:, 1], normal[:, 0]], axis=1)
+        z = np.concatenate([normal + t * turn for t in (0.0, 1e-16, -1e-16, 4e-16, -4e-16, 1e-15, -1e-15)])
+        x, y = pts[:, 0], pts[:, 1]
+        ref = (z[:, :1] * x + z[:, 1:] * y).max(axis=1)
+        np.testing.assert_array_equal(_planar_support(pts)(z), ref)
+
+    def test_hull_vertices(self):
+        assert len(_planar_hull(PLANAR["gon4096"])) == 4096
+        assert len(_planar_hull(PLANAR["repeated"])) <= 9
+        t = PLANAR["collinear"][:, 0]
+        np.testing.assert_array_equal(_planar_hull(PLANAR["collinear"]), [[t.min(), -2.0 * t.min()], [t.max(), -2.0 * t.max()]])
+        np.testing.assert_array_equal(_planar_hull(PLANAR["one"]), PLANAR["one"])
+        # the grid's edges hold 8 more points each; counter-clockwise from (0, 0)
+        np.testing.assert_array_equal(_planar_hull(PLANAR["grid"]), [[0, 0], [9, 0], [9, 9], [0, 9]])
+
+    def test_thread_count_does_not_change_bits(self):
+        cloud = PointCloud(_gon(4096))
+        n = 3 * CHUNK + 5
+        runs = [sudakov_width(cloud, n, seed=43, threads=t).gaussian_mean for t in (1, 2, 3)]
+        assert len({(r.mean.hex(), r.std_error.hex()) for r in runs}) == 1
 
 
 # == 6. cross-module consistency ============================================
