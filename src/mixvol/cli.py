@@ -39,7 +39,7 @@ from .fields import (
     zeros_2d,
 )
 from .geometry import float_array, load_ellipsoids, load_json
-from .planar import SupportBody2D, area_from_support, minkowski_poly_check, mixed_area_oracle
+from .planar import SupportBody2D, planar_report
 from .sampling import MCEstimate, RngStream
 from .volumes import (
     PointCloud,
@@ -53,6 +53,9 @@ from .volumes import (
 # perfbench/probes.py traces these four names on this module, so they stay
 # bound here until its layer list follows the CLI to zeros_1d and zeros_2d
 from .fields import _roots_2d, _zeros_1d, count_zeros_1d, count_zeros_2d  # noqa: E402, F401
+
+# and these three planar names, until it follows oracle2d to planar_report
+from .planar import area_from_support, minkowski_poly_check, mixed_area_oracle  # noqa: E402, F401
 
 # decorrelates the analytic Monte Carlo run of `compare` from the
 # realization streams that share the user-visible seed
@@ -174,17 +177,15 @@ def _cmd_oracle2d(args):
     bodies = load_ellipsoids(args.ellipsoids)
     if len(bodies) != 2:
         raise DimensionMismatch(f"oracle2d needs exactly 2 ellipsoids, found {len(bodies)}")
-    k = SupportBody2D.from_ellipsoid(bodies[0])
-    l = SupportBody2D.from_ellipsoid(bodies[1])
-    mixed = mixed_area_oracle(k, l, n_theta=args.grid)
-    fit = minkowski_poly_check(k, l, n_theta=args.grid)
+    k, l = (SupportBody2D.from_ellipsoid(e) for e in bodies)
+    rep = planar_report(k, l, n_theta=args.grid)
     return (
         {
-            "mixed_area": mixed,
-            "poly_fit_mixed_area": fit.mixed_area,
-            "fit_discrepancy": abs(fit.mixed_area - mixed),
-            "area_first": area_from_support(k, args.grid),
-            "area_second": area_from_support(l, args.grid),
+            "mixed_area": rep.mixed_area,
+            "poly_fit_mixed_area": rep.fit.mixed_area,
+            "fit_discrepancy": abs(rep.fit.mixed_area - rep.mixed_area),
+            "area_first": rep.area_first,
+            "area_second": rep.area_second,
             "n_theta": args.grid,
         },
         [args.ellipsoids],

@@ -145,11 +145,20 @@ def mixed_area_oracle(k: SupportBody2D, l: SupportBody2D, n_theta: int = 512) ->
     same arrays that k.add(l) would produce.  Convexity is tested on K + L,
     then K, then L.
     """
+    return _polarize(*_sample_pair(k, l, n_theta))[0]
+
+
+def _sample_pair(k: SupportBody2D, l: SupportBody2D, n_theta: int):
+    """(h_K, h_K', h_L, h_L') on the grid of n_theta nodes, and its spacing."""
     theta, delta = _grid(n_theta)
-    hk, hpk = _sample(k, theta)
-    hl, hpl = _sample(l, theta)
+    return (*_sample(k, theta), *_sample(l, theta), delta)
+
+
+def _polarize(hk, hpk, hl, hpl, delta) -> tuple[float, float, float]:
+    """(V(K, L), Area(K), Area(L)) from sampled support functions."""
     total = _area(hk + hl, hpk + hpl, delta)
-    return 0.5 * (total - _area(hk, hpk, delta) - _area(hl, hpl, delta))
+    area_k, area_l = _area(hk, hpk, delta), _area(hl, hpl, delta)
+    return 0.5 * (total - area_k - area_l), area_k, area_l
 
 
 @dataclass(frozen=True)
@@ -187,9 +196,10 @@ def minkowski_poly_check(k: SupportBody2D, l: SupportBody2D, n_theta: int = 512)
     The fitted c11 / 2 must agree with mixed_area_oracle; a disagreement
     flags a broken support function.
     """
-    theta, delta = _grid(n_theta)
-    hk, hpk = _sample(k, theta)
-    hl, hpl = _sample(l, theta)
+    return _fit(*_sample_pair(k, l, n_theta))
+
+
+def _fit(hk, hpk, hl, hpl, delta) -> MinkowskiFit:
     # s hk + t hl: the arrays of k.scale(s).add(l.scale(t)), from one sampling
     areas = np.array([_area(s * hk + t * hl, s * hpk + t * hpl, delta) for s, t in DEFAULT_SCALES])
     coef, *_ = np.linalg.lstsq(_DESIGN, areas, rcond=None)
@@ -197,3 +207,25 @@ def minkowski_poly_check(k: SupportBody2D, l: SupportBody2D, n_theta: int = 512)
     return MinkowskiFit(
         c20=float(coef[0]), c11=float(coef[1]), c02=float(coef[2]), max_residual=resid
     )
+
+
+@dataclass(frozen=True)
+class PlanarReport:
+    """V(K, L), the Minkowski fit and both areas, from one grid."""
+
+    mixed_area: float
+    fit: MinkowskiFit
+    area_first: float
+    area_second: float
+
+
+def planar_report(k: SupportBody2D, l: SupportBody2D, n_theta: int = 512) -> PlanarReport:
+    """mixed_area_oracle, minkowski_poly_check and the area_from_support of
+    each body, bit for bit, from one sampling of each body.
+
+    Convexity is tested in the order those calls test it: K + L, K, L, then
+    the scale pairs.
+    """
+    samples = _sample_pair(k, l, n_theta)
+    mixed, area_k, area_l = _polarize(*samples)
+    return PlanarReport(mixed, _fit(*samples), area_k, area_l)

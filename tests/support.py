@@ -8,6 +8,7 @@ that the suite promises to run under five independent seeds.
 import math
 
 import numpy as np
+from scipy.special import ellipe
 
 from mixvol import (
     CHUNK,
@@ -50,6 +51,20 @@ def random_symmetric(rng, d, scale=1.0):
 def random_orthogonal(rng, d):
     q, r = np.linalg.qr(rng.normal(size=(d, d)))
     return q * np.sign(np.diag(r))
+
+
+def spread_covariances(rng, d, k, spread, shared):
+    """k SPD matrices with eigenvalues from 1 to about spread; shared puts
+    every one in the same eigenbasis, where inclusion-exclusion cancels most."""
+    q = random_orthogonal(rng, d)
+    mats = []
+    for _ in range(k):
+        if not shared:
+            q = random_orthogonal(rng, d)
+        ev = np.logspace(0.0, math.log10(spread), d) * rng.uniform(0.5, 2.0, size=d)
+        m = (q * ev) @ q.T
+        mats.append(0.5 * (m + m.T))
+    return mats
 
 
 def random_unit_vector(rng, d):
@@ -106,16 +121,38 @@ def reference_gram_volumes(m):
     return np.prod(np.abs(np.diagonal(r, axis1=-2, axis2=-1)), axis=-1)
 
 
+def reference_complement_ellipses(rows, f):
+    """(lambda_1, lambda_2) per sample, largest first, of A = P f f^T P,
+    with P the projection onto the complement of the rows (n, j, d): Q from
+    numpy's Householder QR of the rows, B = P f formed explicitly, and the
+    two largest eigenvalues of B B^T from eigvalsh."""
+    q, _ = np.linalg.qr(np.swapaxes(rows, -1, -2))  # (n, d, j)
+    b = f - q @ (np.swapaxes(q, -1, -2) @ f)
+    lam = np.linalg.eigvalsh(b @ np.swapaxes(b, -1, -2))[:, ::-1][:, :2]
+    return np.maximum(lam, 0.0)
+
+
+def reference_ellipse_perimeter(lam):
+    """Perimeter of the ellipses with squared semi-axes lam (n, 2), largest
+    first, as 4 a E(1 - b^2 / a^2) with scipy's complete elliptic integral."""
+    a = np.sqrt(lam[:, 0])
+    return 4.0 * a * ellipe(1.0 - lam[:, 1] / lam[:, 0])
+
+
 def reference_expected_gram_volume(ensemble, n, seed, condition=True, control=True):
     """expected_gram_volume through the QR kernel: same draws, same reduction,
     factors applied as they are (no power-of-two scaling).
 
     For k = d >= 2 the last row L_d xi_d is conditioned out, as the library
     does: the (n, d-1, d) draws give sqrt(2/pi) |det L_d| times the
-    (d-1)-volume of the rows L_d^-1 L_i xi_i.  condition=False averages the
-    plain |det M| over (n, d, d) draws instead.  For n > CHUNK the squared
-    volume's exact mean goes to chunked_mc_mean as the library passes it;
-    control=False leaves it out.
+    (d-1)-volume of the rows L_d^-1 L_i xi_i.  Where m = d - 1 >= 2 rows
+    are then left, the last of them is conditioned out too: the
+    (n, m-1, d) draws give vol_{m-1} Per(A) / (2 sqrt(2 pi)), with A from
+    reference_complement_ellipses and Per from reference_ellipse_perimeter,
+    and c = vol_{m-1}^2 tr A is the control; otherwise c = vol^2.
+    condition=False averages the plain |det M| over (n, d, d) draws
+    instead.  For n > CHUNK the exact E det(M M^T) goes to chunked_mc_mean
+    as the library passes it; control=False leaves it out.
     """
     factors = [s.covariance.factor for s in ensemble.specs]
     scale = 1.0
@@ -124,17 +161,26 @@ def reference_expected_gram_volume(ensemble, n, seed, condition=True, control=Tr
         scale = math.sqrt(2.0 / math.pi) * abs(np.linalg.det(last))
         factors = [np.linalg.solve(last, f) for f in factors]
     k, d = len(factors), ensemble.dim
-    second_moment = None
+    tail = condition and k == d - 1 >= 2
+    drawn = k - 1 if tail else k
+    moment = None
     if control and n > CHUNK and math.comb(d, k) * ((1 << k) - 1) <= CONTROL_DETERMINANTS:
-        second_moment = expected_gram_determinant([f @ f.T for f in factors])
+        moment = expected_gram_determinant([f @ f.T for f in factors])
 
     def stat(z):
         m = np.empty_like(z)
-        for i, f in enumerate(factors):
+        for i, f in enumerate(factors[:drawn]):
             m[:, i, :] = z[:, i, :] @ f.T
-        return reference_gram_volumes(m)
+        vol = reference_gram_volumes(m)
+        if tail:
+            lam = reference_complement_ellipses(m, factors[-1])
+            y = vol * reference_ellipse_perimeter(lam) / (2.0 * math.sqrt(2.0 * math.pi))
+            c = vol * vol * lam.sum(axis=1)
+        else:
+            y, c = vol, vol * vol
+        return y if moment is None else (y, c)
 
-    return chunked_mc_mean(stat, (k, d), n, seed, second_moment=second_moment).scaled(scale)
+    return chunked_mc_mean(stat, (drawn, d), n, seed, control=moment).scaled(scale)
 
 
 # -- Reference counting kernels ---------------------------------------------

@@ -42,10 +42,10 @@ from support import (
     SEEDS,
     fd_mixed_discriminant,
     random_ellipsoid,
-    random_orthogonal,
     random_spd_entries,
     random_symmetric,
     rng_for,
+    spread_covariances,
 )
 
 
@@ -240,20 +240,6 @@ def _exact_gram_second_moment(mats):
     return Fraction(total, den**k)
 
 
-def _spread_covariances(rng, d, k, spread, shared):
-    """k SPD matrices with eigenvalues from 1 to about spread; shared puts
-    every one in the same eigenbasis, where inclusion-exclusion cancels most."""
-    q = random_orthogonal(rng, d)
-    mats = []
-    for _ in range(k):
-        if not shared:
-            q = random_orthogonal(rng, d)
-        ev = np.logspace(0.0, math.log10(spread), d) * rng.uniform(0.5, 2.0, size=d)
-        m = (q * ev) @ q.T
-        mats.append(0.5 * (m + m.T))
-    return mats
-
-
 class TestExpectedGramDeterminant:
     @pytest.mark.parametrize("shared", [False, True], ids=["bases", "shared"])
     @pytest.mark.parametrize("spread", [1.0, 1e6, 1e12])
@@ -261,7 +247,7 @@ class TestExpectedGramDeterminant:
         rng = rng_for(int(math.log10(spread)) + 40 * shared)
         for d in range(1, 6):
             for k in range(1, d + 1):
-                mats = _spread_covariances(rng, d, k, spread, shared)
+                mats = spread_covariances(rng, d, k, spread, shared)
                 value, bound = expected_gram_determinant(mats)
                 exact = _exact_gram_second_moment(mats)
                 assert abs(Fraction(value) - exact) <= Fraction(bound), (d, k)

@@ -11,7 +11,9 @@ Core claims:
 - Non-convex support inputs are rejected.
 - Sampling each body once gives bit for bit the values of the composed
   support functions k.add(l) and k.scale(s).add(l.scale(t)), and the same
-  NonConvexBody from the same body first.
+  NonConvexBody from the same body first.  planar_report gives the mixed
+  area, the fit and both areas of those calls and area_from_support from
+  one sampling, with the same rejections.
 """
 
 import math
@@ -32,6 +34,7 @@ from mixvol import (
     minkowski_poly_check,
     mixed_area_oracle,
     mixed_volume_full,
+    planar_report,
     unit_ball,
 )
 from mixvol.planar import DEFAULT_SCALES
@@ -248,6 +251,16 @@ class TestSampledOnce:
         fit = minkowski_poly_check(k, l, n_theta=n_theta)
         assert fit == reference_minkowski_fit(k, l, DEFAULT_SCALES, n_theta)
 
+    @pytest.mark.parametrize("n_theta", [512, 8192])
+    @pytest.mark.parametrize("pair", ["ellipse-ellipse", "ellipse-disk", "disk-ellipse"])
+    def test_report_is_the_separate_calls(self, pair, n_theta):
+        k, l = _pairs()[pair]
+        rep = planar_report(k, l, n_theta)
+        assert rep.mixed_area == reference_mixed_area(k, l, n_theta)
+        assert rep.fit == reference_minkowski_fit(k, l, DEFAULT_SCALES, n_theta)
+        assert rep.area_first == area_from_support(k, n_theta)
+        assert rep.area_second == area_from_support(l, n_theta)
+
     @pytest.mark.parametrize(
         "k, l",
         [
@@ -271,4 +284,10 @@ class TestSampledOnce:
             reference_minkowski_fit(k, l, DEFAULT_SCALES, 512)
         with pytest.raises(NonConvexBody) as got:
             minkowski_poly_check(k, l, n_theta=512)
+        assert str(got.value) == str(want.value)
+        # the report tests K + L, K and L before any scale pair
+        with pytest.raises(NonConvexBody) as want:
+            reference_mixed_area(k, l, 512)
+        with pytest.raises(NonConvexBody) as got:
+            planar_report(k, l, 512)
         assert str(got.value) == str(want.value)

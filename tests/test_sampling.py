@@ -32,6 +32,16 @@ Core claims:
   family at 4 CHUNK by 1.5x or more, and is bit-identical across thread
   counts.  One chunk, or an error bound too large for the slope, gives the
   plain estimate bit for bit (a spread-1e12 d = 5 ensemble falls back).
+- Where d - 1 >= 2 rows are left, the last is taken out in closed form:
+  per sample, tr A and the AGM perimeter agree within 1e-9 with eigvalsh of
+  the explicit projection and an 8192-node trapezoid perimeter at
+  eigenvalue spreads 1, 1e6 and 1e12 (shared long axes run the recompute),
+  and the estimates are calibrated against exact values at 4096 samples
+  (2000 seeds) and at 2 CHUNK with the vol^2 tr A control (200 seeds) for
+  k = d = 3, k = d = 5 and (d, k) = (3, 2).
+- Gram estimates at d <= 2 and k <= d - 2, expected_norm's direct run and
+  sudakov_width at d = 3 (and at d = 2 from one chunk) keep their float.hex
+  bits at threads 1 and 2.
 """
 
 import math
@@ -39,6 +49,8 @@ import math
 import numpy as np
 import pytest
 from pytest import approx
+from scipy.integrate import quad
+from scipy.special import ellipeinc, ellipkinc
 
 from mixvol import (
     CHUNK,
@@ -48,32 +60,39 @@ from mixvol import (
     MatrixEnsemble,
     MCEstimate,
     OutOfRange,
+    PointCloud,
     RngStream,
     SupportBody2D,
     ball,
     chunked_mc_mean,
+    ellipsoid_from_axes,
     expected_gram_volume,
     expected_norm,
     gram_volume,
+    intrinsic_volume,
     make_spd,
     mixed_area_oracle,
     mixed_volume_full,
     normal_quantile,
     rekey,
     sample_gaussian,
+    sudakov_width,
+    transform_ellipsoid,
     unit_ball_volume,
 )
 
 import mixvol.sampling
-from mixvol.sampling import _soa_gram_volumes
+from mixvol.sampling import RECOMPUTE, _complement_traces, _ellipse_perimeters, _soa_gram_volumes
 from mixvol.volumes import MAX_CONDITION
 from support import (
     SEEDS,
     random_orthogonal,
     random_spd,
+    reference_complement_ellipses,
     reference_expected_gram_volume,
     reference_gram_volumes,
     rng_for,
+    spread_covariances,
 )
 
 
@@ -547,11 +566,17 @@ def _skewed(z):
     return np.abs(z[:, 0] * z[:, 1]) ** 1.5 + z[:, 2] ** 2
 
 
+def _skewed_squared(z):
+    """_skewed with its square as the control."""
+    y = _skewed(z)
+    return y, y * y
+
+
 class TestControlVariate:
     def test_matches_direct_recompute(self):
         # chunk i is adjusted by the slope of y on y^2 over the other chunks
         n, mu = 3 * CHUNK + 17, 7.0
-        est = chunked_mc_mean(_skewed, (3,), n, seed=9, second_moment=(mu, 0.0))
+        est = chunked_mc_mean(_skewed_squared, (3,), n, seed=9, control=(mu, 0.0))
         sizes = [CHUNK, CHUNK, CHUNK, 17]
         ys = [_skewed(RngStream(9, i).generator().standard_normal((m, 3))) for i, m in enumerate(sizes)]
         adjusted = []
@@ -567,13 +592,13 @@ class TestControlVariate:
     @pytest.mark.parametrize("n", [1000, CHUNK])
     def test_one_chunk_is_unchanged(self, n):
         plain = chunked_mc_mean(_skewed, (3,), n, seed=4)
-        assert chunked_mc_mean(_skewed, (3,), n, seed=4, second_moment=(7.0, 0.0)) == plain
+        assert chunked_mc_mean(_skewed_squared, (3,), n, seed=4, control=(7.0, 0.0)) == plain
 
     def test_unbounded_moment_gives_the_plain_estimate(self):
         n = 3 * CHUNK
         plain = chunked_mc_mean(_skewed, (3,), n, seed=4)
-        loose = chunked_mc_mean(_skewed, (3,), n, seed=4, second_moment=(7.0, math.inf))
-        tight = chunked_mc_mean(_skewed, (3,), n, seed=4, second_moment=(7.0, 0.0))
+        loose = chunked_mc_mean(_skewed_squared, (3,), n, seed=4, control=(7.0, math.inf))
+        tight = chunked_mc_mean(_skewed_squared, (3,), n, seed=4, control=(7.0, 0.0))
         assert loose == plain and tight.mean != plain.mean
 
     def test_spread_1e12_falls_back(self, monkeypatch):
@@ -680,3 +705,156 @@ class TestSeedRange:
         ens = _standard_ensemble(2, 2)
         top = expected_gram_volume(ens, n=1000, seed=2**64 - 1)
         assert top.mean != expected_gram_volume(ens, n=1000, seed=0).mean
+
+
+# == 12. The second Gaussian row in closed form =============================
+
+PERIMETER_NODES = 8192
+
+
+def _trapezoid_perimeter(lam):
+    """Perimeters of the ellipses with squared semi-axes lam (n, 2), largest
+    first: the arclength integral by the trapezoid rule on PERIMETER_NODES
+    nodes of u, theta = u - sin(2u)/2, which clusters the nodes at the ends
+    of the major axis (exact to ~1e-16 for axis ratios down to 1e-8)."""
+    u = 2.0 * math.pi * np.arange(PERIMETER_NODES) / PERIMETER_NODES
+    theta, weight = u - 0.5 * np.sin(2.0 * u), 1.0 - np.cos(2.0 * u)
+    sin2, cos2 = np.sin(theta) ** 2, np.cos(theta) ** 2
+    out = [np.sum(np.sqrt(a2 * sin2 + b2 * cos2) * weight) for a2, b2 in lam]
+    return np.array(out) * (2.0 * math.pi / PERIMETER_NODES)
+
+
+def _complement_case(d, spread, shared, n=512):
+    """n samples of d - 2 rows N(0, S_i) and the factor f of S_{d-1}, the
+    covariances from spread_covariances."""
+    rng = rng_for(1000 + 10 * d + int(math.log10(spread)) + 100 * shared)
+    factors = [np.linalg.cholesky(s) for s in spread_covariances(rng, d, d - 1, spread, shared)]
+    rows = np.stack([f @ rng.normal(size=(d, n)) for f in factors[:-1]])
+    return rows, factors[-1]
+
+
+def _expected_norm(sigma):
+    """E||N(0, sigma)|| = (1 / 2 sqrt(pi)) int_0^inf (1 - prod_i (1 + 2 s
+    lambda_i)^(-1/2)) s^(-3/2) ds, by adaptive quadrature in s = u^2."""
+    lam = np.linalg.eigvalsh(sigma)
+    integrand = lambda u: 2.0 * (1.0 - np.prod(1.0 + 2.0 * u * u * lam) ** -0.5) / (u * u)
+    value, _ = quad(integrand, 0.0, np.inf, limit=200, epsabs=0.0, epsrel=1e-13)
+    return value / (2.0 * math.sqrt(math.pi))
+
+
+def _rotated_ellipsoid(axes, seed):
+    q = random_orthogonal(rng_for(seed), len(axes))
+    return transform_ellipsoid(ellipsoid_from_axes(axes), q)
+
+
+def _surface_area(axes):
+    """Surface area of the ellipsoid with semi-axes a >= b >= c (Legendre)."""
+    a, b, c = sorted(axes, reverse=True)
+    phi = math.acos(c / a)
+    m = a * a * (b * b - c * c) / (b * b * (a * a - c * c))
+    tail = ellipeinc(phi, m) * math.sin(phi) ** 2 + ellipkinc(phi, m) * math.cos(phi) ** 2
+    return 2.0 * math.pi * c * c + 2.0 * math.pi * a * b / math.sin(phi) * tail
+
+
+def _closed_form_case(case):
+    """(estimator of n and seed, exact value) for the three shapes that take
+    the second row out: an eccentric ellipsoid last, so the complement
+    ellipses are eccentric too."""
+    if case == "d3k2":
+        axes = (3.0, 1.0, 0.4)
+        e = _rotated_ellipsoid(axes, 90)
+        return (lambda n, seed: intrinsic_volume(e, 2, n, seed, threads=2)), 0.5 * _surface_area(axes)
+    d, radii = {"d3k3": (3, (0.8, 1.3)), "d5k5": (5, (0.7, 0.9, 1.1, 1.3))}[case]
+    e = _rotated_ellipsoid(np.linspace(3.0, 0.4, d), 91)
+    bodies = [ball(d, r) for r in radii] + [e]
+    # V(B_r.., E) = prod r sqrt(2 pi) kappa_{d-1} / d E||N(0, sigma_E)||
+    exact = math.prod(radii) * math.sqrt(2.0 * math.pi) * unit_ball_volume(d - 1) / d
+    exact *= _expected_norm(e.sigma.entries)
+    return (lambda n, seed: mixed_volume_full(bodies, n, seed, threads=2)), exact
+
+
+class TestSecondRowClosedForm:
+    """Where d - 1 >= 2 rows are left, the last is taken out by Cauchy's
+    formula: per sample as precise as an eigvalsh reference, unbiased and
+    calibrated."""
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["bases", "shared"])
+    @pytest.mark.parametrize("spread", [1.0, 1e6, 1e12])
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_matches_projection_reference(self, d, spread, shared):
+        # d = 3 is a (3, 2) pair: one drawn row, the second in closed form
+        rows, f = _complement_case(d, spread, shared)
+        q = rows.copy()
+        _soa_gram_volumes(q, orthonormal=True)
+        trace, trace_sq = _complement_traces(q, f)
+        lam = reference_complement_ellipses(np.moveaxis(rows, -1, 0), f)
+        np.testing.assert_allclose(trace, lam.sum(axis=1), rtol=1e-9, atol=0.0)
+        perimeter = _ellipse_perimeters(trace, trace_sq)
+        np.testing.assert_allclose(perimeter, _trapezoid_perimeter(lam), rtol=1e-9, atol=0.0)
+        if shared and spread == 1e12:
+            # the complement holds a small share of S: the recompute runs
+            assert np.any(lam.sum(axis=1) < RECOMPUTE * np.sum(f * f))
+
+    def test_circle_and_segment(self):
+        # equal axes give 2 pi a; a vanishing minor axis gives 4 a
+        per = _ellipse_perimeters(np.array([2.0, 4.0]), np.array([2.0, 16.0]))
+        np.testing.assert_allclose(per, [2.0 * math.pi, 8.0], rtol=1e-15)
+
+    @pytest.mark.parametrize("case", ["d3k3", "d5k5", "d3k2"])
+    def test_calibrated_at_4096_samples(self, case):
+        # 2000 fixed seeds: the z-scores against the exact value have mean
+        # within 0.1 of 0, and at most 12 exceed 3 (nominal 5.4 for N(0, 1))
+        run, exact = _closed_form_case(case)
+        z = np.array([(e.mean - exact) / e.std_error for e in (run(4096, 80_000 + i) for i in range(2000))])
+        assert abs(z.mean()) <= 0.1
+        assert np.sum(np.abs(z) > 3.0) <= 12
+
+    @pytest.mark.parametrize("case", ["d3k3", "d5k5", "d3k2"])
+    def test_calibrated_at_two_chunks(self, case):
+        # the control vol_{m-1}^2 tr A: 200 fixed seeds (a d = 5 pair of
+        # chunks takes 50 ms), z-score mean within 0.2 of 0 (2.8 SE) and at
+        # most 3 beyond 3 (nominal 0.54 for N(0, 1))
+        run, exact = _closed_form_case(case)
+        z = np.array([(e.mean - exact) / e.std_error for e in (run(2 * CHUNK, 90_000 + i) for i in range(200))])
+        assert abs(z.mean()) <= 0.2
+        assert np.sum(np.abs(z) > 3.0) <= 3
+
+
+# == 13. Estimates that keep their bits =====================================
+
+# float.hex of (mean, std_error) before the second row was taken out in
+# closed form and the planar width was controlled, at n = 2 CHUNK + 5
+# unless named: the shapes and estimators that change leaves alone
+PINNED = {
+    "gram_d1k1": ("0x1.16d02c63cce53p+0", "0x1.a3884478edcf4p-11"),
+    "gram_d2k1": ("0x1.7ac07bfd8b395p+0", "0x1.5e1a41354033bp-11"),
+    "gram_d2k2": ("0x1.12358a85e2756p+0", "0x1.ef2a4770e0812p-12"),
+    "gram_d4k2": ("0x1.99c2e937cd032p+1", "0x1.e8beaaa3625e2p-10"),
+    "gram_d8k3": ("0x1.483c14b7c19d4p+4", "0x1.3a5f9e51c3d80p-7"),
+    "norm_d4": ("0x1.1209d7b1b99d2p+2", "0x1.2576e86d9abbep-10"),
+    "sudakov_d3": ("0x1.be82600bd9d9ap+1", "0x1.1aa32a50088bbp-8"),
+    "sudakov_d2_n4096": ("0x1.ab6362ed019b5p+1", "0x1.d0e364234eeecp-6"),
+}
+
+
+def _pinned_run(name, threads):
+    n = 2 * CHUNK + 5
+    if name.startswith("gram"):
+        d, k = int(name[6]), int(name[8])
+        ens = _ensemble(rng_for(80 + 10 * d + k), d, k, "random")
+        return expected_gram_volume(ens, n, seed=10 * d + k, threads=threads)
+    if name == "norm_d4":
+        return expected_norm(Ellipsoid(random_spd(rng_for(81), 4)), n, seed=7, threads=threads).direct
+    if name == "sudakov_d3":
+        cloud = PointCloud(rng_for(82).normal(size=(40, 3)))
+        return sudakov_width(cloud, n, seed=9, threads=threads).gaussian_mean
+    cloud = PointCloud(rng_for(83).normal(size=(300, 2)))
+    return sudakov_width(cloud, 4096, seed=11, threads=threads).gaussian_mean
+
+
+class TestUnchangedBits:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", PINNED)
+    def test_float_hex(self, name, threads):
+        est = _pinned_run(name, threads)
+        assert (est.mean.hex(), est.std_error.hex()) == PINNED[name]

@@ -19,7 +19,8 @@ Core claims:
   max||x|| on regular, anisotropic, collinear, repeated, tiny, huge and
   grid clouds, and at directions on and beside every cone edge it is the
   max of the same float products over all points, bit for bit.  Its
-  estimates are bit-identical across thread counts.
+  estimates are bit-identical across thread counts, and over two or more
+  chunks ||z||^2 controls them, cutting the 4096-gon's variance ~10x.
 """
 
 import math
@@ -335,10 +336,15 @@ class TestSudakovWidth:
     def test_blocked_statistic_matches_unblocked(self, n_points, dim):
         # the max over z @ pts.T runs in cache-sized blocks of rows; one
         # product over the whole chunk must give the same estimate
+        # (in the plane with ||z||^2 as the control, as the library runs it)
         pts = rng_for(33).normal(size=(n_points, dim))
         n = CHUNK + 3000
         out = sudakov_width(PointCloud(pts), n, seed=34).gaussian_mean
-        ref = chunked_mc_mean(lambda z: (z @ pts.T).max(axis=1), (dim,), n, seed=34)
+        if dim == 2:
+            stat = lambda z: ((z @ pts.T).max(axis=1), np.einsum("ij,ij->i", z, z))
+            ref = chunked_mc_mean(stat, (dim,), n, seed=34, control=(2.0, 0.0))
+        else:
+            ref = chunked_mc_mean(lambda z: (z @ pts.T).max(axis=1), (dim,), n, seed=34)
         assert out.mean == approx(ref.mean, rel=1e-15)
         assert out.std_error == approx(ref.std_error, rel=1e-15)
 
@@ -417,6 +423,16 @@ class TestPlanarSupport:
         np.testing.assert_array_equal(_planar_hull(PLANAR["one"]), PLANAR["one"])
         # the grid's edges hold 8 more points each; counter-clockwise from (0, 0)
         np.testing.assert_array_equal(_planar_hull(PLANAR["grid"]), [[0, 0], [9, 0], [9, 9], [0, 9]])
+
+    def test_norm_control_cuts_the_variance(self):
+        # over two or more chunks ||z||^2, of mean 2, controls the planar
+        # width: the 4096-gon's relative variance per sample falls from 0.27
+        # to about 0.02, around its exact width sqrt(pi/2) (m/pi) sin(pi/m)
+        m = 4096
+        est = sudakov_width(PointCloud(_gon(m)), 4 * CHUNK, seed=44).gaussian_mean
+        exact = math.sqrt(math.pi / 2.0) * m / math.pi * math.sin(math.pi / m)
+        assert abs(est.mean - exact) <= 4.0 * est.std_error
+        assert est.std_error**2 * est.n_samples / exact**2 < 0.05
 
     def test_thread_count_does_not_change_bits(self):
         cloud = PointCloud(_gon(4096))
