@@ -744,9 +744,9 @@ def _dedup(points: np.ndarray, radius: float) -> np.ndarray:
     from a window of width 2 radius on the sorted first coordinate, which
     holds every pair whose computed distance is at most radius, rounding
     included; the exact test then keeps the close pairs.  The greedy rule is
-    resolved in array rounds: a point is dropped once an earlier neighbour
-    is kept, and kept once all its earlier neighbours are dropped.  Each
-    round settles at least the first waiting point.
+    one pass over the close pairs (earlier, later) in the order of their
+    later point: a later point is dropped if its earlier one is kept, and
+    each earlier point is settled before any pair reads it.
     """
     n = points.shape[0]
     order = np.argsort(points[:, 0], kind="stable")
@@ -761,21 +761,12 @@ def _dedup(points: np.ndarray, radius: float) -> np.ndarray:
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     close = np.max(np.abs(points[hi] - points[lo]), axis=1) <= radius
     lo, hi = lo[close], hi[close]
-    # points with no earlier close neighbour survive; the others wait
-    kept = np.ones(n, dtype=bool)
-    kept[hi] = False
-    waiting = ~kept
-    while lo.size:
-        dropped = np.zeros(n, dtype=bool)
-        dropped[hi[kept[lo]]] = True
-        blocked = np.zeros(n, dtype=bool)
-        blocked[hi[waiting[lo]]] = True
-        settled = waiting & (dropped | ~blocked)
-        kept |= settled & ~dropped
-        waiting &= ~settled
-        live = waiting[hi]
-        lo, hi = lo[live], hi[live]
-    return points[kept]
+    by_later = np.argsort(hi, kind="stable")
+    kept = [True] * n
+    for i, j in zip(lo[by_later].tolist(), hi[by_later].tolist()):
+        if kept[i]:
+            kept[j] = False
+    return points[np.array(kept, dtype=bool)]
 
 
 def _trig_grid(spec: KernelSpec, xs: np.ndarray, ys: np.ndarray, coef: np.ndarray) -> np.ndarray:

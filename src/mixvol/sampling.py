@@ -2,17 +2,18 @@
 
 Reproducibility contract: every estimator splits its n samples into fixed
 chunks of 2^16, chunk i draws from a counter-based Philox stream keyed by
-(seed, stream_base + i), and reduces to its moments (count, mean, M2), which
-are merged in chunk order by the pairwise update of Chan, Golub & LeVeque.
-Where a control c of the statistic y has a known mean and there are two or
-more chunks, each chunk also keeps the co-moments of (y, c), and chunk i's
-moments become those of y - beta_i (c - E c), with beta_i the regression
-slope of the merged other chunks: a control variate whose coefficient is
-independent of the samples it adjusts.  Either way the result is a function
-of the chunk results only, so it is a pure function of (seed, n) and is
-bit-identical for any number of worker threads; a one-chunk estimate never
-uses the control.  Realization experiments run on the same engine,
-`map_chunks`, with chunks of realizations instead of samples.
+(seed, stream_base + i), and reduces to one Moments record: count, mean and
+M2, plus a control part (mean of c, M2_yc, M2_cc) that is 0 unless a control
+c of the statistic y has a known mean and there are two or more chunks.  The
+records are merged in chunk order by the pairwise update of Chan, Golub &
+LeVeque.  With a control, chunk i's moments become those of
+y - beta_i (c - E c), with beta_i the regression slope of the merged other
+chunks: a control variate whose coefficient is independent of the samples it
+adjusts.  Either way the result is a function of the chunk results only, so
+it is a pure function of (seed, n) and is bit-identical for any number of
+worker threads; a one-chunk estimate never uses the control.  Realization
+experiments run on the same engine, `map_chunks`, with chunks of
+realizations instead of samples.
 
 Volumes of random parallelotopes come from one structure-of-arrays kernel:
 the k rows of a block of samples are stored as a (k, d, block) array, and the
@@ -108,65 +109,47 @@ def rekey(gen: Generator, seed: int, stream_index: int) -> Generator:
 
 @dataclass(frozen=True)
 class Moments:
-    """Count, mean and M2 (sum of squared deviations) of a batch of values."""
+    """Count, mean and M2 (sum of squared deviations) of a batch of values
+    y; with a control c of them, also the mean of c and the co-moments
+    M2_yc = sum (y - mean y)(c - mean c) and M2_cc, all 0 without one."""
 
     count: int
     mean: float
     m2: float
+    c_mean: float = 0.0
+    m2_yc: float = 0.0
+    m2_cc: float = 0.0
 
     @classmethod
-    def of(cls, values) -> "Moments":
+    def of(cls, values, controls=None) -> "Moments":
         v = np.asarray(values, dtype=float)
         # an overflow here reaches the caller as OutOfRange from MCEstimate
         with np.errstate(over="ignore", invalid="ignore"):
             mean = float(np.mean(v))
             dev = v - mean
-            return cls(v.shape[0], mean, float(np.sum(dev * dev)))
-
-    def merge(self, other: "Moments") -> "Moments":
-        """Pairwise update of Chan, Golub & LeVeque (1983): no sum of squares
-        is formed, so a large mean cancels no digits of the variance."""
-        n = self.count + other.count
-        delta = other.mean - self.mean
-        return Moments(
-            n,
-            self.mean + delta * (other.count / n),
-            self.m2 + other.m2 + delta * delta * (self.count * other.count / n),
-        )
-
-
-@dataclass(frozen=True)
-class _CoMoments:
-    """Moments of y, the mean of a control c and the co-moments
-    M2_yc = sum (y - mean y)(c - mean c) and M2_cc of a batch."""
-
-    y: Moments
-    c_mean: float
-    m2_yc: float
-    m2_cc: float
-
-    @classmethod
-    def of(cls, values, controls) -> "_CoMoments":
-        y = Moments.of(values)
-        v = np.asarray(values, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # in place, so a chunk costs two temporaries beyond Moments.of
+            m2 = float(np.sum(dev * dev))
+            if controls is None:
+                return cls(v.shape[0], mean, m2)
+            # in place, so a chunk costs one temporary beyond the plain moments
             c_mean = float(np.mean(controls))
             dc = controls - c_mean
-            dy_dc = v - y.mean
-            dy_dc *= dc
+            dev *= dc
             dc *= dc
-            return cls(y, c_mean, float(np.sum(dy_dc)), float(np.sum(dc)))
+            return cls(v.shape[0], mean, m2, c_mean, float(np.sum(dev)), float(np.sum(dc)))
 
-    def merge(self, other: "_CoMoments") -> "_CoMoments":
-        """The Chan-Golub-LeVeque update, extended to the co-moments."""
-        n = self.y.count + other.y.count
-        weight = self.y.count * other.y.count / n
-        dy = other.y.mean - self.y.mean
+    def merge(self, other: "Moments") -> "Moments":
+        """Pairwise update of Chan, Golub & LeVeque (1983), extended to the
+        co-moments: no sum of squares is formed, so a large mean cancels no
+        digits of the variance."""
+        n = self.count + other.count
+        weight = self.count * other.count / n
+        dy = other.mean - self.mean
         dc = other.c_mean - self.c_mean
-        return _CoMoments(
-            self.y.merge(other.y),
-            self.c_mean + dc * (other.y.count / n),
+        return Moments(
+            n,
+            self.mean + dy * (other.count / n),
+            self.m2 + other.m2 + dy * dy * weight,
+            self.c_mean + dc * (other.count / n),
             self.m2_yc + other.m2_yc + dy * dc * weight,
             self.m2_cc + other.m2_cc + dc * dc * weight,
         )
@@ -176,10 +159,10 @@ class _CoMoments:
         """Regression slope of y on c; 0 where c does not vary."""
         return self.m2_yc / self.m2_cc if self.m2_cc > 0.0 else 0.0
 
-    def adjusted(self, beta: float, c_exact: float) -> Moments:
-        """Moments of y - beta (c - c_exact)."""
-        m2 = self.y.m2 - 2.0 * beta * self.m2_yc + beta * beta * self.m2_cc
-        return Moments(self.y.count, self.y.mean - beta * (self.c_mean - c_exact), max(m2, 0.0))
+    def adjusted(self, beta: float, c_exact: float) -> "Moments":
+        """Moments of y - beta (c - c_exact), without a control."""
+        m2 = self.m2 - 2.0 * beta * self.m2_yc + beta * beta * self.m2_cc
+        return Moments(self.count, self.mean - beta * (self.c_mean - c_exact), max(m2, 0.0))
 
 
 @dataclass(frozen=True)
@@ -436,7 +419,9 @@ def chunked_mc_mean(
     chunk i and the estimate is exactly unbiased.  The control is kept only
     if max |beta_i| times the error bound is at most 1e-3 of the standard
     error it reports; otherwise, and with one chunk or no control, the
-    result is the plain mean of y over the same draws.
+    result is the plain mean of y over the same draws.  Each chunk reduces
+    to one Moments record, whose control part stays 0 when no control is
+    used, so the plain mean merges the same records.
     """
     if n < 2:
         raise OutOfRange(f"need n >= 2 samples, got {n}")
@@ -445,12 +430,10 @@ def chunked_mc_mean(
     streams = [RngStream(seed, stream_base + ci) for ci in range((n + CHUNK - 1) // CHUNK)]
     controlled = control is not None and len(streams) > 1
 
-    def run_chunk(start: int, m: int):
+    def run_chunk(start: int, m: int) -> Moments:
         z = streams[start // CHUNK].generator().standard_normal((m,) + sample_shape)
-        if control is None:
-            return Moments.of(stat(z))
-        y, c = stat(z)
-        return _CoMoments.of(y, c) if controlled else Moments.of(y)
+        y, c = (stat(z), None) if control is None else stat(z)
+        return Moments.of(y, c if controlled else None)
 
     chunks = map_chunks(run_chunk, n, CHUNK, threads)
     if not controlled:
@@ -459,13 +442,13 @@ def chunked_mc_mean(
 
 
 def _controlled_estimate(
-    chunks: list[_CoMoments], c_exact: float, error_bound: float, seed: int, ci_level: float
+    chunks: list[Moments], c_exact: float, error_bound: float, seed: int, ci_level: float
 ) -> MCEstimate:
     """The control-variate estimate of chunked_mc_mean, or the plain one
     where the error bound of c_exact could bias it by more than 1e-3 SE."""
-    plain = MCEstimate.from_moments([c.y for c in chunks], seed, ci_level)
+    plain = MCEstimate.from_moments(chunks, seed, ci_level)
     # chunk i's slope is that of chunks < i merged with chunks > i
-    prefix = list(accumulate(chunks, _CoMoments.merge))
+    prefix = list(accumulate(chunks, Moments.merge))
     suffix = list(accumulate(reversed(chunks), lambda acc, c: c.merge(acc)))[::-1]
     others = [suffix[1]] + [p.merge(s) for p, s in zip(prefix, suffix[2:])] + [prefix[-2]]
     betas = [o.beta for o in others]

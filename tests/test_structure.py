@@ -7,6 +7,9 @@ Core claims:
 - sampling.map_chunks is the package's only thread pool: no other function
   names ThreadPoolExecutor.
 - every name in mixvol.__all__ resolves, and none is listed twice.
+- only sampling.py calls MCEstimate(...) itself; every other module builds
+  an estimate through MCEstimate.from_moments, MCEstimate.exact or the
+  estimate's own methods.
 - no comparison in the package names a kernel kind: what depends on the
   kind is a row of fields._KINDS, so a new kind is a new row.
 """
@@ -58,6 +61,18 @@ def test_every_export_resolves_once():
     missing = [name for name in mixvol.__all__ if not hasattr(mixvol, name)]
     assert missing == []
     assert len(set(mixvol.__all__)) == len(mixvol.__all__)
+
+
+def test_only_sampling_calls_the_estimate_constructor():
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "sampling.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "MCEstimate" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert found == []
 
 
 def _names_a_kind(node) -> bool:
