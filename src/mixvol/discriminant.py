@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NegativeDiscriminant, OutOfRange
-from .geometry import MAX_DIM, Ellipsoid, symmetric_matrix, unit_ball_volume
+from .geometry import MAX_DIM, Ellipsoid, batch_det, symmetric_matrix, unit_ball_volume
 
 
 @dataclass(frozen=True)
@@ -54,27 +54,6 @@ class SymmetricTuple:
         return len(self.matrices)
 
 
-def _batch_det(ms: np.ndarray) -> np.ndarray:
-    """Determinants of a (m, d, d) stack.
-
-    Cofactor formulas for d <= 3: they are exact for exactly representable
-    entries, where the LAPACK LU route already rounds (det(diag(4, 6))
-    comes back as 24 - 7e-15 from np.linalg.det).
-    """
-    d = ms.shape[-1]
-    if d == 1:
-        return ms[:, 0, 0].copy()
-    if d == 2:
-        return ms[:, 0, 0] * ms[:, 1, 1] - ms[:, 0, 1] * ms[:, 1, 0]
-    if d == 3:
-        return (
-            ms[:, 0, 0] * (ms[:, 1, 1] * ms[:, 2, 2] - ms[:, 1, 2] * ms[:, 2, 1])
-            - ms[:, 0, 1] * (ms[:, 1, 0] * ms[:, 2, 2] - ms[:, 1, 2] * ms[:, 2, 0])
-            + ms[:, 0, 2] * (ms[:, 1, 0] * ms[:, 2, 1] - ms[:, 1, 1] * ms[:, 2, 0])
-        )
-    return np.linalg.det(ms)
-
-
 def _subset_sums(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 2^k - 1 nonempty subset sums of a (k, d, d) stack, and the
     inclusion-exclusion sign (-1)^(k - |S|) of each."""
@@ -91,7 +70,7 @@ def mixed_discriminant(t: SymmetricTuple | Sequence) -> float:
         t = SymmetricTuple(tuple(t))
     d = t.dim
     sums, signs = _subset_sums(np.stack(t.matrices))
-    total = float(np.sum(signs * _batch_det(sums)))
+    total = float(np.sum(signs * batch_det(sums)))
     for i in range(2, d + 1):
         total /= i
     return total
@@ -121,9 +100,7 @@ def expected_gram_determinant(covariances: Sequence) -> tuple[float, float]:
     sums, signs = _subset_sums(np.stack(mats))
     cols = np.array(list(itertools.combinations(range(d), k)))  # (C(d, k), k)
     minors = sums[:, cols[:, :, None], cols[:, None, :]].reshape(-1, k, k)
-    # LU for k >= 3: the 3 x 3 cofactor formula loses up to kappa^2 digits
-    dets = (_batch_det if k < 3 else np.linalg.det)(minors)
-    dets = dets.reshape(signs.shape[0], cols.shape[0])
+    dets = batch_det(minors).reshape(signs.shape[0], cols.shape[0])
     value = float(np.sum(np.sum(signs[:, None] * dets, axis=0)))
     eig = np.linalg.eigvalsh(minors)
     if not np.all(eig[:, 0] > 0.0):

@@ -155,6 +155,37 @@ def falling_factorial(d: int, k: int) -> int:
     return out
 
 
+def batch_det(ms) -> np.ndarray:
+    """Determinants of a (m, d, d) stack: the package's one determinant.
+
+    The cofactor formula for d <= 2, and for d >= 3 Gaussian elimination
+    with partial pivoting, the signed product of the pivots.  Both are
+    exact where every product is exactly representable (diagonal and scaled
+    identity stacks), which np.linalg.det is not: it goes through log space
+    and returns det(2 I_3) = 8 - 2e-15.  Elimination is backward stable, so
+    its error grows like kappa, where the 3 x 3 cofactor formula on
+    inclusion-exclusion sums lost kappa^2 and could change the sign.
+    """
+    a = np.array(ms, dtype=float)
+    d = a.shape[-1]
+    if d == 1:
+        return a[:, 0, 0]
+    if d == 2:
+        return a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    det = np.ones(a.shape[0])
+    batch = np.arange(a.shape[0])
+    for j in range(d):
+        p = j + np.argmax(np.abs(a[:, j:, j]), axis=1)
+        pivot_rows = a[batch, p]
+        a[batch, p] = a[:, j]
+        a[:, j] = pivot_rows
+        pivot = a[:, j, j]
+        det = np.where(p == j, det, -det) * pivot
+        below = a[:, j + 1 :, j] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
+        a[:, j + 1 :, j:] -= below[:, :, None] * a[:, None, j, j:]
+    return det
+
+
 def transform_ellipsoid(e: Ellipsoid, L) -> Ellipsoid:
     """Image of the ellipsoid under x -> Lx; representing matrix L sigma L^T."""
     L = np.asarray(L, dtype=float)
@@ -163,7 +194,7 @@ def transform_ellipsoid(e: Ellipsoid, L) -> Ellipsoid:
         raise DimensionMismatch(f"transform shape {L.shape} does not match dim {d}")
     # Hadamard bound (product of row norms) sets the scale for the det test.
     scale = float(np.prod(np.linalg.norm(L, axis=1)))
-    if abs(np.linalg.det(L)) <= 1e-12 * max(scale, np.finfo(float).tiny):
+    if abs(batch_det(L[None])[0]) <= 1e-12 * max(scale, np.finfo(float).tiny):
         raise SingularTransform("transform matrix is singular to working precision")
     s = L @ e.sigma.entries @ L.T
     return Ellipsoid(make_spd((s + s.T) / 2.0))

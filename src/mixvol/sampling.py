@@ -3,15 +3,18 @@
 Reproducibility contract: every estimator splits its n samples into fixed
 chunks of 2^16, chunk i draws from a counter-based Philox stream keyed by
 (seed, stream_base + i), and reduces to one Moments record: count, mean and
-M2, plus a control part (mean of c, M2_yc, M2_cc) that is 0 unless a control
-c of the statistic y has a known mean and there are two or more chunks.  The
-records are merged in chunk order by the pairwise update of Chan, Golub &
-LeVeque.  With a control, chunk i's moments become those of
-y - beta_i (c - E c), with beta_i the regression slope of the merged other
-chunks: a control variate whose coefficient is independent of the samples it
-adjusts.  Either way the result is a function of the chunk results only, so
-it is a pure function of (seed, n) and is bit-identical for any number of
-worker threads; a one-chunk estimate never uses the control.  Realization
+M2, plus a control part (means of c, M2_yc, M2_cc) that is 0 unless p
+controls c of the statistic y have known means and there are two or more
+chunks.  The records are merged in chunk order by the pairwise update of
+Chan, Golub & LeVeque.  With controls, chunk i's moments become those of
+y - beta_i . (c - E c), with beta_i the least-squares coefficients of the
+merged other chunks (minimum-norm, as controls can be exactly dependent):
+control variates whose coefficients are independent of the samples they
+adjust.  They are dropped for the plain mean of the same records where the
+error bounds of E c could bias it by more than 1e-3 standard errors.
+Either way the result is a function of the chunk results only, so it is a
+pure function of (seed, n) and is bit-identical for any number of worker
+threads; a one-chunk estimate never uses the controls.  Realization
 experiments run on the same engine, `map_chunks`, with chunks of
 realizations instead of samples.
 
@@ -27,7 +30,10 @@ last remaining row is taken out too: its part orthogonal to the other rows
 is a Gaussian in the 2-D complement, whose mean norm is the perimeter of an
 ellipse (Cauchy's formula) by the arithmetic-geometric mean.  A sample then
 draws d(d - 2) normals; at d = 5 the relative variance per sample falls from
-0.34 to 0.13, at no more time per chunk.
+0.34 to 0.13, at no more time per chunk.  The sweep's row norms also give
+the controls of a multi-chunk estimate: the prefix volumes (n_1 .. n_j)^2
+and the squared row norms, whose exact means expected_gram_determinant
+computes; with them the d = 5 relative variance falls to 0.085.
 Seeds and stream indices are the two 64-bit words of the Philox key and must
 lie in [0, 2^64); nothing is reduced modulo 2^64, so distinct seeds never alias.
 """
@@ -53,12 +59,17 @@ CHUNK = 1 << 16  # samples per substream; fixed so parallel == serial
 BLOCK = 1 << 12  # samples per Gram-kernel block; (k, d, BLOCK) stays in cache
 SEED_LIMIT = 1 << 64  # seeds and stream indices are 64-bit Philox key words
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-# most determinants, C(d, k) (2^k - 1), spent on the exact second moment
-# that controls a multi-chunk Gram estimate: (8, 4) needs 1050, (16, 8) 3.3e6
+# most determinants, C(d, k) (2^k - 1), spent on the exact second moment of
+# all k rows, without which a multi-chunk Gram estimate has no controls:
+# (8, 4) needs 1050, (16, 8) 3.3e6.  The prefix moments then cost at most
+# 18 723 in all, at d = k = 9 (about 0.1 s)
 CONTROL_DETERMINANTS = 4096
 # a sample whose last-row complement holds less than this share of tr S
 # has its traces recomputed by explicit projection (_complement_traces)
 RECOMPUTE = 1e-2
+# singular values of the controls' correlation matrix below this share of
+# the largest are rounding, not signal (Moments.beta)
+SOLVE_RCOND = 1e-10
 
 
 @dataclass(frozen=True)
@@ -110,18 +121,21 @@ def rekey(gen: Generator, seed: int, stream_index: int) -> Generator:
 @dataclass(frozen=True)
 class Moments:
     """Count, mean and M2 (sum of squared deviations) of a batch of values
-    y; with a control c of them, also the mean of c and the co-moments
-    M2_yc = sum (y - mean y)(c - mean c) and M2_cc, all 0 without one."""
+    y; with p controls c of them, also the means of c (p,) and the
+    co-moments M2_yc = sum (y - mean y)(c - mean c) (p,) and M2_cc (p, p),
+    all 0 without controls."""
 
     count: int
     mean: float
     m2: float
-    c_mean: float = 0.0
-    m2_yc: float = 0.0
-    m2_cc: float = 0.0
+    c_mean: np.ndarray | float = 0.0
+    m2_yc: np.ndarray | float = 0.0
+    m2_cc: np.ndarray | float = 0.0
 
     @classmethod
     def of(cls, values, controls=None) -> "Moments":
+        """Moments of values (m,), with controls a (p, m) or (m,) array that
+        is centred in place."""
         v = np.asarray(values, dtype=float)
         # an overflow here reaches the caller as OutOfRange from MCEstimate
         with np.errstate(over="ignore", invalid="ignore"):
@@ -130,12 +144,18 @@ class Moments:
             m2 = float(np.sum(dev * dev))
             if controls is None:
                 return cls(v.shape[0], mean, m2)
-            # in place, so a chunk costs one temporary beyond the plain moments
-            c_mean = float(np.mean(controls))
-            dc = controls - c_mean
-            dev *= dc
-            dc *= dc
-            return cls(v.shape[0], mean, m2, c_mean, float(np.sum(dev)), float(np.sum(dc)))
+            dc = np.atleast_2d(np.asarray(controls, dtype=float))
+            c_mean = np.mean(dc, axis=1)
+            dc -= c_mean[:, None]
+            # each co-moment is one pairwise sum, so a single control keeps
+            # the bits of a plain product-and-sum
+            p = dc.shape[0]
+            m2_yc, m2_cc, work = np.empty(p), np.empty((p, p)), np.empty_like(dev)
+            for i in range(p):
+                m2_yc[i] = np.sum(np.multiply(dc[i], dev, out=work))
+                for j in range(i, p):
+                    m2_cc[i, j] = m2_cc[j, i] = np.sum(np.multiply(dc[i], dc[j], out=work))
+            return cls(v.shape[0], mean, m2, c_mean, m2_yc, m2_cc)
 
     def merge(self, other: "Moments") -> "Moments":
         """Pairwise update of Chan, Golub & LeVeque (1983), extended to the
@@ -151,18 +171,39 @@ class Moments:
             self.m2 + other.m2 + dy * dy * weight,
             self.c_mean + dc * (other.count / n),
             self.m2_yc + other.m2_yc + dy * dc * weight,
-            self.m2_cc + other.m2_cc + dc * dc * weight,
+            self.m2_cc + other.m2_cc + np.multiply.outer(dc, dc) * weight,
         )
 
     @property
-    def beta(self) -> float:
-        """Regression slope of y on c; 0 where c does not vary."""
-        return self.m2_yc / self.m2_cc if self.m2_cc > 0.0 else 0.0
+    def beta(self) -> np.ndarray:
+        """Least-squares coefficients (p,) of y on the controls.
 
-    def adjusted(self, beta: float, c_exact: float) -> "Moments":
-        """Moments of y - beta (c - c_exact), without a control."""
-        m2 = self.m2 - 2.0 * beta * self.m2_yc + beta * beta * self.m2_cc
-        return Moments(self.count, self.mean - beta * (self.c_mean - c_exact), max(m2, 0.0))
+        One control gives the slope M2_yc / M2_cc, 0 where c does not vary.
+        Several give the minimum-norm solution of M2_cc beta = M2_yc, solved
+        on the correlation scale with singular values below SOLVE_RCOND of
+        the largest dropped: exactly dependent controls (on ball rows
+        vol^2 tr A is a multiple of vol^2) then share one coefficient, and
+        a control whose co-moments are not finite gives NaN.
+        """
+        yc, cc = np.atleast_1d(self.m2_yc), np.atleast_2d(self.m2_cc)
+        if yc.shape[0] == 1:
+            return np.array([yc[0] / cc[0, 0] if cc[0, 0] > 0.0 else 0.0])
+        if not np.all(np.isfinite(cc)):
+            return np.full(yc.shape, math.nan)
+        sd = np.sqrt(np.diagonal(cc))
+        inv = np.divide(1.0, sd, out=np.zeros_like(sd), where=sd > 0.0)
+        gamma = np.linalg.lstsq(cc * np.multiply.outer(inv, inv), yc * inv, rcond=SOLVE_RCOND)[0]
+        return gamma * inv
+
+    def adjusted(self, beta: np.ndarray, c_exact: np.ndarray) -> "Moments":
+        """Moments of y - beta . (c - c_exact), without a control."""
+        shift = float(np.sum(beta * (self.c_mean - c_exact)))
+        m2 = (
+            self.m2
+            - float(np.sum(2.0 * beta * self.m2_yc))
+            + float(np.sum(np.multiply.outer(beta, beta) * self.m2_cc))
+        )
+        return Moments(self.count, self.mean - shift, max(m2, 0.0))
 
 
 @dataclass(frozen=True)
@@ -295,19 +336,21 @@ def gram_volume(rows) -> float:
     return float(_soa_gram_volumes(a[:, :, None].copy())[0])
 
 
-def _soa_gram_volumes(a: np.ndarray, orthonormal: bool = False) -> np.ndarray:
+def _soa_gram_volumes(a: np.ndarray, orthonormal: bool = False, norms=None) -> np.ndarray:
     """Gram volumes of n row matrices stored as a (k, d, n) array -> (n,).
 
     The rows are orthogonalised in place by modified Gram-Schmidt, and the
     volume is the product of the k norms (k = 1 is the row norm).  A zero
     row gives volume 0, not NaN.  With orthonormal, the last row is
     normalised too, so a holds the sweep's orthonormal rows on return.
+    With norms, a (k, n) array, the k norms are written into it as well.
     """
     k = a.shape[0]
     vol = None
     for i in range(k):
         row = a[i]
-        norm = np.sqrt(np.einsum("jn,jn->n", row, row))
+        norm = np.einsum("jn,jn->n", row, row, out=None if norms is None else norms[i])
+        np.sqrt(norm, out=norm)
         vol = norm if vol is None else vol * norm
         if orthonormal or i + 1 < k:
             row /= np.where(norm > 0.0, norm, 1.0)
@@ -358,13 +401,23 @@ def _ellipse_perimeters(t: np.ndarray, u: np.ndarray) -> np.ndarray:
     P = 2 pi (a^2 - sum_{n>=0} 2^(n-1) c_n^2) / AGM(a, b), where
     a^2 - c_0^2 / 2 = t / 2.  The floor b >= 2^-30 a changes P by less
     than 1e-17 relative and keeps the iteration finite when b rounds to 0.
+    t and u are overwritten: with them as work space a chunk's perimeters
+    take three arrays of its size, not six.
     """
-    gap = np.sqrt(np.maximum(2.0 * u - t * t, 0.0))
-    a = np.sqrt(0.5 * (t + gap))
-    b = np.sqrt(np.maximum(0.5 * (t - gap), 0.0))
-    np.maximum(b, np.ldexp(a, -30), out=b)
-    total = 0.5 * t
-    c, work = np.empty_like(a), np.empty_like(a)
+    work = np.multiply(t, t)
+    u *= 2.0
+    u -= work
+    gap = np.sqrt(np.maximum(u, 0.0, out=u), out=u)
+    a = np.add(t, gap)
+    a *= 0.5
+    np.sqrt(a, out=a)
+    b = np.subtract(t, gap)
+    b *= 0.5
+    np.sqrt(np.maximum(b, 0.0, out=b), out=b)
+    np.maximum(b, np.ldexp(a, -30, out=work), out=b)
+    total = t
+    total *= 0.5
+    c = gap
     weight = 1.0
     while True:
         np.subtract(a, b, out=c)
@@ -379,7 +432,8 @@ def _ellipse_perimeters(t: np.ndarray, u: np.ndarray) -> np.ndarray:
         weight *= 2.0
         np.divide(c, a, out=work)
         if not work.max() > 2.0**-26:  # NaN stops it too
-            return (2.0 * math.pi) * total / a
+            total *= 2.0 * math.pi
+            return np.divide(total, a, out=a)
 
 
 def map_chunks(work, total: int, chunk: int, threads: int = 1) -> list:
@@ -407,21 +461,23 @@ def chunked_mc_mean(
     ci_level: float = 0.99,
     threads: int = 1,
     stream_base: int = 0,
-    control: tuple[float, float] | None = None,
+    control: tuple | None = None,
 ) -> MCEstimate:
     """Mean of stat(z) over n standard-normal blocks z of the given shape.
 
     stat maps an (m,) + sample_shape array to m statistic values y.  With
-    control = (E c, a bound on its error), stat returns the pair (y, c)
-    instead, c a control variate of known mean: with two or more chunks,
-    chunk i's values y become y - beta_i (c - E c), beta_i the slope
-    M2_yc / M2_cc of every other chunk merged, so beta_i is independent of
-    chunk i and the estimate is exactly unbiased.  The control is kept only
-    if max |beta_i| times the error bound is at most 1e-3 of the standard
-    error it reports; otherwise, and with one chunk or no control, the
-    result is the plain mean of y over the same draws.  Each chunk reduces
-    to one Moments record, whose control part stays 0 when no control is
-    used, so the plain mean merges the same records.
+    control = (means, bounds), two length-p arrays (or two numbers, p = 1)
+    holding the exact means E c_j of p controls and a bound on the error of
+    each, stat returns the pair (y, C) instead, C of shape (p, m) (or (m,)),
+    which the engine may overwrite.  With two or more chunks, chunk i's
+    values become y - beta_i . (c - E c), beta_i the least-squares
+    coefficients of y on c over every other chunk merged (Moments.beta), so
+    beta_i is independent of chunk i and the estimate is exactly unbiased.
+    The controls are kept only if sum_j max_i |beta_ij| bound_j is at most
+    1e-3 of the standard error they give; otherwise, and with one chunk or
+    no control, the result is the plain mean of y over the same draws.
+    Each chunk reduces to one Moments record, whose control part stays 0
+    when no control is used, so the plain mean merges the same records.
     """
     if n < 2:
         raise OutOfRange(f"need n >= 2 samples, got {n}")
@@ -438,29 +494,32 @@ def chunked_mc_mean(
     chunks = map_chunks(run_chunk, n, CHUNK, threads)
     if not controlled:
         return MCEstimate.from_moments(chunks, seed, ci_level)
-    return _controlled_estimate(chunks, *control, seed, ci_level)
+    means, bounds = (np.atleast_1d(np.asarray(v, dtype=float)) for v in control)
+    return _controlled_estimate(chunks, means, bounds, seed, ci_level)
 
 
 def _controlled_estimate(
-    chunks: list[Moments], c_exact: float, error_bound: float, seed: int, ci_level: float
+    chunks: list[Moments], c_exact: np.ndarray, bounds: np.ndarray, seed: int, ci_level: float
 ) -> MCEstimate:
     """The control-variate estimate of chunked_mc_mean, or the plain one
-    where the error bound of c_exact could bias it by more than 1e-3 SE."""
-    plain = MCEstimate.from_moments(chunks, seed, ci_level)
-    # chunk i's slope is that of chunks < i merged with chunks > i
-    prefix = list(accumulate(chunks, Moments.merge))
-    suffix = list(accumulate(reversed(chunks), lambda acc, c: c.merge(acc)))[::-1]
-    others = [suffix[1]] + [p.merge(s) for p, s in zip(prefix, suffix[2:])] + [prefix[-2]]
-    betas = [o.beta for o in others]
-    try:
-        est = MCEstimate.from_moments(
-            [c.adjusted(b, c_exact) for c, b in zip(chunks, betas)], seed, ci_level
-        )
-    except OutOfRange:  # the control overflowed; the plain estimate did not
-        return plain
-    if np.max(np.abs(betas)) * error_bound <= 1e-3 * est.std_error:
-        return est
-    return plain
+    where the error bounds of c_exact could bias it by more than 1e-3 SE."""
+    # an overflowed control turns its co-moments NaN, not an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = MCEstimate.from_moments(chunks, seed, ci_level)
+        # chunk i's coefficients are those of chunks < i merged with chunks > i
+        prefix = list(accumulate(chunks, Moments.merge))
+        suffix = list(accumulate(reversed(chunks), lambda acc, c: c.merge(acc)))[::-1]
+        others = [suffix[1]] + [p.merge(s) for p, s in zip(prefix, suffix[2:])] + [prefix[-2]]
+        betas = np.array([o.beta for o in others])
+        try:
+            est = MCEstimate.from_moments(
+                [c.adjusted(b, c_exact) for c, b in zip(chunks, betas)], seed, ci_level
+            )
+        except OutOfRange:  # a control overflowed; the plain estimate did not
+            return plain
+        # an infinite bound with a zero coefficient gives NaN: plain
+        kept = np.sum(np.max(np.abs(betas), axis=0) * bounds) <= 1e-3 * est.std_error
+    return est if kept else plain
 
 
 def expected_gram_volume(
@@ -494,10 +553,18 @@ def expected_gram_volume(
     by 2^(e_1 + ..) and by |det L_d| as the mantissas and exponents of its
     diagonal: exact in binary, and the statistic and its square stay within
     double range.  A true value outside that range raises OutOfRange.
-    For n > CHUNK, c = vol_m^2 (or vol_{m-1}^2 tr A, its mean over the last
-    row) is a control variate (see chunked_mc_mean) with mean the exact
-    E det(M M^T) of expected_gram_determinant, where that costs at most
-    CONTROL_DETERMINANTS determinants.
+    For n > CHUNK the q drawn rows r_i give p = k + q - 1 control variates
+    (see chunked_mc_mean), k the rows left after the last square row:
+    - the prefix volumes P_j^2 = (n_1 .. n_j)^2, j = 1..q, from the sweep's
+      row norms n_j, with E P_j^2 = E det of the first j rows;
+    - where the last row is in closed form (k = q + 1), P_q^2 tr A, its
+      conditional mean over that row, so E det(M M^T) of all k rows;
+    - the squared row norms ||r_i||^2, i = 2..q, with mean tr S_i
+      (||r_1||^2 is P_1^2).
+    Each exact mean and its rounding bound comes from
+    expected_gram_determinant; one drawn row leaves the single control
+    vol^2.  The controls are used where E det(M M^T) of all k rows costs at
+    most CONTROL_DETERMINANTS determinants.
     """
     d = ensemble.dim
     raw = [s.covariance.factor for s in ensemble.specs]
@@ -517,25 +584,40 @@ def expected_gram_volume(
         scale /= 2.0 * SQRT_TWO_PI
     control = None
     if n > CHUNK and math.comb(d, k) * ((1 << k) - 1) <= CONTROL_DETERMINANTS:
-        control = expected_gram_determinant([f @ f.T for f in factors])
+        covs = [f @ f.T for f in factors]
+        moments = [expected_gram_determinant(covs[:j]) for j in range(1, k + 1)]
+        moments += [expected_gram_determinant([s]) for s in covs[1:drawn]]
+        control = tuple(np.array(v) for v in zip(*moments))
 
     def stat(z: np.ndarray):
         m = z.shape[0]
         vol, t, u = np.empty(m), np.empty(m), np.empty(m)
+        # rows: P_1^2 .. P_q^2, then P_q^2 tr A on the tail, then ||r_i||^2
+        c = None if control is None else np.empty((k + drawn - 1, m))
         a = np.empty((drawn, d, min(BLOCK, m)))
         for lo in range(0, m, BLOCK):
             hi = min(lo + BLOCK, m)
             block = a[:, :, : hi - lo]
             for i, f in enumerate(factors[:drawn]):
                 np.matmul(f, z[lo:hi, i, :].T, out=block[i])
-            vol[lo:hi] = _soa_gram_volumes(block, orthonormal=tail)
+            if c is None:
+                vol[lo:hi] = _soa_gram_volumes(block, orthonormal=tail)
+            else:
+                # ||r_i||^2 before the sweep overwrites the rows, then the
+                # sweep's row norms n_j, squared and multiplied up in place
+                np.einsum("ijn,ijn->in", block[1:], block[1:], out=c[k:, lo:hi])
+                prefix = c[:drawn, lo:hi]
+                vol[lo:hi] = _soa_gram_volumes(block, orthonormal=tail, norms=prefix)
+                prefix *= prefix
+                for j in range(1, drawn):
+                    prefix[j] *= prefix[j - 1]
             if tail:
                 t[lo:hi], u[lo:hi] = _complement_traces(block, factors[-1])
+        if c is not None and tail:  # before the perimeters overwrite t
+            np.multiply(c[drawn - 1], t, out=c[drawn])
         # the perimeters run over the whole chunk: few calls hold the GIL
         y = vol * _ellipse_perimeters(t, u) if tail else vol
-        if control is None:
-            return y
-        return y, (vol * vol * t if tail else y * y)
+        return y if c is None else (y, c)
 
     est = chunked_mc_mean(
         stat,

@@ -148,11 +148,12 @@ def reference_expected_gram_volume(ensemble, n, seed, condition=True, control=Tr
     (d-1)-volume of the rows L_d^-1 L_i xi_i.  Where m = d - 1 >= 2 rows
     are then left, the last of them is conditioned out too: the
     (n, m-1, d) draws give vol_{m-1} Per(A) / (2 sqrt(2 pi)), with A from
-    reference_complement_ellipses and Per from reference_ellipse_perimeter,
-    and c = vol_{m-1}^2 tr A is the control; otherwise c = vol^2.
+    reference_complement_ellipses and Per from reference_ellipse_perimeter.
     condition=False averages the plain |det M| over (n, d, d) draws
-    instead.  For n > CHUNK the exact E det(M M^T) goes to chunked_mc_mean
-    as the library passes it; control=False leaves it out.
+    instead.  For n > CHUNK the library's controls go to chunked_mc_mean
+    with their exact means: the prefix volumes P_j^2 = prod_{i <= j} R_ii^2
+    of the q drawn rows, then P_q^2 tr A where the last row is in closed
+    form, then ||r_i||^2 for i = 2..q; control=False leaves them out.
     """
     factors = [s.covariance.factor for s in ensemble.specs]
     scale = 1.0
@@ -163,24 +164,31 @@ def reference_expected_gram_volume(ensemble, n, seed, condition=True, control=Tr
     k, d = len(factors), ensemble.dim
     tail = condition and k == d - 1 >= 2
     drawn = k - 1 if tail else k
-    moment = None
+    moments = None
     if control and n > CHUNK and math.comb(d, k) * ((1 << k) - 1) <= CONTROL_DETERMINANTS:
-        moment = expected_gram_determinant([f @ f.T for f in factors])
+        covs = [f @ f.T for f in factors]
+        moments = [expected_gram_determinant(covs[:j]) for j in range(1, k + 1)]
+        moments += [expected_gram_determinant([s]) for s in covs[1:drawn]]
+        moments = tuple(np.array(v) for v in zip(*moments))
 
     def stat(z):
         m = np.empty_like(z)
         for i, f in enumerate(factors[:drawn]):
             m[:, i, :] = z[:, i, :] @ f.T
-        vol = reference_gram_volumes(m)
+        r = np.linalg.qr(np.swapaxes(m, -1, -2), mode="r")
+        diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))  # (n, q)
+        vol = np.prod(diag, axis=-1)
+        prefix = np.cumprod(diag * diag, axis=-1).T
+        norms = np.sum(m[:, 1:, :] ** 2, axis=-1).T
         if tail:
             lam = reference_complement_ellipses(m, factors[-1])
             y = vol * reference_ellipse_perimeter(lam) / (2.0 * math.sqrt(2.0 * math.pi))
-            c = vol * vol * lam.sum(axis=1)
+            c = np.vstack([prefix, prefix[-1] * lam.sum(axis=1), norms])
         else:
-            y, c = vol, vol * vol
-        return y if moment is None else (y, c)
+            y, c = vol, np.vstack([prefix, norms])
+        return y if moments is None else (y, c)
 
-    return chunked_mc_mean(stat, (drawn, d), n, seed, control=moment).scaled(scale)
+    return chunked_mc_mean(stat, (drawn, d), n, seed, control=moments).scaled(scale)
 
 
 # -- Reference counting kernels ---------------------------------------------

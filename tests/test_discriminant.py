@@ -10,7 +10,9 @@ Core claims:
 - expected_gram_determinant, E det(M M^T) for independent Gaussian rows, is
   within its own error bound of exact rational arithmetic for d <= 5 at
   eigenvalue spreads 1, 1e6 and 1e12; at k = d it is d! D_d and at k = 1
-  the trace.
+  the trace.  At d = 3 and spread 1e12 the mixed discriminants of 20
+  shared-eigenbasis triples are positive and within that bound of exact
+  arithmetic.
 """
 
 import itertools
@@ -253,6 +255,17 @@ class TestExpectedGramDeterminant:
                 assert abs(Fraction(value) - exact) <= Fraction(bound), (d, k)
                 if spread == 1.0:  # the bound is no blanket
                     assert bound <= 1e-12 * value, (d, k)
+
+    def test_shared_basis_triples_at_spread_1e12(self):
+        # the 3 x 3 cofactor formula gave 6 of these 20 a negative value;
+        # elimination keeps each within expected_gram_determinant's bound
+        for s in range(20):
+            mats = spread_covariances(rng_for(900 + s), 3, 3, 1e12, True)
+            disc = mixed_discriminant(mats)
+            exact = _exact_gram_second_moment(mats) / 6
+            _, bound = expected_gram_determinant(mats)
+            assert disc > 0.0, s
+            assert abs(Fraction(disc) - exact) <= Fraction(bound) / 6, s
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_full_rank_is_d_factorial_times_discriminant(self, d):

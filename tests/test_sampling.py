@@ -25,12 +25,16 @@ Core claims:
   OutOfRange (test_volumes covers the huge and tiny mixed-volume cases).
 - Seeds and stream indices outside [0, 2^64) raise OutOfRange; none alias.
   A generator re-keyed by rekey draws what a new stream's generator draws.
-- With two or more chunks, stat^2 with its exact mean is a control variate
-  whose slope for chunk i comes from the other chunks: the estimate equals a
-  direct recompute from the draws, is calibrated over 600 seeds of the
-  ellipse pair at 2 CHUNK, cuts the standard error of the benchmark's d = 5
-  family at 4 CHUNK by 1.5x or more, and is bit-identical across thread
-  counts.  One chunk, or an error bound too large for the slope, gives the
+- With two or more chunks, controls of exact mean (stat^2, or the Gram
+  kernel's prefix volumes and row norms) are control variates whose
+  least-squares coefficients for chunk i come from the other chunks: with
+  one and with two controls the estimate equals a direct recompute from the
+  draws, it is calibrated over 600 seeds of the ellipse pair at 2 CHUNK,
+  it cuts the standard error of the benchmark's d = 5 family at 4 CHUNK by
+  1.5x or more and leaves a relative variance per sample of at most 0.10,
+  and it is bit-identical across thread counts.  Exactly dependent controls
+  (ball rows) give the estimate of one of them.  One chunk, an error bound
+  too large for the coefficients, or an overflowing control gives the
   plain estimate bit for bit (a spread-1e12 d = 5 ensemble falls back).
 - Where d - 1 >= 2 rows are left, the last is taken out in closed form:
   per sample, tr A and the AGM perimeter agree within 1e-9 with eigvalsh of
@@ -39,9 +43,8 @@ Core claims:
   and the estimates are calibrated against exact values at 4096 samples
   (2000 seeds) and at 2 CHUNK with the vol^2 tr A control (200 seeds) for
   k = d = 3, k = d = 5 and (d, k) = (3, 2).
-- Gram estimates at d <= 2 and k <= d - 2, expected_norm's direct run and
-  sudakov_width at d = 3 (and at d = 2 from one chunk) keep their float.hex
-  bits at threads 1 and 2.
+- Estimates with one control or none keep their float.hex bits at threads
+  1 and 2, and the pinned multi-control Gram estimates theirs.
 """
 
 import math
@@ -73,6 +76,7 @@ from mixvol import (
     make_spd,
     mixed_area_oracle,
     mixed_volume_full,
+    mixed_volume_with_balls,
     normal_quantile,
     rekey,
     sample_gaussian,
@@ -572,6 +576,12 @@ def _skewed_squared(z):
     return y, y * y
 
 
+def _skewed_two_controls(z):
+    """_skewed with its square and z_3^2 as the controls."""
+    y = _skewed(z)
+    return y, np.stack([y * y, z[:, 2] ** 2])
+
+
 class TestControlVariate:
     def test_matches_direct_recompute(self):
         # chunk i is adjusted by the slope of y on y^2 over the other chunks
@@ -588,6 +598,56 @@ class TestControlVariate:
         values = np.concatenate(adjusted)
         assert est.mean == approx(np.mean(values), rel=1e-12)
         assert est.std_error == approx(np.std(values, ddof=1) / math.sqrt(n), rel=1e-9)
+
+    def test_two_controls_match_direct_recompute(self):
+        # chunk i is adjusted by the least-squares fit of y on (y^2, z_3^2)
+        # over the other chunks
+        n, mu = 3 * CHUNK + 17, np.array([7.0, 1.0])
+        est = chunked_mc_mean(_skewed_two_controls, (3,), n, seed=9, control=(mu, [0.0, 0.0]))
+        sizes = [CHUNK, CHUNK, CHUNK, 17]
+        draws = [RngStream(9, i).generator().standard_normal((m, 3)) for i, m in enumerate(sizes)]
+        ys = [_skewed(z) for z in draws]
+        cs = [np.column_stack([y * y, z[:, 2] ** 2]) for y, z in zip(ys, draws)]
+        adjusted = []
+        for i, (y, c) in enumerate(zip(ys, cs)):
+            y_rest = np.concatenate(ys[:i] + ys[i + 1 :])
+            c_rest = np.concatenate(cs[:i] + cs[i + 1 :])
+            beta = np.linalg.lstsq(c_rest - c_rest.mean(axis=0), y_rest - y_rest.mean(), rcond=None)[0]
+            adjusted.append(y - (c - mu) @ beta)
+        values = np.concatenate(adjusted)
+        assert est.mean == approx(np.mean(values), rel=1e-12)
+        assert est.std_error == approx(np.std(values, ddof=1) / math.sqrt(n), rel=1e-9)
+
+    def test_one_unbounded_moment_gives_the_plain_estimate(self):
+        n = 3 * CHUNK
+        plain = chunked_mc_mean(_skewed, (3,), n, seed=4)
+        mu = [7.0, 1.0]
+        loose = chunked_mc_mean(_skewed_two_controls, (3,), n, seed=4, control=(mu, [0.0, math.inf]))
+        tight = chunked_mc_mean(_skewed_two_controls, (3,), n, seed=4, control=(mu, [0.0, 0.0]))
+        assert loose == plain and tight.mean != plain.mean
+
+    def test_dependent_controls_give_the_one_control_estimate(self, monkeypatch):
+        # on ball rows vol^2 tr A = 2 r_2^2 ||r_1||^2: the two controls of
+        # withballs d = 3, k = 2 are dependent, and the minimum-norm solve
+        # gives what the last one, vol^2 tr A, gives alone
+        balls = [ball(3, 0.7), ball(3, 1.6)]
+        both = mixed_volume_with_balls(balls, 3 * CHUNK, seed=5)
+        with monkeypatch.context() as m:
+            m.setattr(mixvol.sampling, "CONTROL_DETERMINANTS", 0)
+            plain = mixed_volume_with_balls(balls, 3 * CHUNK, seed=5)
+
+        def last_control_only(stat, *args, control, **kwargs):
+            def one(z):
+                y, c = stat(z)
+                return y, c[-1]
+
+            return chunked_mc_mean(one, *args, control=(control[0][-1], control[1][-1]), **kwargs)
+
+        monkeypatch.setattr(mixvol.sampling, "chunked_mc_mean", last_control_only)
+        one = mixed_volume_with_balls(balls, 3 * CHUNK, seed=5)
+        assert math.isfinite(both.mean) and both.std_error > 0.0
+        assert both.mean == approx(one.mean, rel=1e-12)
+        assert one.mean != plain.mean
 
     @pytest.mark.parametrize("n", [1000, CHUNK])
     def test_one_chunk_is_unchanged(self, n):
@@ -616,6 +676,21 @@ class TestControlVariate:
         assert math.isfinite(plain.std_error) and plain.std_error > 0.0
         assert chunked_mc_mean(huge_squared, (3,), n, seed=4, control=(math.inf, 0.0)) == plain
 
+    def test_overflowing_one_of_two_controls_gives_the_plain_estimate(self):
+        # y^2 is inf, so its co-moments are NaN and so is the solve
+        def huge(z):
+            return np.ldexp(1.0 + np.ldexp(_skewed(z), -13), 514)
+
+        def huge_two(z):
+            y = huge(z)
+            with np.errstate(over="ignore"):
+                return y, np.stack([y * y, z[:, 2] ** 2])
+
+        n = 3 * CHUNK
+        plain = chunked_mc_mean(huge, (3,), n, seed=4)
+        control = ([math.inf, 1.0], [0.0, 0.0])
+        assert chunked_mc_mean(huge_two, (3,), n, seed=4, control=control) == plain
+
     def test_spread_1e12_falls_back(self, monkeypatch):
         ens = _ensemble(rng_for(24), 5, 5, "ill")
         est = expected_gram_volume(ens, n=2 * CHUNK, seed=51)
@@ -636,6 +711,12 @@ class TestControlVariate:
         plain = reference_expected_gram_volume(ens, 4 * CHUNK, 3, control=False)
         assert 1.5 * est.std_error <= plain.std_error
         assert abs(est.mean - plain.mean) <= 4.0 * plain.std_error
+
+    def test_benchmark_d5_relative_variance(self):
+        # relative variance per sample: 0.13 with vol^2 tr A alone; the
+        # prefix volumes and row norms leave 0.083-0.090 at seeds 3-7
+        est = expected_gram_volume(_benchmark_d5(), n=4 * CHUNK, seed=3)
+        assert est.std_error**2 * est.n_samples / est.mean**2 <= 0.10
 
     def test_expected_norm_direct_run(self):
         # E||xi|| for sigma = r^2 I_4 is r sqrt(2) Gamma(5/2) / Gamma(2)
@@ -838,23 +919,26 @@ class TestSecondRowClosedForm:
 # == 13. Estimates that keep their bits =====================================
 
 # float.hex of (mean, std_error) at n = 2 CHUNK + 5 unless named.  The
-# first eight were recorded before the second row was taken out in closed
-# form and the planar width was controlled (the shapes and estimators that
-# change left alone); gram_d3k3, gram_d5k5, gram_d3k2 (controlled by
-# vol^2 tr A) and sudakov_d2 (controlled by ||z||^2) at 9cbac9e, before the
-# co-moments were folded into Moments
+# p = 1 estimates keep the bits they had before the engine took p controls:
+# gram_d1k1, gram_d2k1, gram_d2k2 (one drawn row, control vol^2), norm_d4,
+# sudakov_d3 and sudakov_d2_n4096 recorded before the second row was taken
+# out in closed form, sudakov_d2 (control ||z||^2) at 9cbac9e.  The shapes
+# that draw two or more rows, or one row with the last in closed form,
+# gained the prefix-volume and row-norm controls, and their pins were
+# recorded again from that code: gram_d3k2, gram_d3k3 and gram_d5k5 (p = 2,
+# 2 and 6, with vol^2 tr A), gram_d4k2 and gram_d8k3 (p = 3 and 5).
 PINNED = {
     "gram_d1k1": ("0x1.16d02c63cce53p+0", "0x1.a3884478edcf4p-11"),
     "gram_d2k1": ("0x1.7ac07bfd8b395p+0", "0x1.5e1a41354033bp-11"),
     "gram_d2k2": ("0x1.12358a85e2756p+0", "0x1.ef2a4770e0812p-12"),
-    "gram_d4k2": ("0x1.99c2e937cd032p+1", "0x1.e8beaaa3625e2p-10"),
-    "gram_d8k3": ("0x1.483c14b7c19d4p+4", "0x1.3a5f9e51c3d80p-7"),
+    "gram_d4k2": ("0x1.99bf65e18aedap+1", "0x1.a5aade82916c2p-10"),
+    "gram_d8k3": ("0x1.4839c68cb6e22p+4", "0x1.e5ba252515ff3p-8"),
     "norm_d4": ("0x1.1209d7b1b99d2p+2", "0x1.2576e86d9abbep-10"),
     "sudakov_d3": ("0x1.be82600bd9d9ap+1", "0x1.1aa32a50088bbp-8"),
     "sudakov_d2_n4096": ("0x1.ab6362ed019b5p+1", "0x1.d0e364234eeecp-6"),
-    "gram_d3k3": ("0x1.652e969036747p+1", "0x1.cbf93f577cf65p-11"),
-    "gram_d5k5": ("0x1.7b815b1b46fb1p+3", "0x1.2e562fa05928ep-7"),
-    "gram_d3k2": ("0x1.36b0621385359p+1", "0x1.a8750c3451046p-11"),
+    "gram_d3k3": ("0x1.652e77bef65fep+1", "0x1.cbadc2aaccd25p-11"),
+    "gram_d5k5": ("0x1.7b3aba98ce990p+3", "0x1.017e218a0bbe3p-7"),
+    "gram_d3k2": ("0x1.36ad5029154f4p+1", "0x1.a6123666d1d60p-11"),
     "sudakov_d2": ("0x1.a96f95cead9ebp+1", "0x1.bb09feed8ed20p-10"),
 }
 

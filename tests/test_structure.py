@@ -12,6 +12,8 @@ Core claims:
   estimate's own methods.
 - no comparison in the package names a kernel kind: what depends on the
   kind is a row of fields._KINDS, so a new kind is a new row.
+- nothing in the package calls np.linalg.det: geometry.batch_det is the one
+  determinant routine.
 """
 
 import ast
@@ -90,5 +92,17 @@ def test_no_comparison_names_a_kernel_kind():
         for path in sorted(PACKAGE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Compare) and _names_a_kind(node)
+    ]
+    assert found == []
+
+
+def test_batch_det_is_the_only_determinant():
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Call) and ast.unparse(node.func).endswith("linalg.det"))
+        or (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+            and any(alias.name == "det" for alias in node.names))
     ]
     assert found == []
