@@ -62,7 +62,8 @@ from .volumes import mixed_volume_with_balls
 TRIG = "trig"
 POLYNOMIAL = "polynomial"
 
-# Variance floor below which the normalized field X/sqrt(Var X) is undefined.
+# Variance floor, relative to the largest atom weight, below which the
+# normalized field X/sqrt(Var X) is undefined.
 VARIANCE_FLOOR = 1e-12
 
 NEWTON_MAX_ITER = 60
@@ -166,9 +167,32 @@ def _poly_eval(deg: np.ndarray, coef: np.ndarray, pts: np.ndarray, gradients: bo
     return values, ((deg[pos] * x ** (deg[pos] - 1.0)) @ coef[pos])[:, None]
 
 
-def _trig_line(om: np.ndarray, nodes: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    phase = nodes[:, None] * om[:, 0][None, :]
-    return np.cos(phase) @ coef[:, :, 0].T + np.sin(phase) @ coef[:, :, 1].T
+def _trig_grid(om: np.ndarray, axes: Sequence[np.ndarray], coef: np.ndarray) -> np.ndarray:
+    """(n_1, .., R) values of one trig component on the tensor grid of one
+    or two axes for R realizations with (R, A, 2) coefficients.
+
+    One axis takes two GEMMs, by the cosine and by the sine coefficients.
+    On two, with u = omega_1 x and v = omega_2 y,
+        a cos(u + v) + b sin(u + v) = cos u (a cos v + b sin v) + sin u (b cos v - a sin v),
+    so the grid is one GEMM of [cos u, sin u], (nx, 2A), by (2A, ny R): its
+    cost is O(nx ny R A) multiply-adds and O((nx + ny) A) cos/sin, and no
+    (nx ny, A) table of cos and sin is built.
+    """
+    u = np.multiply.outer(axes[0], om[:, 0])
+    cos_u, sin_u = np.cos(u), np.sin(u)
+    if len(axes) == 1:
+        return cos_u @ coef[:, :, 0].T + sin_u @ coef[:, :, 1].T
+    left = np.concatenate([cos_u, sin_u], axis=1)
+    v = np.multiply.outer(om[:, 1], axes[1])[:, :, None]  # (A, ny, 1)
+    cos_v, sin_v = np.cos(v), np.sin(v)
+    a, b = coef[:, :, 0].T[:, None, :], coef[:, :, 1].T[:, None, :]  # (A, 1, R)
+    # the (2A, ny, R) right factor, written in place half by half
+    right = np.empty((2, om.shape[0], axes[1].shape[0], coef.shape[0]))
+    np.multiply(a, cos_v, out=right[0])
+    right[0] += b * sin_v
+    np.multiply(b, cos_v, out=right[1])
+    right[1] -= a * sin_v
+    return (left @ right.reshape(left.shape[1], -1)).reshape(u.shape[0], axes[1].shape[0], -1)
 
 
 class _Kind(NamedTuple):
@@ -181,20 +205,20 @@ class _Kind(NamedTuple):
     kernel: Callable  # (spec, s, t) -> r(s, t)
     moments: Callable  # (spec, (m, d) points) -> sigma^2 (m,), g (m, d), H (m, d, d)
     evaluate: Callable  # (table, coef, (m, d) points, gradients) -> (m,) values[, (m, d)]
-    line: Callable  # (table, (m,) nodes, (R, A, ...) coefficients) -> (m, R) values
+    grid: Callable  # (table, one (n_j,) axis per dimension, (R, A, ...) coefficients) -> (n_1, .., R)
 
 
 _KINDS = {
     TRIG: _Kind(
         "omega", True, (2,), _frequency_matrix,
         lambda spec, s, t: float(np.sum(spec.weights * np.cos(spec.table @ (s - t)))),
-        _trig_moments, _trig_eval, _trig_line,
+        _trig_moments, _trig_eval, _trig_grid,
     ),
     POLYNOMIAL: _Kind(
         "degree", False, (), _degree_vector,
         lambda spec, s, t: float(np.sum(spec.weights * float(s[0] * t[0]) ** spec.table)),
         _poly_moments, _poly_eval,
-        lambda deg, nodes, coef: (nodes[:, None] ** deg[None, :]) @ coef.T,
+        lambda deg, axes, coef: (axes[0][:, None] ** deg[None, :]) @ coef.T,
     ),
 }
 
@@ -334,20 +358,36 @@ class Region:
 # normalized-gradient covariance
 
 
-def _gradient_covariances(spec: KernelSpec, ts: np.ndarray) -> np.ndarray:
-    """C(t) = H/sigma^2 - q q^T, q = g/sigma^2, at m points ts (m, d), shape (m, d, d);
-    DegenerateVariance at the first point where r(t,t) <= 1e-12."""
-    moments = _KINDS[spec.kind].moments
+def _moments(spec: KernelSpec, ts: np.ndarray):
+    """sigma^2 (m,), g (m, d) and H (m, d, d) at m points ts (m, d), up to a
+    common weight scale; DegenerateVariance at the first point where
+    sigma^2 <= VARIANCE_FLOOR * the largest weight, a test no common weight
+    scale changes."""
+    moments, scale = _KINDS[spec.kind].moments, np.max(spec.weights)
     with np.errstate(over="ignore", invalid="ignore"):
         sigma2, g, h = moments(spec, ts)
     if not all(np.isfinite(m).all() for m in (sigma2, g, h)):
         # C(t) does not change with a common weight scale: where the
         # moments overflowed, redo them at largest weight 1 (a division,
         # since 1 / w is subnormal for w > 2^1022)
-        sigma2, g, h = moments(replace(spec, weights=spec.weights / np.max(spec.weights)), ts)
-    low = np.flatnonzero(sigma2 <= VARIANCE_FLOOR)
+        sigma2, g, h = moments(replace(spec, weights=spec.weights / scale), ts)
+        scale = 1.0
+    low = np.flatnonzero(sigma2 <= VARIANCE_FLOOR * scale)
     if low.size:
         raise DegenerateVariance(f"field variance {sigma2[low[0]]:.3e} at t={ts[low[0]].tolist()}")
+    return sigma2, g, h
+
+
+def _check_variance(field: FieldSpec, region: Region) -> None:
+    """_moments at the region's point nearest 0, where each component's
+    sigma^2 is least: a polynomial one grows with |t|, a trig one is constant."""
+    for spec in field.components:
+        _moments(spec, np.clip(0.0, region.lower, region.upper)[None])
+
+
+def _gradient_covariances(spec: KernelSpec, ts: np.ndarray) -> np.ndarray:
+    """C(t) = H/sigma^2 - q q^T, q = g/sigma^2, at m points ts (m, d), shape (m, d, d)."""
+    sigma2, g, h = _moments(spec, ts)
     q = g / sigma2[:, None]
     return h / sigma2[:, None, None] - q[:, :, None] * q[:, None, :]
 
@@ -355,7 +395,8 @@ def _gradient_covariances(spec: KernelSpec, ts: np.ndarray) -> np.ndarray:
 def gradient_covariance(spec: KernelSpec, t) -> SPDMatrix:
     """Covariance of grad[X/sqrt(Var X)](t), as an SPD matrix.
 
-    Raises DegenerateVariance when r(t,t) <= 1e-12 and DegenerateGradient
+    Raises DegenerateVariance when r(t,t) <= 1e-12 times the largest atom
+    weight, a test no common weight scale changes, and DegenerateGradient
     when the resulting matrix is not positive definite (the field's gradient
     is concentrated on a proper subspace, so the zero set is not a clean
     (d-k)-manifold there).
@@ -433,14 +474,6 @@ def zero_intensity(
     return volume.scaled(factor)
 
 
-def _poly_intensity_values(spec: KernelSpec, ts: np.ndarray) -> np.ndarray:
-    """Exact d=1 intensity sqrt(C(t))/pi on an array of points."""
-    c = _gradient_covariances(spec, ts[:, None])[:, 0, 0]
-    if np.min(c) < -1e-9:
-        raise DegenerateGradient("normalized-gradient variance is negative in the region")
-    return np.sqrt(np.maximum(c, 0.0)) / math.pi
-
-
 @lru_cache(maxsize=16)
 def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once
@@ -485,10 +518,17 @@ def expected_zero_measure(
         raise OutOfRange(f"quadrature order must be positive, got {quadrature_order}")
     # non-stationary implies d = 1, hence a single polynomial component
     spec = field.components[0]
-    f = lambda ts: _poly_intensity_values(spec, ts)
+
+    def f(ts: np.ndarray) -> np.ndarray:
+        # the exact d = 1 intensity sqrt(C(t)) / pi
+        c = _gradient_covariances(spec, ts[:, None])[:, 0, 0]
+        if np.min(c) < -1e-9:
+            raise DegenerateGradient("normalized-gradient variance is negative in the region")
+        return np.sqrt(np.maximum(c, 0.0)) / math.pi
+
+    # tested at its least on the region, where no quadrature node need fall
+    _check_variance(field, region)
     a, b = float(region.lower[0]), float(region.upper[0])
-    # sigma^2 = sum w t^(2 deg) is least where |t| is; no quadrature node need be there
-    _gradient_covariances(spec, np.array([[min(max(a, 0.0), b)]]))
     coarse = _gauss_legendre(f, a, b, quadrature_order)
     fine = _gauss_legendre(f, a, b, 2 * quadrature_order)
     return MCEstimate.exact(fine, seed, ci_level, std_error=abs(fine - coarse))
@@ -605,6 +645,7 @@ def _check_zero_set(kind: str, field: FieldSpec, region: Region, grid_n: int) ->
         raise DimensionMismatch(f"region dimension {region.dim} != {d}")
     if grid_n < min_grid:
         raise OutOfRange(f"grid_n must be at least {min_grid}, got {grid_n}")
+    _check_variance(field, region)
 
 
 def _check_doubling(what: str, coarse: float, fine: float, grid_n: int, rel: float = 0.0) -> None:
@@ -636,15 +677,13 @@ def _sign_change_count(values: np.ndarray):
     return crossings + np.count_nonzero(values[:-1] == 0.0, axis=0)
 
 
-def _chunk_counts_1d(
-    field: FieldSpec, coefs: list[np.ndarray], region: Region, grid_n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sign-change counts of each realization of a chunk at grid_n and at
-    2 grid_n, both from one evaluation at the 2 grid_n + 1 nodes."""
+def _chunk_line_1d(field: FieldSpec, coefs: list[np.ndarray], region: Region, grid_n: int):
+    """The 2 grid_n + 1 nodes and the (2 grid_n + 1, R) values there of each
+    realization of a chunk, from one grid evaluation; the even nodes are the
+    grid_n + 1 nodes bit for bit, as linspace halves its step exactly."""
     (nodes,) = _grid_axes(region, 2 * grid_n)
     spec = field.components[0]
-    values = _KINDS[spec.kind].line(spec.table, nodes, coefs[0])
-    return _sign_change_count(values[::2]), _sign_change_count(values)
+    return nodes, _KINDS[spec.kind].grid(spec.table, [nodes], coefs[0])
 
 
 def _sigmas(field: FieldSpec, pts: np.ndarray) -> np.ndarray:
@@ -653,9 +692,8 @@ def _sigmas(field: FieldSpec, pts: np.ndarray) -> np.ndarray:
 
 
 def _is_root(values: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """|X_i| < ROOT_TOL * sigma_i, or X_i exactly 0: a product, so sigma = 0
-    (a polynomial at t = 0) divides nothing."""
-    return (np.abs(values) < ROOT_TOL * sigmas) | (values == 0.0)
+    """|X_i| < ROOT_TOL * sigma_i; sigma_i > 0 wherever _check_variance passed."""
+    return np.abs(values) < ROOT_TOL * sigmas
 
 
 def _bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -675,10 +713,12 @@ def _bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.
     return mid
 
 
-def _zeros_1d(r: Realization, region: Region, grid_n: int) -> np.ndarray:
-    (nodes,) = _grid_axes(region, grid_n)
-    spec = r.field.components[0]
-    values = _KINDS[spec.kind].line(spec.table, nodes, r.coefficients[0][None])[:, 0]
+def _zeros_1d(r: Realization, region: Region, grid_n: int, self_check: bool = False) -> np.ndarray:
+    """Zeros of one realization, the 1-D kernel on a chunk of one: the
+    brackets come from the even nodes of one evaluation at 2 grid_n + 1
+    nodes, and with self_check on, all its nodes give the doubled count."""
+    fine_nodes, fine = _chunk_line_1d(r.field, [c[None] for c in r.coefficients], region, grid_n)
+    nodes, values = fine_nodes[::2], fine[::2, 0]
     f = lambda x: r.component_values(0, x)
     bracket = values[:-1] * values[1:] < 0.0
     lo, hi = nodes[:-1][bracket], nodes[1:][bracket]
@@ -688,7 +728,10 @@ def _zeros_1d(r: Realization, region: Region, grid_n: int) -> np.ndarray:
     roots = _bisect_roots(f, lo, hi, sigma)
     exact = nodes[:-1][values[:-1] == 0.0]
     roots = np.sort(np.concatenate([roots, exact]))
-    return roots[(roots >= region.lower[0]) & (roots < region.upper[0])]
+    roots = roots[(roots >= region.lower[0]) & (roots < region.upper[0])]
+    if self_check:
+        _check_doubling("count", roots.shape[0], _sign_change_count(fine[:, 0]), grid_n)
+    return roots
 
 
 def zeros_1d(
@@ -698,15 +741,11 @@ def zeros_1d(
 
     Each sign change on the grid is bisected until |X| < ROOT_TOL * sigma,
     sigma = sqrt(r(t, t)); exact zeros at nodes are kept.  With self_check
-    on, the number of sign changes is recomputed at double resolution and a
-    mismatch raises GridTooCoarse.
+    on, the number of sign changes is recomputed at double resolution, from
+    the same evaluation, and a mismatch raises GridTooCoarse.
     """
     _check_zero_set("count-1d", r.field, region, grid_n)
-    roots = _zeros_1d(r, region, grid_n)
-    if self_check:
-        _, refined = _chunk_counts_1d(r.field, [c[None] for c in r.coefficients], region, grid_n)
-        _check_doubling("count", roots.shape[0], refined[0], grid_n)
-    return roots
+    return _zeros_1d(r, region, grid_n, self_check)
 
 
 def count_zeros_1d(
@@ -718,13 +757,6 @@ def count_zeros_1d(
 
 # ---------------------------------------------------------------------------
 # counting: d = 2
-
-
-def _grid_points(region: Region, grid_n: int) -> np.ndarray:
-    """The (grid_n + 1)^2 nodes, row-major in (x, y); the tests evaluate
-    realizations here directly as the reference for separable grids."""
-    gx, gy = np.meshgrid(*_grid_axes(region, grid_n), indexing="ij")
-    return np.column_stack([gx.ravel(), gy.ravel()])
 
 
 def _cell_has_change(values: np.ndarray) -> np.ndarray:
@@ -769,31 +801,6 @@ def _dedup(points: np.ndarray, radius: float) -> np.ndarray:
     return points[np.array(kept, dtype=bool)]
 
 
-def _trig_grid(spec: KernelSpec, xs: np.ndarray, ys: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """(nx, ny, R) values of one 2-D trig component on the tensor grid
-    xs x ys for R realizations with (A, 2, R) coefficients.
-
-    With u = omega_1 x and v = omega_2 y,
-        a cos(u + v) + b sin(u + v) = cos u (a cos v + b sin v) + sin u (b cos v - a sin v),
-    so the grid is one GEMM of [cos u, sin u], (nx, 2A), by (2A, ny R): its
-    cost is O(nx ny R A) multiply-adds and O((nx + ny) A) cos/sin, and no
-    (nx ny, A) table of cos and sin is built.
-    """
-    om = spec.table
-    u = np.multiply.outer(xs, om[:, 0])
-    left = np.concatenate([np.cos(u), np.sin(u)], axis=1)
-    v = np.multiply.outer(om[:, 1], ys)[:, :, None]  # (A, ny, 1)
-    cos_v, sin_v = np.cos(v), np.sin(v)
-    a, b = coef[:, None, 0, :], coef[:, None, 1, :]  # (A, 1, R)
-    # the (2A, ny, R) right factor, written in place half by half
-    right = np.empty((2, om.shape[0], ys.shape[0], coef.shape[2]))
-    np.multiply(a, cos_v, out=right[0])
-    right[0] += b * sin_v
-    np.multiply(b, cos_v, out=right[1])
-    right[1] -= a * sin_v
-    return (left @ right.reshape(left.shape[1], -1)).reshape(xs.shape[0], ys.shape[0], -1)
-
-
 def _newton_roots_2d(
     field: FieldSpec,
     coefs: list[np.ndarray],
@@ -821,8 +828,7 @@ def _newton_roots_2d(
         sigmas = _sigmas(field, pts)
         # Newton on X_i / sigma_i: the same step, and a determinant guard
         # that does not depend on the scale of the weights
-        unit = np.where(sigmas > 0.0, sigmas, 1.0)
-        nv, nj = vals / unit, jac / unit[:, :, None]
+        nv, nj = vals / sigmas, jac / sigmas[:, :, None]
         det = nj[:, 0, 0] * nj[:, 1, 1] - nj[:, 0, 1] * nj[:, 1, 0]
         ok = np.abs(det) > 1e-300
         step = np.empty_like(vals)
@@ -867,8 +873,8 @@ def _chunk_roots_2d(
     xs, ys = _grid_axes(region, grid_n)
 
     def changes(i: int, _) -> np.ndarray:
-        coef = np.moveaxis(coefs[i], 0, 2)
-        return _cell_has_change(_trig_grid(field.components[i], xs, ys, coef))
+        spec = field.components[i]
+        return _cell_has_change(_KINDS[spec.kind].grid(spec.table, [xs, ys], coefs[i]))
 
     first, second = map_chunks(changes, 2, 1, threads)
     candidates = np.moveaxis(first & second, 2, 0)
@@ -990,16 +996,12 @@ def _chunk_lengths_2d(
     coefficient stack: one separable grid evaluation for the whole chunk."""
     xs, ys = _grid_axes(region, grid_n)
     spec, (coef,) = field.components[0], coefs
-    grid = _trig_grid(spec, xs, ys, np.moveaxis(coef, 0, 2))
+    row = _KINDS[spec.kind]
+    grid = row.grid(spec.table, [xs, ys], coef)
     return [
-        _segment_lengths(grid[:, :, i], xs, ys, partial(_trig_eval, spec.table, coef[i]))
+        _segment_lengths(grid[:, :, i], xs, ys, partial(row.evaluate, spec.table, coef[i]))
         for i in range(coef.shape[0])
     ]
-
-
-def _length_2d(r: Realization, region: Region, grid_n: int) -> float:
-    """Nodal length of one realization: a chunk of one."""
-    return _chunk_lengths_2d(r.field, [c[None] for c in r.coefficients], region, grid_n)[0]
 
 
 def level_length_2d(
@@ -1015,9 +1017,11 @@ def level_length_2d(
     is raised.
     """
     _check_zero_set("length-2d", r.field, region, grid_n)
-    length = _length_2d(r, region, grid_n)
+    # one realization is a chunk of one
+    measure = lambda n: _chunk_lengths_2d(r.field, [c[None] for c in r.coefficients], region, n)[0]
+    length = measure(grid_n)
     if self_check:
-        _check_doubling("length", length, _length_2d(r, region, 2 * grid_n), grid_n, 0.01)
+        _check_doubling("length", length, measure(2 * grid_n), grid_n, 0.01)
     return length
 
 
@@ -1092,7 +1096,8 @@ def zero_count_experiment_1d(
     """
 
     def measure(coefs, start, threads):
-        coarse, fine = _chunk_counts_1d(field, coefs, region, grid_n)
+        _, values = _chunk_line_1d(field, coefs, region, grid_n)
+        coarse, fine = _sign_change_count(values[::2]), _sign_change_count(values)
         return fine, int(np.count_nonzero(fine != coarse))
 
     return _experiment(

@@ -174,14 +174,6 @@ class MinkowskiFit:
     def mixed_area(self) -> float:
         return 0.5 * self.c11
 
-    @property
-    def area_first(self) -> float:
-        return self.c20
-
-    @property
-    def area_second(self) -> float:
-        return self.c02
-
 
 # The (s, t) scale pairs of the quadratic fit: a 3 x 3 product grid, well
 # separated so the Vandermonde-like design stays mildly conditioned.

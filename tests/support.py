@@ -207,6 +207,14 @@ def reference_dedup(points, radius):
     return np.array(kept) if kept else np.empty((0, points.shape[1]))
 
 
+def grid_points(xs, ys):
+    """The nodes of the tensor grid xs x ys as rows, row-major in (x, y): the
+    points where realizations are evaluated directly as the reference for
+    separable grids."""
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
 def reference_trig_grid(spec, xs, ys, coef):
     """(nx, ny, R) values of a 2-D trig component on the grid xs x ys, from
     (A, 2, R) coefficients: the right GEMM factor built by concatenation."""

@@ -30,9 +30,11 @@ Core claims:
 - `fieldzeros simulate` solves its realization once per grid.
 - Every name the benchmark's probes trace resolves to a callable of its
   layer module and keeps the count parameter the trace binds.
-- `fieldzeros measure` of a polynomial field whose variance vanishes inside
-  the region exits 2 with DegenerateVariance, even where no quadrature node
-  falls on the vanishing point.
+- `fieldzeros measure` and `fieldzeros simulate` of a polynomial field
+  whose variance vanishes inside the region exit 2 with DegenerateVariance,
+  even where no quadrature node or grid node falls on the vanishing point;
+  the floor is relative to the largest weight, so weights of 2^-44 give the
+  unit-weight intensity and measure.
 - One process builds the parser once, on the first call of main and not at
   import, and reusing it changes no exit code, report or message.
 """
@@ -234,6 +236,11 @@ def inputs(tmp_path_factory):
         "r_0_1": dump("r_0_1.json", {"lower": [0.0], "upper": [1.0]}),
         "r_m1_0": dump("r_m1_0.json", {"lower": [-1.0], "upper": [0.0]}),
         "r_half_1": dump("r_half_1.json", {"lower": [0.5], "upper": [1.0]}),
+        "r_m1_101": dump("r_m1_101.json", {"lower": [-1.0], "upper": [1.01]}),
+        "tiny_rice": dump("tiny_rice.json", {"dim": 1, "components": [{"kind": "trig", "atoms": [
+            {"w": 2.0**-44, "omega": [1.0]}, {"w": 2.0**-44, "omega": [3.0]}]}]}),
+        "tiny_kac": dump("tiny_kac.json", {"dim": 1, "components": [{"kind": "polynomial", "atoms": [
+            {**atom, "w": 2.0**-44} for atom in KAC["components"][0]["atoms"]]}]}),
     }
 
 
@@ -841,6 +848,31 @@ class TestFailurePaths:
                        "--region", inputs[region], expect=2)
         assert "DegenerateVariance" in proc.stderr and "t=[0.0]" in proc.stderr
         assert proc.stdout == ""
+
+    def test_simulate_exits_two_where_variance_vanishes(self, inputs):
+        # simulate printed t = -1.3e-65, where |X| / sigma = 0.16, as a zero
+        proc = run_cli("fieldzeros", "simulate", "--field", inputs["odd_poly"],
+                       "--region", inputs["r_m1_101"], "--seed", 0, "--grid", 512, expect=2)
+        assert "DegenerateVariance" in proc.stderr and "t=[0.0]" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv, tiny, unit",
+        [
+            (["intensity", "--at", "1"], "tiny_rice", "rice"),
+            (["measure", "--region", "r100"], "tiny_rice", "rice"),
+            (["measure", "--region", "r55"], "tiny_kac", "kac"),
+        ],
+        ids=["trig_intensity", "trig_measure", "poly_measure"],
+    )
+    def test_small_weights_give_unit_weight_report(self, inputs, argv, tiny, unit):
+        # all weights 2^-44: sigma^2 = 1.1e-13 fell below the absolute
+        # floor 1e-12 and exited 2 with DegenerateVariance
+        argv = [inputs.get(a, a) for a in argv]
+        reports = [report_of(run_cli("fieldzeros", argv[0], "--field", inputs[name], *argv[1:]))
+                   for name in (tiny, unit)]
+        assert reports[0]["value"] == reports[1]["value"]
+        assert reports[0]["std_error"] == reports[1]["std_error"]
 
     def test_variance_away_from_zero_is_measured(self, inputs):
         def intensity(t):

@@ -17,6 +17,11 @@ Core claims:
 - The fast kernels (array root deduplication, crossing-cell marching
   squares, sign counts over a chunk of realizations) reproduce their
   quadratic and full-grid references bit for bit.
+- Counting keeps the variance contract of measuring: a 1-D field whose
+  variance vanishes in the region raises DegenerateVariance in zeros_1d and
+  in the experiment, before any draw.
+- zeros_1d evaluates its realization's grid once, at 2 grid_n + 1 nodes,
+  whose even nodes are the grid_n + 1 nodes bit for bit.
 - Separable tensor-grid values match direct evaluation to 1e-12 of the
   coefficient mass, and the shared-phase values and Jacobians that drive
   the chunk-batched Newton loop equal Realization.values/jacobians exactly.
@@ -37,6 +42,7 @@ import pytest
 from pytest import approx
 
 from mixvol import (
+    DegenerateVariance,
     DimensionMismatch,
     FieldSpec,
     GridTooCoarse,
@@ -59,7 +65,7 @@ from mixvol import (
 )
 from mixvol import fields
 from mixvol.sampling import Moments
-from support import reference_dedup, reference_segment_lengths, reference_trig_grid
+from support import grid_points, reference_dedup, reference_segment_lengths, reference_trig_grid
 
 RICE_TARGET = 100.0 * math.sqrt(5.0) / math.pi      # zeros on [0, 100]
 WAVE_TARGET = 100.0 / (4.0 * math.pi)               # common zeros on [0,10]^2
@@ -280,6 +286,42 @@ class TestRootsOfNormalizedField:
             _assert_relative_residual(r, zeros_2d(r, Region([0.0, 0.0], [10.0, 10.0]), 128))
 
 
+# sigma^2 = t^2 + t^6 vanishes at t = 0 only
+ODD_FIELD = FieldSpec(1, (KernelSpec.polynomial([(1.0, 1), (1.0, 3)]),))
+ODD_REGION = Region([-1.0], [1.01])
+
+
+class TestVarianceContract:
+    """Counting keeps the variance contract of measuring: each component's
+    sigma^2 must clear the floor at the region's point nearest 0."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_single_call_raises_where_variance_vanishes(self, seed):
+        # zeros_1d returned t = -1.3e-65, where |X| / sigma is 0.16 to 1.02
+        r = simulate_realization(ODD_FIELD, RngStream(seed, 0))
+        with pytest.raises(DegenerateVariance, match=r"t=\[0\.0\]"):
+            zeros_1d(r, ODD_REGION, 512)
+        with pytest.raises(DegenerateVariance):
+            count_zeros_1d(r, ODD_REGION, 512, self_check=False)
+
+    def test_experiment_raises_before_any_draw(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before validation")
+
+        monkeypatch.setattr(fields, "_chunk_coefficients", no_work)
+        with pytest.raises(DegenerateVariance, match=r"t=\[0\.0\]"):
+            zero_count_experiment_1d(ODD_FIELD, ODD_REGION, 100, seed=0, grid_n=512)
+
+    def test_region_away_from_zero_is_counted(self):
+        found = 0
+        for seed in range(20):
+            r = simulate_realization(ODD_FIELD, RngStream(seed, 0))
+            roots = zeros_1d(r, Region([0.25], [1.01]), 512)
+            _assert_relative_residual(r, roots)
+            found += roots.shape[0]
+        assert found >= 3
+
+
 # == 3. level_length_2d =====================================================
 
 
@@ -492,7 +534,7 @@ class TestKernelsMatchReferences:
         reals = [_saddle_grid_realization(c) for c in (1e-3, -1e-3, 0.0)]
         reals += [simulate_realization(_wave_field(1, s), RngStream(22, 0)) for s in (1.0, 4.0)]
         xs, ys = fields._grid_axes(region, grid_n)
-        pts = fields._grid_points(region, grid_n)
+        pts = grid_points(xs, ys)
         seen = set()
         for r in reals:
             values = r.component_values(0, pts).reshape(grid_n + 1, grid_n + 1)
@@ -570,6 +612,38 @@ def _chunk(field, seed, size):
     return reals, stacks
 
 
+class TestOneEvaluation:
+    """A single 1-D realization is a chunk of one: one grid evaluation gives
+    its brackets and its self-check."""
+
+    @pytest.mark.parametrize(
+        "field, region, grid_n",
+        [(_rice_field(), Region([0.0], [100.0]), 2048), (_quintic_field(), Region([-2.0], [2.0]), 512)],
+        ids=["trig", "polynomial"],
+    )
+    def test_zeros_1d_evaluates_its_grid_once(self, field, region, grid_n, monkeypatch):
+        spec = field.components[0]
+        row, calls = fields._KINDS[spec.kind], []
+
+        def counted(*args):
+            calls.append(args[1][0].shape)
+            return row.grid(*args)
+
+        monkeypatch.setitem(fields._KINDS, spec.kind, row._replace(grid=counted))
+        r = simulate_realization(field, RngStream(4, 0))
+        roots = zeros_1d(r, region, grid_n, self_check=True)
+        assert calls == [(2 * grid_n + 1,)]
+        assert roots.shape[0] > 0
+
+    @pytest.mark.parametrize("bounds", [(0.0, 100.0), (-2.0, 2.0), (50.3, 150.3), (-1.0, 1.01), (-7.1, -0.3)])
+    @pytest.mark.parametrize("grid_n", [256, 512, 2048])
+    def test_even_nodes_of_the_doubled_grid_are_the_grid(self, bounds, grid_n):
+        region = Region([bounds[0]], [bounds[1]])
+        (fine,) = fields._grid_axes(region, 2 * grid_n)
+        (coarse,) = fields._grid_axes(region, grid_n)
+        assert np.array_equal(fine[::2], coarse)
+
+
 class TestSeparableKernels:
     def test_separable_grid_matches_direct_values(self):
         # |omega| = 6 on a box near 50: phases reach ~700 rad
@@ -577,9 +651,9 @@ class TestSeparableKernels:
         region = Region([50.3, 49.6], [60.3, 59.6])
         reals, stacks = _chunk(field, 23, 3)
         xs, ys = fields._grid_axes(region, 128)
-        pts = fields._grid_points(region, 128)
+        pts = grid_points(xs, ys)
         for c, spec in enumerate(field.components):
-            grid = fields._trig_grid(spec, xs, ys, np.moveaxis(stacks[c], 0, 2))
+            grid = fields._trig_grid(spec.table, [xs, ys], stacks[c])
             assert grid.shape == (129, 129, 3)
             for i, r in enumerate(reals):
                 direct = r.component_values(c, pts).reshape(129, 129)
@@ -608,8 +682,8 @@ class TestSeparableKernels:
 
 
 def _concurrency_probe(monkeypatch):
-    """Wrap _trig_grid and _newton_roots_2d so that each call holds a slot
-    for a moment; returns the record of the most calls live at once."""
+    """Wrap the trig row's grid and _newton_roots_2d so that each call holds
+    a slot for a moment; returns the record of the most calls live at once."""
     lock = threading.Lock()
     record = {"live": 0, "peak": 0}
 
@@ -627,7 +701,8 @@ def _concurrency_probe(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(fields, "_trig_grid", hold(fields._trig_grid))
+    row = fields._KINDS[fields.TRIG]
+    monkeypatch.setitem(fields._KINDS, fields.TRIG, row._replace(grid=hold(row.grid)))
     monkeypatch.setattr(fields, "_newton_roots_2d", hold(fields._newton_roots_2d))
     return record
 
@@ -679,10 +754,10 @@ class TestLeanGrid:
         _, stacks = _chunk(field, 34, n_real)
         xs, ys = fields._grid_axes(region, 128)
         for c, spec in enumerate(field.components):
-            coef = np.moveaxis(stacks[c], 0, 2)
-            grid = fields._trig_grid(spec, xs, ys, coef)
+            grid = fields._trig_grid(spec.table, [xs, ys], stacks[c])
             assert grid.shape == (129, 129, n_real)
-            assert np.array_equal(grid, reference_trig_grid(spec, xs, ys, coef))
+            reference = reference_trig_grid(spec, xs, ys, np.moveaxis(stacks[c], 0, 2))
+            assert np.array_equal(grid, reference)
 
 
 def _rounding_pair(radius):

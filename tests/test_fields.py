@@ -13,6 +13,11 @@ Core claims:
   and agrees with a quadratic-formula root-counting oracle; each
   Gauss-Legendre rule is computed once per order, read-only, and the Kac
   value is the same to the bit on the first call and on later ones.
+- The variance floor is relative to the largest weight: trig weights times
+  2^-44 or 2^-990 and polynomial weights times 2^-44 give the intensities
+  and measures of unit weights bit for bit.
+- A polynomial realization's Jacobian is sum c_a deg_a x^(deg_a - 1),
+  degree-0 atoms and x = 0 included.
 - X(t) and grad X(t) are uncorrelated, realizations are bit-reproducible,
   and rescaling all atom weights changes nothing but the field's amplitude.
 - Realization i of seed s draws, component by component from stream
@@ -461,6 +466,36 @@ class TestZeroIntensity:
         assert b.mean == approx(a.mean, rel=1e-12)
 
 
+class TestScaleFreeVarianceFloor:
+    """sigma^2 is compared with VARIANCE_FLOOR times the largest weight, so
+    weights scaled far below the floor by a power of 2 give the bits of
+    unit weights; an absolute floor rejected all of these fields."""
+
+    @pytest.mark.parametrize(
+        "field, scales",
+        [
+            (_rice_field(), (2.0**-44, 2.0**-990)),
+            (_wave_field(2), (2.0**-44, 2.0**-990)),
+            (FieldSpec(2, (_aniso_kernel(),)), (2.0**-44, 2.0**-990)),
+            (_kac_field(), (2.0**-44,)),
+        ],
+        ids=["rice", "wave_pair", "aniso", "kac"],
+    )
+    def test_intensity_and_measure_bit_identical_to_unit_weights(self, field, scales):
+        t = np.full(field.dim, 0.5)
+        region = Region(np.full(field.dim, -2.0), np.full(field.dim, 3.0))
+
+        def results(f):
+            runs = (zero_intensity(f, t, 20_000, seed=6), expected_zero_measure(f, region, 20_000, seed=6))
+            return [(e.mean, e.std_error, e.n_samples) for e in runs]
+
+        unit = results(field)
+        for scale in scales:
+            scaled = FieldSpec(field.dim, tuple(c.scaled(scale) for c in field.components))
+            assert max(np.max(c.weights) for c in scaled.components) < fields.VARIANCE_FLOOR
+            assert results(scaled) == unit
+
+
 # == 4. expected_zero_measure ===============================================
 
 
@@ -652,6 +687,22 @@ class TestSimulateRealization:
             step[axis] = h
             fd = (r.values(pts + step) - r.values(pts - step)) / (2.0 * h)
             assert np.allclose(jac[:, :, axis], fd, rtol=1e-5, atol=1e-6)
+
+    def test_polynomial_jacobian_is_the_derivative(self):
+        # X' = sum c_a deg_a x^(deg_a - 1): degree-0 atoms drop out, x = 0
+        # included; dyadic inputs make every product and sum exact
+        degrees = [0, 1, 0, 2, 5]
+        field = FieldSpec(1, (KernelSpec.polynomial([(1.0, d) for d in degrees]),))
+        coef = [3.0, -2.0, 0.75, 0.5, 1.25]
+        xs = [0.0, 0.5, -1.5, 2.0, -0.25]
+        jac = Realization(field, (np.array(coef),)).jacobians(xs)
+        assert jac.shape == (5, 1, 1)
+        expected = [sum(c * d * x ** (d - 1) for c, d in zip(coef, degrees) if d > 0) for x in xs]
+        assert jac[:, 0, 0].tolist() == expected
+        drawn = simulate_realization(field, RngStream(12, 0))
+        c = drawn.coefficients[0]
+        expected = [sum(c[a] * d * x ** (d - 1) for a, d in enumerate(degrees) if d > 0) for x in xs]
+        assert drawn.jacobians(xs)[:, 0, 0] == approx(expected, rel=1e-14, abs=1e-14)
 
     def test_coupled_weight_scaling_scales_amplitude(self):
         # same stream, weights scaled by 4: the field doubles pointwise,

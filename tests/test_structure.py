@@ -11,7 +11,9 @@ Core claims:
   an estimate through MCEstimate.from_moments, MCEstimate.exact or the
   estimate's own methods.
 - no comparison in the package names a kernel kind: what depends on the
-  kind is a row of fields._KINDS, so a new kind is a new row.
+  kind is a row of fields._KINDS, so a new kind is a new row; and no code
+  of fields.py outside that table names a kind's own _trig_* or _poly_*
+  function, so every caller reaches a kind through its row.
 - nothing in the package calls np.linalg.det: geometry.batch_det is the one
   determinant routine.
 """
@@ -92,6 +94,18 @@ def test_no_comparison_names_a_kernel_kind():
         for path in sorted(PACKAGE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Compare) and _names_a_kind(node)
+    ]
+    assert found == []
+
+
+def test_kind_functions_are_named_only_in_the_kind_table():
+    tree = ast.parse((PACKAGE / "fields.py").read_text(), filename="fields.py")
+    found = [
+        (getattr(statement, "name", None), node.lineno, node.id)
+        for statement in tree.body
+        if not (isinstance(statement, ast.Assign) and ast.unparse(statement.targets[0]) == "_KINDS")
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Name) and node.id.startswith(("_trig_", "_poly_"))
     ]
     assert found == []
 
