@@ -62,8 +62,8 @@ from .volumes import mixed_volume_with_balls
 TRIG = "trig"
 POLYNOMIAL = "polynomial"
 
-# Variance floor, relative to the largest atom weight, below which the
-# normalized field X/sqrt(Var X) is undefined.
+# Floor on the variance at largest atom weight 1, where every moment is
+# read, below which the normalized field X/sqrt(Var X) is undefined.
 VARIANCE_FLOOR = 1e-12
 
 NEWTON_MAX_ITER = 60
@@ -116,16 +116,14 @@ def _degree_vector(degrees) -> np.ndarray:
     return deg
 
 
-def _trig_moments(spec: "KernelSpec", ts: np.ndarray):
+def _trig_moments(om: np.ndarray, w: np.ndarray, ts: np.ndarray):
     """sigma^2 = sum w, g = 0 and H = sum w omega omega^T at each of m points."""
-    om, w = spec.table, spec.weights
     h = (om * w[:, None]).T @ om
     return np.full(len(ts), np.sum(w)), np.zeros(ts.shape), np.broadcast_to(h, ts.shape[:1] + h.shape)
 
 
-def _poly_moments(spec: "KernelSpec", ts: np.ndarray):
+def _poly_moments(deg: np.ndarray, w: np.ndarray, ts: np.ndarray):
     """sigma^2 (m,), g (m, 1) and H (m, 1, 1) at the m points ts (m, 1)."""
-    w, deg = spec.weights, spec.table
     sigma2 = np.sum(w * ts ** (2.0 * deg), axis=1)
     # derivative conventions: x**negative never evaluated, degree-0 terms drop
     pos = deg > 0
@@ -203,7 +201,7 @@ class _Kind(NamedTuple):
     shape: tuple[int, ...]  # coefficients drawn per atom
     parse: Callable  # raw table -> validated read-only (A, d) or (A,) array
     kernel: Callable  # (spec, s, t) -> r(s, t)
-    moments: Callable  # (spec, (m, d) points) -> sigma^2 (m,), g (m, d), H (m, d, d)
+    moments: Callable  # (table, (A,) weights, (m, d) points) -> sigma^2 (m,), g (m, d), H (m, d, d)
     evaluate: Callable  # (table, coef, (m, d) points, gradients) -> (m,) values[, (m, d)]
     grid: Callable  # (table, one (n_j,) axis per dimension, (R, A, ...) coefficients) -> (n_1, .., R)
 
@@ -359,20 +357,12 @@ class Region:
 
 
 def _moments(spec: KernelSpec, ts: np.ndarray):
-    """sigma^2 (m,), g (m, d) and H (m, d, d) at m points ts (m, d), up to a
-    common weight scale; DegenerateVariance at the first point where
-    sigma^2 <= VARIANCE_FLOOR * the largest weight, a test no common weight
-    scale changes."""
-    moments, scale = _KINDS[spec.kind].moments, np.max(spec.weights)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sigma2, g, h = moments(spec, ts)
-    if not all(np.isfinite(m).all() for m in (sigma2, g, h)):
-        # C(t) does not change with a common weight scale: where the
-        # moments overflowed, redo them at largest weight 1 (a division,
-        # since 1 / w is subnormal for w > 2^1022)
-        sigma2, g, h = moments(replace(spec, weights=spec.weights / scale), ts)
-        scale = 1.0
-    low = np.flatnonzero(sigma2 <= VARIANCE_FLOOR * scale)
+    """sigma^2 (m,), g (m, d) and H (m, d, d) at m points ts (m, d), read at
+    weights divided by their largest (a division: 1 / w is subnormal for
+    w > 2^1022), so finite for any valid weights; DegenerateVariance at the
+    first point where sigma^2 <= VARIANCE_FLOOR."""
+    sigma2, g, h = _KINDS[spec.kind].moments(spec.table, spec.weights / np.max(spec.weights), ts)
+    low = np.flatnonzero(sigma2 <= VARIANCE_FLOOR)
     if low.size:
         raise DegenerateVariance(f"field variance {sigma2[low[0]]:.3e} at t={ts[low[0]].tolist()}")
     return sigma2, g, h
@@ -395,11 +385,11 @@ def _gradient_covariances(spec: KernelSpec, ts: np.ndarray) -> np.ndarray:
 def gradient_covariance(spec: KernelSpec, t) -> SPDMatrix:
     """Covariance of grad[X/sqrt(Var X)](t), as an SPD matrix.
 
-    Raises DegenerateVariance when r(t,t) <= 1e-12 times the largest atom
-    weight, a test no common weight scale changes, and DegenerateGradient
-    when the resulting matrix is not positive definite (the field's gradient
-    is concentrated on a proper subspace, so the zero set is not a clean
-    (d-k)-manifold there).
+    Read at weights divided by their largest, so a common weight scale
+    changes at most its last bits.  Raises DegenerateVariance when r(t,t)
+    <= 1e-12 at that scale, and DegenerateGradient when the matrix is not
+    positive definite (the field's gradient is concentrated on a proper
+    subspace, so the zero set is not a clean (d-k)-manifold there).
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape != (spec.dim,):
@@ -666,13 +656,18 @@ def _grid_axes(region: Region, grid_n: int) -> list[np.ndarray]:
 # counting: d = 1
 
 
+def _opposite(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b < 0 from signs: the product under- or overflows at extreme weights."""
+    return (a < 0.0) & (b > 0.0) | (a > 0.0) & (b < 0.0)
+
+
 def _sign_change_count(values: np.ndarray):
     """Crossings along axis 0, half-open in the last node.
 
     A 1-D array gives one count; an (m, R) array of R realizations sampled
     at m nodes gives R counts.
     """
-    crossings = np.count_nonzero(values[:-1] * values[1:] < 0.0, axis=0)
+    crossings = np.count_nonzero(_opposite(values[:-1], values[1:]), axis=0)
     # exact zeros at nodes count once; the final node belongs to the next tile
     return crossings + np.count_nonzero(values[:-1] == 0.0, axis=0)
 
@@ -687,8 +682,9 @@ def _chunk_line_1d(field: FieldSpec, coefs: list[np.ndarray], region: Region, gr
 
 
 def _sigmas(field: FieldSpec, pts: np.ndarray) -> np.ndarray:
-    """sigma_i = sqrt(r_i(t, t)) at m points (m, d), shape (m, k)."""
-    return np.stack([np.sqrt(_KINDS[c.kind].moments(c, pts)[0]) for c in field.components], axis=1)
+    """sigma_i = sqrt(r_i(t, t)) at m points (m, d), shape (m, k), finite for any valid weight."""
+    per = [np.sqrt(_moments(c, pts)[0]) * np.sqrt(np.max(c.weights)) for c in field.components]
+    return np.stack(per, axis=1)
 
 
 def _is_root(values: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -705,7 +701,7 @@ def _bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.
         fmid = f(mid)
         if np.all(_is_root(fmid, sigma)):
             break
-        left = flo * fmid < 0.0
+        left = _opposite(flo, fmid)
         hi = np.where(left, mid, hi)
         lo = np.where(left, lo, mid)
         flo = np.where(left, flo, fmid)
@@ -720,7 +716,7 @@ def _zeros_1d(r: Realization, region: Region, grid_n: int, self_check: bool = Fa
     fine_nodes, fine = _chunk_line_1d(r.field, [c[None] for c in r.coefficients], region, grid_n)
     nodes, values = fine_nodes[::2], fine[::2, 0]
     f = lambda x: r.component_values(0, x)
-    bracket = values[:-1] * values[1:] < 0.0
+    bracket = _opposite(values[:-1], values[1:])
     lo, hi = nodes[:-1][bracket], nodes[1:][bracket]
     # sigma at the bracket's point nearest 0 is its least on the bracket: a
     # polynomial sigma grows with |t|, and a trig one is constant
@@ -739,10 +735,10 @@ def zeros_1d(
 ) -> np.ndarray:
     """Sorted zeros of the single component on [lower, upper).
 
-    Each sign change on the grid is bisected until |X| < ROOT_TOL * sigma,
-    sigma = sqrt(r(t, t)); exact zeros at nodes are kept.  With self_check
-    on, the number of sign changes is recomputed at double resolution, from
-    the same evaluation, and a mismatch raises GridTooCoarse.
+    Each sign change of the grid values is bisected until |X| < ROOT_TOL *
+    sigma, sigma = sqrt(r(t, t)), finite for any valid weights; exact zeros
+    at nodes are kept.  With self_check on, the count is redone at double
+    resolution, from the same evaluation; a mismatch raises GridTooCoarse.
     """
     _check_zero_set("count-1d", r.field, region, grid_n)
     return _zeros_1d(r, region, grid_n, self_check)
@@ -903,8 +899,9 @@ def zeros_2d(
 
     Node values come from the separable grid evaluation of level_length_2d.
     Cells where both components change sign seed a Newton iteration, in
-    row-major cell order; roots are accepted where each |X_i| < ROOT_TOL *
-    sigma_i, sigma_i = sqrt(r_i(t, t)), with final step below 1e-10.
+    row-major cell order, on X_i / sigma_i, sigma_i = sqrt(r_i(t, t)) finite
+    for any valid weights; roots are accepted where each |X_i| < ROOT_TOL *
+    sigma_i, with final step below 1e-10.
     Divergent seeds are discarded.  Converged roots are then merged greedily
     in seed order: a root is kept unless an earlier kept root lies within
     Chebyshev distance 1e-6, so each cluster is represented by its first

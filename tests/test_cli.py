@@ -14,7 +14,9 @@ Core claims:
   1e200 and polynomial weights of 4e153, whose sigma^4 overflows, give the
   unit-weight intensity and measure, and weights of 1e308, which overflow
   the moments themselves, give the unit-weight report bit for bit with
-  nothing on stderr.
+  nothing on stderr; `simulate` of a 1e308-weight polynomial or (2, 2)
+  trig field reports the unit-weight count and zeros, with nothing on
+  stderr, where the sign products and sigma used to overflow.
 - A points file must hold an (N, d) matrix: a flat or a 3-level list exits
   2 with DimensionMismatch.  A planar sudakov report (hull path) is
   byte-identical at --threads 1 and 2.
@@ -225,6 +227,8 @@ def inputs(tmp_path_factory):
         "max_line_poly": dump("max_line_poly.json", {"dim": 1, "components": [
             {"kind": "polynomial", "atoms": [{"w": 1e308, "degree": 0}, {"w": 1e308, "degree": 1}]}]}),
         "r_m1_2": dump("r_m1_2.json", {"lower": [-1.0], "upper": [2.0]}),
+        "max_wave_pair": dump("max_wave_pair.json", {**WAVE_PAIR, "components": [
+            {**c, "atoms": [{**a, "w": 1e308} for a in c["atoms"]]} for c in WAVE_PAIR["components"]]}),
         "max_axes_waves": dump("max_axes_waves.json", {"dim": 2, "components": [
             {"kind": "trig", "atoms": [{"w": 1e308, "omega": [1.0, 0.0]}, {"w": 1e308, "omega": [0.0, 1.0]}]}]}),
         "list_kind": dump("list_kind.json", {"dim": 1, "components": [
@@ -820,18 +824,28 @@ class TestFailurePaths:
             (["measure", "--region", "r_m1_2"], "max_line_poly", "line_poly"),
             # sum w = 2e308: "matrix has a non-finite entry"
             (["intensity", "--at", "1,1", "--samples", 4096], "max_axes_waves", "axes_waves"),
+            # bracket midpoints -1.259766, 1.259766 instead of roots, and
+            # overflow warnings from the sign products
+            (["simulate", "--region", "r55", "--seed", 6], "huge_poly", "quad_poly"),
+            # sigma = inf dropped every Newton seed: count 0
+            (["simulate", "--region", "box", "--seed", 3], "max_wave_pair", "wave_pair"),
         ],
-        ids=["poly_intensity", "poly_measure", "trig_intensity"],
+        ids=["poly_intensity", "poly_measure", "trig_intensity", "poly_simulate", "trig_simulate"],
     )
     def test_largest_weights_give_unit_weight_report(self, inputs, argv, huge, unit):
-        # both weights 1e308: the moments are redone at largest weight 1,
-        # so the report is that of the unit-weight field, with no warning
+        # all weights 1e308: the moments are read at largest weight 1, so
+        # the report is that of the unit-weight field, with no warning
         argv = [inputs.get(a, a) for a in argv]
         procs = [run_cli("fieldzeros", argv[0], "--field", inputs[name], *argv[1:])
                  for name in (huge, unit)]
         reports = [report_of(p) for p in procs]
-        assert reports[0]["value"] == reports[1]["value"]
-        assert reports[0]["std_error"] == reports[1]["std_error"]
+        if argv[0] == "simulate":
+            # the realizations differ in their last bits: 1e308 is no power of four
+            assert reports[0]["count"] == reports[1]["count"] > 0
+            assert np.allclose(reports[0]["zeros"], reports[1]["zeros"], rtol=0.0, atol=1e-12)
+        else:
+            assert reports[0]["value"] == reports[1]["value"]
+            assert reports[0]["std_error"] == reports[1]["std_error"]
         assert procs[0].stderr == ""
 
     @pytest.mark.parametrize("name", ["list_kind", "dict_kind"])

@@ -6,7 +6,10 @@ Core claims:
   spectra with GridTooCoarse.
 - Roots are accepted on the normalized field, |X_i| <= 1e-9 sigma_i: weights
   multiplied by 1e+-30 (1-D) or 1e+-20 (2-D) give the counts and roots of
-  unit weights, and every returned root passes that residual.
+  unit weights, and every returned root passes that residual.  So do the
+  ends of the weight range, a largest weight of 4^511, 1e308 or 2^-1074,
+  in zeros_1d, zeros_2d and both count experiments, bit for bit where the
+  factor is a power of four and with no RuntimeWarning.
 - count_zeros_2d finds all common zeros of forced product realizations via
   the Newton polish, and level_length_2d recovers straight nodal lines to
   1e-6.
@@ -244,12 +247,14 @@ def _assert_relative_residual(r, roots):
         assert np.all(np.abs(v) <= 1e-9 * np.array(sigmas)), (p, v, sigmas)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestRootsOfNormalizedField:
     """Roots are accepted on X_i / sigma_i, so multiplying every weight by a
     constant changes no count and no root."""
 
+    # 4^511 and 1e308 overflowed sigma^2 and the sign products
     @pytest.mark.parametrize("case", [0, 1, 2], ids=["rice", "quintic", "line"])
-    @pytest.mark.parametrize("scale", [1e-30, 1e30])
+    @pytest.mark.parametrize("scale", [1e-30, 1e30, 4.0**511, 1e308])
     def test_1d_roots_invariant_to_weight_scale(self, case, scale):
         field, region, grid_n = ONE_D_CASES[case]
         found = 0
@@ -259,9 +264,13 @@ class TestRootsOfNormalizedField:
             assert np.array_equal(scaled, unit)
             found += unit.shape[0]
         assert found >= 3
+        unit = zero_count_experiment_1d(field, region, 16, seed=2, grid_n=grid_n)
+        scaled = zero_count_experiment_1d(_scaled(field, scale), region, 16, seed=2, grid_n=grid_n)
+        assert (scaled.mean, scaled.std_error) == (unit.mean, unit.std_error)
 
-    # at 1e-300 and 1e-305 the raw Jacobian determinant is below 1e-300
-    @pytest.mark.parametrize("scale", [1e-20, 1e20, 1e-300, 1e-305])
+    # at 1e-300 and 1e-305 the raw Jacobian determinant is below 1e-300;
+    # 2^-1068 puts the weights 1/64 at 2^-1074, the least double
+    @pytest.mark.parametrize("scale", [1e-20, 1e20, 1e-300, 1e-305, 2.0**-1068])
     def test_2d_roots_invariant_to_weight_scale(self, scale):
         region = Region([0.0, 0.0], [10.0, 10.0])
         for seed in range(3):
@@ -273,6 +282,39 @@ class TestRootsOfNormalizedField:
         unit = zero_count_experiment_2d(_wave_field(2), region, 40, seed=2)
         scaled = zero_count_experiment_2d(_scaled(_wave_field(2), scale), region, 40, seed=2)
         assert (scaled.mean, scaled.std_error) == (unit.mean, unit.std_error)
+
+    # largest weights no factor on the fields above reaches: 2^-1074 zeroes
+    # the line's weight 1e-8, and 4^511 and 1e308 are beyond the double
+    # range as factors on the plane's weights 1/64
+    @pytest.mark.parametrize(
+        "case, largest",
+        [(0, 2.0**-1074), (1, 2.0**-1074), (None, 4.0**511), (None, 1e308)],
+        ids=["rice-2^-1074", "quintic-2^-1074", "plane-4^511", "plane-1e308"],
+    )
+    def test_roots_at_the_ends_of_the_weight_range(self, case, largest):
+        if case is None:
+            unit, region, grid_n = _wave_field(2), Region([0.0, 0.0], [10.0, 10.0]), 128
+            zeros, experiment = zeros_2d, zero_count_experiment_2d
+        else:
+            (unit, region, grid_n), zeros, experiment = ONE_D_CASES[case], zeros_1d, zero_count_experiment_1d
+        field = FieldSpec(unit.dim, tuple(
+            KernelSpec(c.kind, c.weights / np.max(c.weights) * largest, c.table) for c in unit.components
+        ))
+        mantissa, exponent = math.frexp(largest)
+        power_of_four = mantissa == 0.5 and exponent % 2 == 1
+        found = 0
+        for seed in range(3):
+            want = zeros(simulate_realization(unit, RngStream(seed, 0)), region, grid_n)
+            got = zeros(simulate_realization(field, RngStream(seed, 0)), region, grid_n)
+            assert got.shape == want.shape
+            if power_of_four:
+                assert np.array_equal(got, want)
+            else:
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+            found += want.shape[0]
+        assert found >= 3
+        want, got = (experiment(f, region, 16, seed=2, grid_n=grid_n) for f in (unit, field))
+        assert (got.mean, got.std_error) == (want.mean, want.std_error)
 
     @pytest.mark.parametrize("scale", [1e-30, 1.0, 1e30])
     def test_every_root_passes_the_relative_residual(self, scale):
@@ -591,6 +633,16 @@ class TestKernelsMatchReferences:
         vals[[10, 40, 512], [0, 3, 6]] = 0.0  # exact node zeros, one at the last node
         per_column = [fields._sign_change_count(vals[:, i]) for i in range(7)]
         assert fields._sign_change_count(vals).tolist() == per_column
+
+    # the product of the two values underflows to -0.0 or overflows to -inf
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("size", [1e-200, 1e200])
+    def test_sign_tests_see_crossings_whose_product_leaves_the_range(self, size):
+        vals = size * np.array([1.0, -1.0, -1.0, 1.0])
+        assert fields._sign_change_count(vals) == 2
+        assert fields._sign_change_count(np.column_stack([vals, -vals])).tolist() == [2, 2]
+        root = fields._bisect_roots(lambda x: size * (x - 0.3), np.array([0.0]), np.array([1.0]), np.array([size]))
+        assert abs(root[0] - 0.3) < 1e-9
 
     def test_counts_are_lengths_of_the_zeros(self):
         rice = simulate_realization(_rice_field(), RngStream(8, 0))

@@ -14,6 +14,8 @@ Core claims:
   kind is a row of fields._KINDS, so a new kind is a new row; and no code
   of fields.py outside that table names a kind's own _trig_* or _poly_*
   function, so every caller reaches a kind through its row.
+- only fields._moments reads a _KINDS row's moments, so every moment is
+  read at the one weight scale it sets.
 - nothing in the package calls np.linalg.det: geometry.batch_det is the one
   determinant routine.
 """
@@ -106,6 +108,18 @@ def test_kind_functions_are_named_only_in_the_kind_table():
         if not (isinstance(statement, ast.Assign) and ast.unparse(statement.targets[0]) == "_KINDS")
         for node in ast.walk(statement)
         if isinstance(node, ast.Name) and node.id.startswith(("_trig_", "_poly_"))
+    ]
+    assert found == []
+
+
+def test_only_moments_reads_a_kind_rows_moments():
+    tree = ast.parse((PACKAGE / "fields.py").read_text(), filename="fields.py")
+    found = [
+        (getattr(statement, "name", None), node.lineno)
+        for statement in tree.body
+        if getattr(statement, "name", None) != "_moments"
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Attribute) and node.attr == "moments"
     ]
     assert found == []
 
