@@ -72,6 +72,9 @@ DEDUP_RADIUS = 1e-6
 # t is a root of X_i where |X_i(t)| < ROOT_TOL * sigma_i(t): a test on X_i/sigma_i,
 # which a constant factor on a component does not change
 ROOT_TOL = 1e-9
+# largest Gauss-Legendre order of expected_zero_measure: the doubled rule's
+# nodes take an (order x order) eigenproblem, under 1 s at 2048
+QUADRATURE_LIMIT = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +334,10 @@ class Region:
             raise OutOfRange("region bounds must be finite")
         if not np.all(lo < hi):
             raise OutOfRange("region needs lower < upper componentwise")
+        # an infinite side makes the volume inf, or NaN where another underflows it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(np.prod(hi - lo)):
+                raise OutOfRange("region sides and volume must be finite in doubles")
         object.__setattr__(self, "lower", freeze(lo))
         object.__setattr__(self, "upper", freeze(hi))
 
@@ -370,9 +377,16 @@ def _moments(spec: KernelSpec, ts: np.ndarray):
 
 def _check_variance(field: FieldSpec, region: Region) -> None:
     """_moments at the region's point nearest 0, where each component's
-    sigma^2 is least: a polynomial one grows with |t|, a trig one is constant."""
-    for spec in field.components:
-        _moments(spec, np.clip(0.0, region.lower, region.upper)[None])
+    sigma^2 is least, and at its point farthest from 0, where they are
+    largest (a polynomial's grow with |t|, a trig one's are constant):
+    OutOfRange where they are not finite there."""
+    near = np.clip(0.0, region.lower, region.upper)
+    far = np.where(np.abs(region.lower) > np.abs(region.upper), region.lower, region.upper)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for spec in field.components:
+            _moments(spec, near[None])
+            if not all(np.all(np.isfinite(m)) for m in _moments(spec, far[None])):
+                raise OutOfRange(f"field moments overflow a double at t={far.tolist()}")
 
 
 def _gradient_covariances(spec: KernelSpec, ts: np.ndarray) -> np.ndarray:
@@ -504,8 +518,10 @@ def expected_zero_measure(
             field, region.midpoint, n, seed, ci_level=ci_level, threads=threads
         )
         return at.scaled(region.volume)
-    if quadrature_order < 1:
-        raise OutOfRange(f"quadrature order must be positive, got {quadrature_order}")
+    if not 1 <= quadrature_order <= QUADRATURE_LIMIT:
+        raise OutOfRange(
+            f"quadrature order must be in [1, {QUADRATURE_LIMIT}], got {quadrature_order}"
+        )
     # non-stationary implies d = 1, hence a single polynomial component
     spec = field.components[0]
 

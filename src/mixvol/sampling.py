@@ -2,13 +2,14 @@
 
 Reproducibility contract: every estimator splits its n samples into fixed
 chunks of 2^16, chunk i draws from a counter-based Philox stream keyed by
-(seed, stream_base + i), and reduces to one Moments record: count, mean and
-M2, plus a control part (means of c, M2_yc, M2_cc) that is 0 unless p
-controls c of the statistic y have known means and there are two or more
-chunks.  The records are merged in chunk order by the pairwise update of
-Chan, Golub & LeVeque.  With controls, chunk i's moments become those of
-y - beta_i . (c - E c), with beta_i the least-squares coefficients of the
-merged other chunks (minimum-norm, as controls can be exactly dependent):
+(seed, stream_base + i), and reduces to one Moments record: the count, the
+mean (q,) and the M2 matrix (q, q) of the vector [y; c], where the
+statistic y is entry 0 and c holds its p = q - 1 controls, those of known
+mean where there are two or more chunks (otherwise q = 1).  The records
+are merged in chunk order by the pairwise update of Chan, Golub &
+LeVeque.  With controls, chunk i's moments become those of y - beta_i .
+(c - E c), with beta_i the least-squares coefficients of the merged other
+chunks (minimum-norm, as controls can be exactly dependent):
 control variates whose coefficients are independent of the samples they
 adjust.  They are dropped for the plain mean of the same records where the
 error bounds of E c could bias it by more than 1e-3 standard errors.
@@ -120,17 +121,15 @@ def rekey(gen: Generator, seed: int, stream_index: int) -> Generator:
 
 @dataclass(frozen=True)
 class Moments:
-    """Count, mean and M2 (sum of squared deviations) of a batch of values
-    y; with p controls c of them, also the means of c (p,) and the
-    co-moments M2_yc = sum (y - mean y)(c - mean c) (p,) and M2_cc (p, p),
-    all 0 without controls."""
+    """Count, mean (q,) and M2 (q, q) of a batch of vectors [y; c_1..c_p],
+    q = p + 1: a statistic y (entry 0) and its p controls.  M2 is the matrix
+    of summed products of deviations, so M2[0, 0] is y's sum of squared
+    deviations and the other entries are the co-moments; without controls
+    q = 1."""
 
     count: int
-    mean: float
-    m2: float
-    c_mean: np.ndarray | float = 0.0
-    m2_yc: np.ndarray | float = 0.0
-    m2_cc: np.ndarray | float = 0.0
+    mean: np.ndarray
+    m2: np.ndarray
 
     @classmethod
     def of(cls, values, controls=None) -> "Moments":
@@ -139,44 +138,39 @@ class Moments:
         v = np.asarray(values, dtype=float)
         # an overflow here reaches the caller as OutOfRange from MCEstimate
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = float(np.mean(v))
-            dev = v - mean
-            m2 = float(np.sum(dev * dev))
-            if controls is None:
-                return cls(v.shape[0], mean, m2)
-            dc = np.atleast_2d(np.asarray(controls, dtype=float))
-            c_mean = np.mean(dc, axis=1)
-            dc -= c_mean[:, None]
-            # each co-moment is one pairwise sum, so a single control keeps
-            # the bits of a plain product-and-sum
-            p = dc.shape[0]
-            m2_yc, m2_cc, work = np.empty(p), np.empty((p, p)), np.empty_like(dev)
-            for i in range(p):
-                m2_yc[i] = np.sum(np.multiply(dc[i], dev, out=work))
-                for j in range(i, p):
-                    m2_cc[i, j] = m2_cc[j, i] = np.sum(np.multiply(dc[i], dc[j], out=work))
-            return cls(v.shape[0], mean, m2, c_mean, m2_yc, m2_cc)
+            mean = np.mean(v, keepdims=True)
+            rows = [v - mean[0]]
+            if controls is not None:
+                dc = np.atleast_2d(np.asarray(controls, dtype=float))
+                c_mean = np.mean(dc, axis=1)
+                dc -= c_mean[:, None]
+                mean = np.concatenate((mean, c_mean))
+                rows += list(dc)
+            # each entry is one pairwise sum of one product, so a control
+            # leaves the bits of y's own moments as they are without it
+            q = len(rows)
+            m2, work = np.empty((q, q)), np.empty_like(rows[0])
+            for i in range(q):
+                for j in range(i, q):
+                    m2[i, j] = m2[j, i] = np.sum(np.multiply(rows[i], rows[j], out=work))
+            return cls(v.shape[0], mean, m2)
 
     def merge(self, other: "Moments") -> "Moments":
-        """Pairwise update of Chan, Golub & LeVeque (1983), extended to the
-        co-moments: no sum of squares is formed, so a large mean cancels no
-        digits of the variance."""
+        """Pairwise update of Chan, Golub & LeVeque (1983) on the vector: no
+        sum of squares is formed, so a large mean cancels no digits of M2."""
         n = self.count + other.count
-        weight = self.count * other.count / n
-        dy = other.mean - self.mean
-        dc = other.c_mean - self.c_mean
-        return Moments(
-            n,
-            self.mean + dy * (other.count / n),
-            self.m2 + other.m2 + dy * dy * weight,
-            self.c_mean + dc * (other.count / n),
-            self.m2_yc + other.m2_yc + dy * dc * weight,
-            self.m2_cc + other.m2_cc + np.multiply.outer(dc, dc) * weight,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = other.mean - self.mean
+            return Moments(
+                n,
+                self.mean + delta * (other.count / n),
+                self.m2 + other.m2 + np.multiply.outer(delta, delta) * (self.count * other.count / n),
+            )
 
     @property
     def beta(self) -> np.ndarray:
-        """Least-squares coefficients (p,) of y on the controls.
+        """Least-squares coefficients (p,) of y on the controls, from
+        M2_yc = m2[1:, 0] and M2_cc = m2[1:, 1:].
 
         One control gives the slope M2_yc / M2_cc, 0 where c does not vary.
         Several give the minimum-norm solution of M2_cc beta = M2_yc, solved
@@ -185,7 +179,7 @@ class Moments:
         vol^2 tr A is a multiple of vol^2) then share one coefficient, and
         a control whose co-moments are not finite gives NaN.
         """
-        yc, cc = np.atleast_1d(self.m2_yc), np.atleast_2d(self.m2_cc)
+        yc, cc = self.m2[1:, 0], self.m2[1:, 1:]
         if yc.shape[0] == 1:
             return np.array([yc[0] / cc[0, 0] if cc[0, 0] > 0.0 else 0.0])
         if not np.all(np.isfinite(cc)):
@@ -197,13 +191,13 @@ class Moments:
 
     def adjusted(self, beta: np.ndarray, c_exact: np.ndarray) -> "Moments":
         """Moments of y - beta . (c - c_exact), without a control."""
-        shift = float(np.sum(beta * (self.c_mean - c_exact)))
+        shift = float(np.sum(beta * (self.mean[1:] - c_exact)))
         m2 = (
-            self.m2
-            - float(np.sum(2.0 * beta * self.m2_yc))
-            + float(np.sum(np.multiply.outer(beta, beta) * self.m2_cc))
+            float(self.m2[0, 0])
+            - float(np.sum(2.0 * beta * self.m2[1:, 0]))
+            + float(np.sum(np.multiply.outer(beta, beta) * self.m2[1:, 1:]))
         )
-        return Moments(self.count, self.mean - shift, max(m2, 0.0))
+        return Moments(self.count, self.mean[:1] - shift, np.array([[max(m2, 0.0)]]))
 
 
 @dataclass(frozen=True)
@@ -232,8 +226,9 @@ class MCEstimate:
     def from_moments(cls, chunks, seed: int, ci_level: float) -> "MCEstimate":
         """Estimate from per-chunk Moments, merged in chunk order."""
         m = reduce(Moments.merge, chunks)
-        se = math.sqrt(m.m2 / (m.count - 1) / m.count)
-        return cls(m.mean, se, m.count, seed, ci_level, normal_quantile(ci_level) * se)
+        mean, m2 = float(m.mean[0]), float(m.m2[0, 0])
+        se = math.sqrt(m2 / (m.count - 1) / m.count)
+        return cls(mean, se, m.count, seed, ci_level, normal_quantile(ci_level) * se)
 
     @classmethod
     def exact(
@@ -476,8 +471,9 @@ def chunked_mc_mean(
     The controls are kept only if sum_j max_i |beta_ij| bound_j is at most
     1e-3 of the standard error they give; otherwise, and with one chunk or
     no control, the result is the plain mean of y over the same draws.
-    Each chunk reduces to one Moments record, whose control part stays 0
-    when no control is used, so the plain mean merges the same records.
+    Each chunk reduces to one Moments record of [y; c], or of y alone when
+    no control is used; y's entries are the same bits either way, so the
+    plain mean merges the same records.
     """
     if n < 2:
         raise OutOfRange(f"need n >= 2 samples, got {n}")
@@ -505,9 +501,9 @@ def _controlled_estimate(
     where the error bounds of c_exact could bias it by more than 1e-3 SE."""
     # an overflowed control turns its co-moments NaN, not an error
     with np.errstate(over="ignore", invalid="ignore"):
-        plain = MCEstimate.from_moments(chunks, seed, ci_level)
         # chunk i's coefficients are those of chunks < i merged with chunks > i
         prefix = list(accumulate(chunks, Moments.merge))
+        plain = MCEstimate.from_moments(prefix[-1:], seed, ci_level)
         suffix = list(accumulate(reversed(chunks), lambda acc, c: c.merge(acc)))[::-1]
         others = [suffix[1]] + [p.merge(s) for p, s in zip(prefix, suffix[2:])] + [prefix[-2]]
         betas = np.array([o.beta for o in others])

@@ -17,6 +17,9 @@ Core claims:
   nothing on stderr; `simulate` of a 1e308-weight polynomial or (2, 2)
   trig field reports the unit-weight count and zeros, with nothing on
   stderr, where the sign products and sigma used to overflow.
+- A polynomial field whose moments overflow a double in the region, a
+  region whose length overflows and a quadrature order above
+  QUADRATURE_LIMIT exit 2 with OutOfRange and no numpy warning.
 - A points file must hold an (N, d) matrix: a flat or a 3-level list exits
   2 with DimensionMismatch.  A planar sudakov report (hull path) is
   byte-identical at --threads 1 and 2.
@@ -69,7 +72,7 @@ from mixvol import (
     fields,
     simulate_realization,
 )
-from mixvol.fields import field_from_json
+from mixvol.fields import QUADRATURE_LIMIT, field_from_json
 
 WALL_TIME = re.compile(r'"wall_time_ms": \d+')
 
@@ -245,6 +248,10 @@ def inputs(tmp_path_factory):
             {"w": 2.0**-44, "omega": [1.0]}, {"w": 2.0**-44, "omega": [3.0]}]}]}),
         "tiny_kac": dump("tiny_kac.json", {"dim": 1, "components": [{"kind": "polynomial", "atoms": [
             {**atom, "w": 2.0**-44} for atom in KAC["components"][0]["atoms"]]}]}),
+        "poly160": dump("poly160.json", {"dim": 1, "components": [{"kind": "polynomial", "atoms": [
+            {"w": 1.0, "degree": d} for d in range(161)]}]}),
+        "r_m100_100": dump("r_m100_100.json", {"lower": [-100.0], "upper": [100.0]}),
+        "r_max": dump("r_max.json", {"lower": [-1e308], "upper": [1e308]}),
     }
 
 
@@ -868,6 +875,34 @@ class TestFailurePaths:
         proc = run_cli("fieldzeros", "simulate", "--field", inputs["odd_poly"],
                        "--region", inputs["r_m1_101"], "--seed", 0, "--grid", 512, expect=2)
         assert "DegenerateVariance" in proc.stderr and "t=[0.0]" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "measure", "compare"])
+    def test_moments_overflowing_in_region_exit_two(self, inputs, command):
+        # 100^320 overflows sigma^2: simulate raised GridTooCoarse from inf
+        # and NaN node values, measure reported "nan +- nan" after numpy
+        # warnings, and compare stopped at the measure
+        extra = ["--realizations", 8] if command == "compare" else []
+        proc = run_cli("fieldzeros", command, "--field", inputs["poly160"],
+                       "--region", inputs["r_m100_100"], *extra, expect=2)
+        assert "OutOfRange" in proc.stderr and "t=[100.0]" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_region_of_infinite_length_exits_two(self, inputs):
+        # the side 2e308 overflowed: simulate exited 0 with count 0 after
+        # numpy warnings
+        proc = run_cli("fieldzeros", "simulate", "--field", inputs["rice"],
+                       "--region", inputs["r_max"], expect=2)
+        assert "OutOfRange" in proc.stderr and "region" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_quadrature_order_above_the_limit_exits_two(self, inputs):
+        # order 100000 asked for 74.5 GiB and exited 1 with MemoryError
+        proc = run_cli("fieldzeros", "measure", "--field", inputs["kac"], "--region",
+                       inputs["r55"], "--quadrature-order", QUADRATURE_LIMIT + 1, expect=2)
+        assert "OutOfRange" in proc.stderr and "quadrature order" in proc.stderr
         assert proc.stdout == ""
 
     @pytest.mark.parametrize(

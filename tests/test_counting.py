@@ -22,7 +22,9 @@ Core claims:
   quadratic and full-grid references bit for bit.
 - Counting keeps the variance contract of measuring: a 1-D field whose
   variance vanishes in the region raises DegenerateVariance in zeros_1d and
-  in the experiment, before any draw.
+  in the experiment, before any draw, and one whose moments overflow a
+  double at the region's point farthest from 0 raises OutOfRange there, in
+  zeros_1d, the experiment and expected_zero_measure alike.
 - zeros_1d evaluates its realization's grid once, at 2 grid_n + 1 nodes,
   whose even nodes are the grid_n + 1 nodes bit for bit.
 - Separable tensor-grid values match direct evaluation to 1e-12 of the
@@ -58,6 +60,7 @@ from mixvol import (
     count_zeros_1d,
     count_zeros_2d,
     covariance,
+    expected_zero_measure,
     level_length_2d,
     nodal_length_experiment,
     simulate_realization,
@@ -335,7 +338,8 @@ ODD_REGION = Region([-1.0], [1.01])
 
 class TestVarianceContract:
     """Counting keeps the variance contract of measuring: each component's
-    sigma^2 must clear the floor at the region's point nearest 0."""
+    sigma^2 must clear the floor at the region's point nearest 0, and its
+    moments must be finite at the point farthest from 0."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_single_call_raises_where_variance_vanishes(self, seed):
@@ -353,6 +357,27 @@ class TestVarianceContract:
         monkeypatch.setattr(fields, "_chunk_coefficients", no_work)
         with pytest.raises(DegenerateVariance, match=r"t=\[0\.0\]"):
             zero_count_experiment_1d(ODD_FIELD, ODD_REGION, 100, seed=0, grid_n=512)
+
+    # 100^320 overflows sigma^2: zeros_1d raised GridTooCoarse from inf and
+    # NaN node values, the experiment returned a silent 3.5 +- 0.5, and the
+    # measure raised "estimate nan +- nan" after numpy warnings
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lower, upper, far", [(-100.0, 100.0, "100.0"), (-100.0, 50.0, "-100.0")])
+    def test_moments_overflowing_in_region_raise_before_any_draw(self, monkeypatch, lower, upper, far):
+        field = FieldSpec(1, (KernelSpec.polynomial([(1.0, d) for d in range(161)]),))
+        region = Region([lower], [upper])
+        r = simulate_realization(field, RngStream(1, 0))
+        with pytest.raises(OutOfRange, match=rf"t=\[{far}\]"):
+            zeros_1d(r, region, 512)
+        with pytest.raises(OutOfRange, match=rf"t=\[{far}\]"):
+            expected_zero_measure(field, region)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before validation")
+
+        monkeypatch.setattr(fields, "_chunk_coefficients", no_work)
+        with pytest.raises(OutOfRange, match=rf"t=\[{far}\]"):
+            zero_count_experiment_1d(field, region, 8, seed=1)
 
     def test_region_away_from_zero_is_counted(self):
         found = 0

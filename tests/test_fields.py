@@ -12,7 +12,8 @@ Core claims:
   exact quadrature with an order-doubling error budget for the Kac kernel,
   and agrees with a quadratic-formula root-counting oracle; each
   Gauss-Legendre rule is computed once per order, read-only, and the Kac
-  value is the same to the bit on the first call and on later ones.
+  value is the same to the bit on the first call and on later ones; the
+  quadrature order lies in [1, QUADRATURE_LIMIT].
 - The variance floor is relative to the largest weight: trig weights times
   2^-44 or 2^-990 and polynomial weights times 2^-44 give the intensities
   and measures of unit weights bit for bit.
@@ -27,6 +28,7 @@ Core claims:
   degrees; each invalid kernel input raises the same error class through
   KernelSpec.trig/polynomial and field_from_json, an array-valued weight
   and a non-string kind included, and field_to_json(field_from_json(obj)) == obj.
+- A Region's bounds, sides and volume are finite doubles.
 - KernelSpec, FieldSpec and Region compare by value: kinds and dimensions
   with ==, their arrays with np.array_equal.
 """
@@ -315,6 +317,16 @@ class TestRegion:
         with pytest.raises(DimensionMismatch):
             Region([0.0, 0.0], [1.0])
 
+    # a side of 2e308 made the Rice experiment a silent 0.0 +- 0.0
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "lower, upper", [([-1e308], [1e308]), ([0.0, 0.0], [1e200, 1e200])], ids=["side", "volume"]
+    )
+    def test_side_and_volume_must_be_finite(self, lower, upper):
+        with pytest.raises(OutOfRange, match="region"):
+            Region(lower, upper)
+        assert Region([-1e307], [1e307]).volume == 2e307
+
 
 # == 2. gradient_covariance =================================================
 
@@ -538,6 +550,14 @@ class TestExpectedZeroMeasure:
         # the reported value is already the doubled-order quadrature, so
         # pushing the order further moves it by less than the budget
         assert abs(est64.mean - est32.mean) <= max(est32.std_error, 1e-9)
+
+    def test_quadrature_order_is_bounded(self):
+        # order 100000 asked for 74.5 GiB: a MemoryError
+        for order in (0, fields.QUADRATURE_LIMIT + 1):
+            with pytest.raises(OutOfRange, match="quadrature order"):
+                expected_zero_measure(
+                    _kac_field(), Region([-5.0], [5.0]), seed=0, quadrature_order=order
+                )
 
     def test_region_dim_checked(self):
         with pytest.raises(DimensionMismatch):

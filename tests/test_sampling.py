@@ -16,7 +16,9 @@ Core claims:
   sampled estimate with a positive standard error.
 - chunked_mc_mean merges per-chunk centred moments: a shifted statistic
   keeps its standard error, multi-chunk results match a single-pass mean
-  and standard deviation, and a bad ci_level raises before any draw.
+  and standard deviation, and a bad ci_level raises before any draw.  A
+  Moments record of y with 1 or 6 controls holds y's count, mean and M2
+  bit for bit as the record of y alone does, over three merged chunks.
 - The structure-of-arrays Gram kernel agrees with batched Householder QR for
   every 1 <= k <= d <= 8, on random, MAX_CONDITION and rank-deficient rows,
   to 1e-13 of the Hadamard bound per sample and 1e-12 relative in the mean.
@@ -48,6 +50,7 @@ Core claims:
 """
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -86,7 +89,7 @@ from mixvol import (
 )
 
 import mixvol.sampling
-from mixvol.sampling import RECOMPUTE, _complement_traces, _ellipse_perimeters, _soa_gram_volumes
+from mixvol.sampling import RECOMPUTE, Moments, _complement_traces, _ellipse_perimeters, _soa_gram_volumes
 from mixvol.volumes import MAX_CONDITION
 from support import (
     SEEDS,
@@ -341,6 +344,21 @@ class TestChunkedMCMean:
         assert est.n_samples == n
         assert est.mean == approx(np.mean(values), rel=1e-12)
         assert est.std_error == approx(np.std(values, ddof=1) / math.sqrt(n), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 6])
+    def test_controls_leave_the_moments_of_y_bit_for_bit(self, p):
+        # y and its controls share one mean vector and one M2 matrix; y's
+        # entries must read as the record without controls does
+        rng = rng_for(p)
+        ys = [1e4 + np.exp(rng.normal(size=m)) for m in (CHUNK, 1000, 17)]
+        cs = [y**2 + rng.normal(size=(p, y.shape[0])) for y in ys]
+        with_c = reduce(Moments.merge, [Moments.of(y, c[0] if p == 1 else c) for y, c in zip(ys, cs)])
+        plain = reduce(Moments.merge, [Moments.of(y) for y in ys])
+        assert with_c.mean.shape == (p + 1,) and with_c.m2.shape == (p + 1, p + 1)
+        assert plain.mean.shape == (1,) and plain.m2.shape == (1, 1)
+        assert with_c.count == plain.count == CHUNK + 1017
+        assert float.hex(with_c.mean[0]) == float.hex(plain.mean[0])
+        assert float.hex(with_c.m2[0, 0]) == float.hex(plain.m2[0, 0])
 
     def test_bad_ci_level_raises_before_any_draw(self):
         calls = []
