@@ -65,12 +65,19 @@ def _subset_sums(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mixed_discriminant(t: SymmetricTuple | Sequence) -> float:
-    """Exact D_d by inclusion-exclusion over the 2^d - 1 nonempty subsets."""
+    """Exact D_d by inclusion-exclusion over the 2^d - 1 nonempty subsets.
+
+    OutOfRange where the value, or a subset sum's determinant, overflows a
+    double.
+    """
     if not isinstance(t, SymmetricTuple):
         t = SymmetricTuple(tuple(t))
     d = t.dim
-    sums, signs = _subset_sums(np.stack(t.matrices))
-    total = float(np.sum(signs * batch_det(sums)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums, signs = _subset_sums(np.stack(t.matrices))
+        total = float(np.sum(signs * batch_det(sums)))
+    if not math.isfinite(total):
+        raise OutOfRange(f"mixed discriminant of {d} matrices overflows a double")
     for i in range(2, d + 1):
         total /= i
     return total

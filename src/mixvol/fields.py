@@ -334,10 +334,14 @@ class Region:
             raise OutOfRange("region bounds must be finite")
         if not np.all(lo < hi):
             raise OutOfRange("region needs lower < upper componentwise")
-        # an infinite side makes the volume inf, or NaN where another underflows it
+        # an infinite side makes the volume inf, or NaN where another underflows
+        # it; a volume below the least normal double loses its digits, or is 0
         with np.errstate(over="ignore", invalid="ignore"):
-            if not np.isfinite(np.prod(hi - lo)):
-                raise OutOfRange("region sides and volume must be finite in doubles")
+            volume = np.prod(hi - lo)
+        if not np.finfo(float).tiny <= volume < np.inf:
+            raise OutOfRange(
+                f"region volume {volume:.3g} must be a finite positive normal double"
+            )
         object.__setattr__(self, "lower", freeze(lo))
         object.__setattr__(self, "upper", freeze(hi))
 

@@ -18,6 +18,7 @@ quadratic Area(s K + t L) = c20 s^2 + c11 s t + c02 t^2 with c11 = 2 V(K, L).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -125,7 +126,11 @@ def _area(h: np.ndarray, hp: np.ndarray, delta: float) -> float:
             f"support function violates h + h'' >= 0 (min {float(np.min(defect)):.3e})"
         )
     # periodic integrand: trapezoid == left rule, spectral for smooth h
-    return 0.5 * float(np.sum(h * h - hp * hp)) * delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        area = 0.5 * float(np.sum(h * h - hp * hp)) * delta
+    if not math.isfinite(area):
+        raise OutOfRange("area from the support function overflows a double")
+    return area
 
 
 def area_from_support(body: SupportBody2D, n_theta: int = 512) -> float:

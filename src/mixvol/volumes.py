@@ -9,19 +9,20 @@ k x d matrix M whose i-th row is N(0, sigma_i),
 where E_i is the ellipsoid with representing matrix sigma_i and B fills the
 remaining d-k slots with unit balls.  Inverting the constant turns a Monte
 Carlo determinant average into a mixed-volume estimate; specializing the
-rows gives intrinsic volumes, mean width, expected norms, and the Gaussian
-width of finite point sets.
+rows gives intrinsic volumes, mean width and expected norms (E||xi|| is the
+one-row case, V_1(E)/sqrt(2 pi)); the Gaussian width of finite point sets
+is the one estimate here with a statistic of its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .discriminant import expected_gram_determinant
 from .errors import DimensionMismatch, IllConditionedEllipsoid, OutOfRange
 from .geometry import Ellipsoid, falling_factorial, freeze, unit_ball_volume
 from .sampling import (
@@ -35,8 +36,8 @@ from .sampling import (
 
 MAX_CONDITION = 1e12
 
-# Substream offset separating the consistency-check run of expected_norm
-# from the direct run, so the two estimates are independent for equal seeds.
+# Substream offset separating the cross-check run of expected_norm from its
+# direct run, so the two estimates are independent for equal seeds.
 _CROSS_CHECK_STREAM_BASE = 1 << 32
 
 
@@ -161,7 +162,8 @@ def mean_width(
 
 @dataclass(frozen=True)
 class NormComparison:
-    """E||xi|| measured two ways: directly, and as V_1(E)/sqrt(2 pi)."""
+    """E||xi|| measured twice, on two independent substreams of the one Gram
+    kernel: the direct run, and the cross-check read as V_1(E)/sqrt(2 pi)."""
 
     direct: MCEstimate
     via_intrinsic: MCEstimate
@@ -182,39 +184,17 @@ def expected_norm(
 ) -> NormComparison:
     """E||xi|| for xi ~ N(0, sigma), with the intrinsic-volume cross-check.
 
-    The direct estimate averages ||factor @ z||, with ||factor @ z||^2 as
-    its control variate (see chunked_mc_mean); the second value is
-    V_1(E)/sqrt(2 pi) from an independent substream, which the Gaussian
-    width identity says must agree.
+    E||xi|| is the mean one-row Gram volume, V_1(E)/sqrt(2 pi), so both runs
+    are expected_gram_volume of the one-row ensemble, scale-free and with
+    ||xi||^2 as control for n > CHUNK: the direct run on the default
+    substreams, the cross-check on a disjoint range of them, so the two are
+    independent for equal seeds.
     """
     _check_conditioning([e])
-    factor = e.sigma.factor
-
-    def stat(z: np.ndarray):
-        y = np.linalg.norm(z @ factor.T, axis=1)
-        return y, y * y
-
-    # E||xi||^2 = tr sigma controls the direct run
-    direct = chunked_mc_mean(
-        stat,
-        (e.dim,),
-        n,
-        seed,
-        ci_level=ci_level,
-        threads=threads,
-        control=expected_gram_determinant([e.sigma.entries]),
+    run = partial(
+        expected_gram_volume, _ensemble([e]), n, seed, ci_level=ci_level, threads=threads
     )
-    # V_1(E)/sqrt(2 pi) is the mean one-row gram volume; it runs on a disjoint
-    # substream, so it is independent of the direct run for equal seeds.
-    via_intrinsic = expected_gram_volume(
-        _ensemble([e]),
-        n,
-        seed,
-        ci_level=ci_level,
-        threads=threads,
-        stream_base=_CROSS_CHECK_STREAM_BASE,
-    )
-    return NormComparison(direct=direct, via_intrinsic=via_intrinsic)
+    return NormComparison(direct=run(), via_intrinsic=run(stream_base=_CROSS_CHECK_STREAM_BASE))
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,12 @@ Core claims:
   nothing on stderr; `simulate` of a 1e308-weight polynomial or (2, 2)
   trig field reports the unit-weight count and zeros, with nothing on
   stderr, where the sign products and sigma used to overflow.
+- A mixed discriminant or a planar area that overflows a double exits 2
+  with OutOfRange as the only line on stderr.
 - A polynomial field whose moments overflow a double in the region, a
-  region whose length overflows and a quadrature order above
-  QUADRATURE_LIMIT exit 2 with OutOfRange and no numpy warning.
+  region whose length overflows or whose volume underflows and a
+  quadrature order above QUADRATURE_LIMIT exit 2 with OutOfRange and no
+  numpy warning.
 - A points file must hold an (N, d) matrix: a flat or a 3-level list exits
   2 with DimensionMismatch.  A planar sudakov report (hull path) is
   byte-identical at --threads 1 and 2.
@@ -194,6 +197,15 @@ def inputs(tmp_path_factory):
         "huge_sigma": text("huge_sigma.json", '{"dim": 2, "sigma": [[1e400, 0.0], [0.0, 1.0]]}'),
         "huge_mats": text("huge_mats.json", '[[[1e400, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]'),
         "nan_mats": text("nan_mats.json", '[[[NaN, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]'),
+        # D = 1.5e320 and areas past 1e308 overflow a double
+        "d_overflow_mats": dump("d_overflow_mats.json", [np.diag([1e160, 1e160]).tolist(),
+                                                         np.diag([2e160, 1e160]).tolist()]),
+        "d_overflow_pair": dump("d_overflow_pair.json", [
+            {"dim": 2, "sigma": np.diag([1e160, 1e160]).tolist()},
+            {"dim": 2, "sigma": np.diag([2e160, 1e160]).tolist()}]),
+        "area_overflow_pair": dump("area_overflow_pair.json", [
+            {"dim": 2, "sigma": np.diag([1e308, 1e307]).tolist()},
+            {"dim": 2, "sigma": np.diag([1e307, 1e308]).tolist()}]),
         "huge_points": dump(
             "huge_points.json", {"points": [[1e155, 0.0], [0.0, 1e155], [-1e155, -1e155]]}
         ),
@@ -252,6 +264,7 @@ def inputs(tmp_path_factory):
             {"w": 1.0, "degree": d} for d in range(161)]}]}),
         "r_m100_100": dump("r_m100_100.json", {"lower": [-100.0], "upper": [100.0]}),
         "r_max": dump("r_max.json", {"lower": [-1e308], "upper": [1e308]}),
+        "r_null_box": dump("r_null_box.json", {"lower": [0.0, 0.0], "upper": [1e-200, 1e-200]}),
     }
 
 
@@ -719,6 +732,23 @@ class TestFailurePaths:
         assert "OutOfRange" in proc.stderr and "non-finite" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["discriminant", "--matrices", "d_overflow_mats"], "mixed discriminant"),
+            (["bounds", "--ellipsoids", "d_overflow_pair"], "mixed discriminant"),
+            (["oracle2d", "--ellipsoids", "area_overflow_pair"], "area"),
+        ],
+        ids=["discriminant", "bounds", "oracle2d"],
+    )
+    def test_overflowing_exact_value_exits_two(self, inputs, argv, what):
+        # exited 1 with InternalError(ValueError) from the JSON encoder,
+        # after numpy overflow warnings
+        proc = run_cli(*argv[:-1], inputs[argv[-1]], expect=2)
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("OutOfRange:") and what in line
+        assert proc.stdout == ""
+
     def test_non_finite_points_exit_two(self, inputs):
         # PointCloud raised DimensionMismatch for a non-finite point
         proc = run_cli("sudakov", "--points", inputs["inf_points"],
@@ -895,6 +925,17 @@ class TestFailurePaths:
         proc = run_cli("fieldzeros", "simulate", "--field", inputs["rice"],
                        "--region", inputs["r_max"], expect=2)
         assert "OutOfRange" in proc.stderr and "region" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("command", ["measure", "compare"])
+    def test_region_of_zero_volume_exits_two(self, inputs, command):
+        # sides of 1e-200 made the volume 0: measure exited 0 with
+        # 0.0 +- 0.0, and compare exited 1 with a ZeroDivisionError
+        extra = ["--realizations", 8] if command == "compare" else []
+        proc = run_cli("fieldzeros", command, "--field", inputs["wave_pair"],
+                       "--region", inputs["r_null_box"], *extra, expect=2)
+        assert "OutOfRange" in proc.stderr and "region volume" in proc.stderr
         assert "Warning" not in proc.stderr
         assert proc.stdout == ""
 

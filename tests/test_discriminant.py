@@ -5,6 +5,8 @@ Core claims:
   diag(1,2), diag(3,4) gives 5 with no round-off) and matches a central
   finite-difference evaluation of the derivative definition to 1e-6.
 - The discriminant is symmetric in its arguments and multilinear in each.
+- A discriminant that overflows a double raises OutOfRange, without a numpy
+  warning, and so do the Barvinok bounds built on it.
 - barvinok_bounds sandwiches the Monte Carlo mixed volume for random PD
   tuples in dimensions 2..5.
 - expected_gram_determinant, E det(M M^T) for independent Gaussian rows, is
@@ -112,6 +114,21 @@ class TestValidation:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(OutOfRange):
             mixed_discriminant([np.diag([bad, 1.0]), np.eye(2)])
+
+    # D = 1.5e320 at d = 2: the report was inf, and the CLI exited 1 after
+    # numpy overflow warnings
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "mats",
+        [[np.diag([1e160, 1e160]), np.diag([2e160, 1e160])], [np.eye(3) * 1e103] * 3],
+        ids=["d2", "d3"],
+    )
+    def test_overflowing_value_rejected(self, mats):
+        with pytest.raises(OutOfRange, match="mixed discriminant"):
+            mixed_discriminant(mats)
+        with pytest.raises(OutOfRange, match="mixed discriminant"):
+            barvinok_bounds([Ellipsoid(make_spd(m)) for m in mats])
+        assert mixed_discriminant([m * 1e-10 for m in mats]) < math.inf
 
     def test_matrices_are_frozen(self):
         t = SymmetricTuple((np.eye(2), np.eye(2)))

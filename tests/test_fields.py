@@ -28,7 +28,8 @@ Core claims:
   degrees; each invalid kernel input raises the same error class through
   KernelSpec.trig/polynomial and field_from_json, an array-valued weight
   and a non-string kind included, and field_to_json(field_from_json(obj)) == obj.
-- A Region's bounds, sides and volume are finite doubles.
+- A Region's bounds and sides are finite doubles, and its volume a positive
+  normal one.
 - KernelSpec, FieldSpec and Region compare by value: kinds and dimensions
   with ==, their arrays with np.array_equal.
 """
@@ -317,15 +318,22 @@ class TestRegion:
         with pytest.raises(DimensionMismatch):
             Region([0.0, 0.0], [1.0])
 
-    # a side of 2e308 made the Rice experiment a silent 0.0 +- 0.0
+    # a side of 2e308 made the Rice experiment a silent 0.0 +- 0.0; sides of
+    # 1e-200 made the volume 0, so measure read 0.0 +- 0.0 and compare
+    # divided by it
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "lower, upper", [([-1e308], [1e308]), ([0.0, 0.0], [1e200, 1e200])], ids=["side", "volume"]
+        "lower, upper",
+        [([-1e308], [1e308]), ([0.0, 0.0], [1e200, 1e200]),
+         ([0.0, 0.0], [1e-200, 1e-200]), ([0.0], [1e-310])],
+        ids=["side", "volume", "zero_volume", "subnormal_volume"],
     )
     def test_side_and_volume_must_be_finite(self, lower, upper):
         with pytest.raises(OutOfRange, match="region"):
             Region(lower, upper)
         assert Region([-1e307], [1e307]).volume == 2e307
+        tiny = np.finfo(float).tiny
+        assert Region([0.0], [tiny]).volume == tiny
 
 
 # == 2. gradient_covariance =================================================

@@ -8,7 +8,8 @@ Core claims:
   and adaptive quadrature of the arclength integrand.
 - The fitted Minkowski quadratic has c11/2 equal to the polarization value,
   nonnegative coefficients, and residuals at round-off level.
-- Non-convex support inputs are rejected.
+- Non-convex support inputs are rejected, and an area that overflows a
+  double raises OutOfRange without a numpy warning.
 - Sampling each body once gives bit for bit the values of the composed
   support functions k.add(l) and k.scale(s).add(l.scale(t)), and the same
   NonConvexBody from the same body first.  planar_report gives the mixed
@@ -111,6 +112,17 @@ class TestAreaFromSupport:
         )
         with pytest.raises(NonConvexBody):
             area_from_support(body)
+
+    # h^2 near 1e308 summed over the grid: the report was inf, and the CLI
+    # exited 1 after numpy overflow warnings
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_area_rejected(self):
+        big = _ellipse_body(1e154, 3e153)
+        with pytest.raises(OutOfRange, match="area"):
+            area_from_support(big)
+        with pytest.raises(OutOfRange, match="area"):
+            planar_report(big, big)
+        assert area_from_support(big.scale(1e-10)) < math.inf
 
     def test_three_dim_input_rejected(self):
         with pytest.raises(DimensionMismatch):

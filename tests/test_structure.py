@@ -7,6 +7,10 @@ Core claims:
 - sampling.map_chunks is the package's only thread pool: no other function
   names ThreadPoolExecutor.
 - every name in mixvol.__all__ resolves, and none is listed twice.
+- chunked_mc_mean is called only in sampling.py and in
+  volumes.sudakov_width, whose statistic is no Gram volume: every Gaussian
+  volume estimate goes through expected_gram_volume and its power-of-two
+  scaling.
 - only sampling.py calls MCEstimate(...) itself; every other module builds
   an estimate through MCEstimate.from_moments, MCEstimate.exact or the
   estimate's own methods.
@@ -42,25 +46,46 @@ def test_no_private_names_imported_across_modules():
     assert found == []
 
 
-def _pool_scopes(node, scope=""):
-    """Qualified name of the function around each ThreadPoolExecutor name
-    (as a name, an attribute or an import) below node; "" at module level."""
+def _scopes(node, hit, scope=""):
+    """Qualified name of the function around each node below node for which
+    hit(node) holds; "" at module level."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         scope = f"{scope}.{node.name}" if scope else node.name
-    names = (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
-    found = [scope] if "ThreadPoolExecutor" in names else []
+    found = [scope] if hit(node) else []
     for child in ast.iter_child_nodes(node):
-        found += _pool_scopes(child, scope)
+        found += _scopes(child, hit, scope)
     return found
 
 
-def test_map_chunks_is_the_only_thread_pool():
-    found = {
+def _names_pool(node) -> bool:
+    """Whether node is the ThreadPoolExecutor name, as a name, an attribute
+    or an import."""
+    names = (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+    return "ThreadPoolExecutor" in names
+
+
+def _calls_chunked_mean(node) -> bool:
+    return isinstance(node, ast.Call) and "chunked_mc_mean" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    )
+
+
+def _package_scopes(hit):
+    return {
         (path.name, scope)
         for path in sorted(PACKAGE.glob("*.py"))
-        for scope in _pool_scopes(ast.parse(path.read_text(), filename=str(path)))
+        for scope in _scopes(ast.parse(path.read_text(), filename=str(path)), hit)
     }
-    assert found == {("sampling.py", "map_chunks")}
+
+
+def test_map_chunks_is_the_only_thread_pool():
+    assert _package_scopes(_names_pool) == {("sampling.py", "map_chunks")}
+
+
+def test_only_sampling_and_sudakov_width_call_the_chunked_mean():
+    found = {(name, scope) for name, scope in _package_scopes(_calls_chunked_mean)
+             if name != "sampling.py"}
+    assert found == {("volumes.py", "sudakov_width")}
 
 
 def test_every_export_resolves_once():

@@ -5,9 +5,12 @@ Core claims:
   mixed volumes kappa_d, ellipse areas, chi means, segment and circle widths.
 - Permutation symmetry, affine equivariance, homogeneity, and the planar
   projection-integral identity hold within combined Monte Carlo error.
-- expected_norm's two independent routes (direct averaging vs V_1/sqrt(2 pi))
-  agree, and intrinsic volumes do not depend on the ambient dimension; with
-  both standard errors 0 the comparison has no z-score (None).
+- expected_norm's two runs, two independent substreams of the one Gram
+  kernel (the direct run and V_1/sqrt(2 pi)), agree; the direct run is
+  expected_gram_volume of the one-row ensemble, so it is exact under
+  power-of-two scaling and keeps a standard error at radius 1e-160.
+  Intrinsic volumes do not depend on the ambient dimension; with both
+  standard errors 0 the comparison has no z-score (None).
 - Ill-conditioned ellipsoids are rejected rather than estimated; bodies
   whose mixed volume leaves the double range raise OutOfRange instead of a
   NaN standard error or 0 +- 0.
@@ -41,6 +44,7 @@ from mixvol import (
     ball,
     chunked_mc_mean,
     ellipsoid_from_axes,
+    expected_gram_volume,
     expected_norm,
     intrinsic_volume,
     make_spd,
@@ -56,7 +60,7 @@ from mixvol import (
     unit_ball,
     unit_ball_volume,
 )
-from mixvol.volumes import _planar_hull, _planar_support
+from mixvol.volumes import _ensemble, _planar_hull, _planar_support
 
 from support import SEEDS, random_ellipsoid, rng_for
 
@@ -279,6 +283,28 @@ class TestExpectedNorm:
         d = 2 + seed % 4  # dims 3, 4, 5, 2, 3
         cmp = expected_norm(random_ellipsoid(rng, d), N, seed=seed)
         assert abs(cmp.z_score()) <= 3.0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [4096, 3 * CHUNK], ids=["one_chunk", "three_chunks"])
+    def test_direct_run_is_the_gram_kernel(self, n, threads):
+        e = random_ellipsoid(rng_for(28), 4)
+        cmp = expected_norm(e, n, seed=9, threads=threads)
+        assert cmp.direct == expected_gram_volume(_ensemble([e]), n, 9, threads=threads)
+
+    @pytest.mark.parametrize("exponent", [400, -400])
+    def test_direct_run_is_scale_free(self, exponent):
+        # the direct run's own statistic lost its control at these radii:
+        # 4.41 times the unit-radius relative standard error
+        unit = expected_norm(ball(4, 1.0), 3 * CHUNK, seed=5).direct
+        est = expected_norm(ball(4, 2.0**exponent), 3 * CHUNK, seed=5).direct
+        assert est.mean == math.ldexp(unit.mean, exponent)
+        assert est.std_error == math.ldexp(unit.std_error, exponent)
+
+    def test_tiny_radius_keeps_a_standard_error(self):
+        # the direct run's own statistic read a standard error of exactly 0
+        est = expected_norm(ball(4, 1e-160), 3 * CHUNK, seed=5).direct
+        assert est.std_error > 0.0
+        assert est.mean == approx(1e-160 * _chi_mean(4), rel=1e-3)
 
     def test_zero_standard_errors_give_no_z_score(self):
         # 1.0 +- 0 against 2.0 +- 0 used to read 0.0, as if they agreed
