@@ -1,20 +1,20 @@
-"""Mixed discriminants and the two-sided mixed-volume bound.
+"""Mixed discriminants, the two-sided mixed-volume bound and the exact
+second moment of a Gaussian Gram statistic, from one inclusion-exclusion.
 
 The mixed discriminant of d symmetric d x d matrices is the coefficient
 extracted by d-fold polarization of the determinant polynomial:
 
     D_d(A_1, ..., A_d)
-        = (1/d!) sum over nonempty S of [d] of (-1)^(d-|S|) det(sum_{i in S} A_i),
+        = (1/d!) sum over nonempty S of [d] of (-1)^(d-|S|) det(sum_{i in S} A_i).
 
-the inclusion-exclusion realization of the mixed partial derivative of
-det(lambda_1 A_1 + ... + lambda_d A_d).  For ellipsoids with representing
-matrices A_i, the mixed volume is sandwiched between
-kappa_d 3^{-(d-1)/2} sqrt(D_d) and kappa_d sqrt(D_d).
-
-The same polarization gives the exact second moment of a Gaussian Gram
-statistic: for a k x d matrix M with independent rows N(0, S_i),
-E det(M_J)^2 = k! D_k(S_1[J, J], ..., S_k[J, J]) for every k x k column minor,
-and Cauchy-Binet sums these over the k-subsets J.
+For ellipsoids with representing matrices A_i, the mixed volume is
+sandwiched between kappa_d 3^{-(d-1)/2} sqrt(D_d) and kappa_d sqrt(D_d).
+D_d is also a second moment, the twin of E|det M| = d!/(2 pi)^{d/2} V_d:
+for a k x d matrix M with independent rows N(0, S_i),
+E det(M_J)^2 = k! D_k(S_1[J, J], ..., S_k[J, J]) for every k x k column
+minor, which Cauchy-Binet sums over the k-subsets J; at k = d,
+E det(M)^2 = d! D_d(S_1, ..., S_d).  So one kernel, _second_moment, serves
+mixed_discriminant and expected_gram_determinant, at one power-of-two scale.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NegativeDiscriminant, OutOfRange
-from .geometry import MAX_DIM, Ellipsoid, batch_det, symmetric_matrix, unit_ball_volume
+from .geometry import MAX_DIM, Ellipsoid, batch_det, rescale_pow2, split_pow2, symmetric_matrix, unit_ball_volume
 
 
 @dataclass(frozen=True)
@@ -54,33 +54,33 @@ class SymmetricTuple:
         return len(self.matrices)
 
 
-def _subset_sums(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 2^k - 1 nonempty subset sums of a (k, d, d) stack, and the
-    inclusion-exclusion sign (-1)^(k - |S|) of each."""
-    k = stack.shape[0]
-    # membership[s, i] == 1 when matrix i belongs to subset s+1
+def _second_moment(mats: Sequence[np.ndarray]) -> tuple[float, int, np.ndarray, np.ndarray]:
+    """expected_gram_determinant's value for mats divided by 2^e, e the
+    binary exponent of their largest entry (so no determinant overflows),
+    the shift k e that rescales it, and the subset-sum minors and
+    determinants it sums."""
+    stack, e = split_pow2(np.stack(mats))
+    k, d = stack.shape[:2]
+    # membership[s, i] == 1 when matrix i belongs to subset s+1, whose
+    # inclusion-exclusion sign is (-1)^(k - |S|)
     membership = (np.arange(1, 1 << k)[:, None] >> np.arange(k)) & 1
     sums = np.tensordot(membership.astype(float), stack, axes=(1, 0))
-    return sums, np.where((k - membership.sum(axis=1)) % 2, -1.0, 1.0)
+    signs = np.where((k - membership.sum(axis=1)) % 2, -1.0, 1.0)
+    cols = np.array(list(itertools.combinations(range(d), k)))  # (C(d, k), k)
+    minors = sums[:, cols[:, :, None], cols[:, None, :]].reshape(-1, k, k)
+    dets = batch_det(minors).reshape(signs.shape[0], cols.shape[0])
+    return float(np.sum(np.sum(signs[:, None] * dets, axis=0))), k * e, minors, dets
 
 
 def mixed_discriminant(t: SymmetricTuple | Sequence) -> float:
-    """Exact D_d by inclusion-exclusion over the 2^d - 1 nonempty subsets.
-
-    OutOfRange where the value, or a subset sum's determinant, overflows a
-    double.
-    """
+    """Exact D_d: _second_moment's value at k = d, divided by 2, ..., d;
+    OutOfRange where D_d leaves the normal doubles."""
     if not isinstance(t, SymmetricTuple):
         t = SymmetricTuple(tuple(t))
-    d = t.dim
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums, signs = _subset_sums(np.stack(t.matrices))
-        total = float(np.sum(signs * batch_det(sums)))
-    if not math.isfinite(total):
-        raise OutOfRange(f"mixed discriminant of {d} matrices overflows a double")
-    for i in range(2, d + 1):
+    total, shift, _, _ = _second_moment(t.matrices)
+    for i in range(2, t.dim + 1):
         total /= i
-    return total
+    return rescale_pow2(total, shift, f"mixed discriminant of {t.dim} matrices")
 
 
 def expected_gram_determinant(covariances: Sequence) -> tuple[float, float]:
@@ -94,7 +94,7 @@ def expected_gram_determinant(covariances: Sequence) -> tuple[float, float]:
     the value is tr S_1.  The bound is eps * sum |det| * (k kappa + 2^k)
     over those determinants, kappa the spectral condition number of each
     subset-sum minor; it is infinite where a minor is not positive definite
-    in doubles.
+    in doubles.  OutOfRange where the value leaves the normal doubles.
     """
     mats = [symmetric_matrix(s, f"covariance {i}") for i, s in enumerate(covariances)]
     if not mats:
@@ -104,17 +104,15 @@ def expected_gram_determinant(covariances: Sequence) -> tuple[float, float]:
         raise DimensionMismatch("all covariances must share one dimension")
     if k > d:
         raise DimensionMismatch(f"number of rows {k} exceeds dimension {d}")
-    sums, signs = _subset_sums(np.stack(mats))
-    cols = np.array(list(itertools.combinations(range(d), k)))  # (C(d, k), k)
-    minors = sums[:, cols[:, :, None], cols[:, None, :]].reshape(-1, k, k)
-    dets = batch_det(minors).reshape(signs.shape[0], cols.shape[0])
-    value = float(np.sum(np.sum(signs[:, None] * dets, axis=0)))
+    value, shift, minors, dets = _second_moment(mats)
+    value = rescale_pow2(value, shift, f"E det(M M^T) of {k} rows")
     eig = np.linalg.eigvalsh(minors)
     if not np.all(eig[:, 0] > 0.0):
         return value, math.inf
     kappa = eig[:, -1] / eig[:, 0]
     bound = np.finfo(float).eps * float(np.sum(np.abs(dets).ravel() * (k * kappa + (1 << k))))
-    return value, bound
+    # a bound that leaves the doubles is no bound: infinite, as for a singular minor
+    return value, math.ldexp(bound, shift) if math.frexp(bound)[1] + shift <= 1024 else math.inf
 
 
 def barvinok_bounds(ellipsoids: Sequence[Ellipsoid]) -> tuple[float, float]:
@@ -123,17 +121,12 @@ def barvinok_bounds(ellipsoids: Sequence[Ellipsoid]) -> tuple[float, float]:
     Returns (kappa_d 3^{-(d-1)/2} sqrt(D), kappa_d sqrt(D)) with D the mixed
     discriminant of the representing matrices.
     """
-    ellipsoids = tuple(ellipsoids)
-    if not ellipsoids:
-        raise DimensionMismatch("need d ellipsoids, got none")
-    d = ellipsoids[0].dim
-    if any(e.dim != d for e in ellipsoids) or len(ellipsoids) != d:
-        raise DimensionMismatch(f"need exactly d={d} ellipsoids of dimension {d}")
-    disc = mixed_discriminant(tuple(e.sigma.entries for e in ellipsoids))
+    mats = tuple(e.sigma.entries for e in ellipsoids)
+    disc = mixed_discriminant(mats)
     if disc < 0.0:
         raise NegativeDiscriminant(
             f"mixed discriminant {disc:.3e} < 0 for positive-definite input"
         )
     root = float(np.sqrt(disc))
-    kappa = unit_ball_volume(d)
-    return (kappa * 3.0 ** (-(d - 1) / 2.0) * root, kappa * root)
+    kappa = unit_ball_volume(len(mats))
+    return (kappa * 3.0 ** (-(len(mats) - 1) / 2.0) * root, kappa * root)

@@ -6,14 +6,15 @@ centered Gaussian vector is literally the representing matrix of its
 location-dispersion ellipsoid. Linear maps act on representing matrices by
 S -> L S L^T, orthogonal projections by S -> C S C^T.
 
-Also hosts the combinatorial constants used by the volume formulas:
-kappa_n (volume of the unit n-ball) and the falling factorial (d)_k.
+Also hosts the constants of the volume formulas, kappa_n (volume of the
+unit n-ball) and (d)_k, and the power-of-two pair split_pow2/rescale_pow2.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,6 +185,26 @@ def batch_det(ms) -> np.ndarray:
         below = a[:, j + 1 :, j] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
         a[:, j + 1 :, j:] -= below[:, :, None] * a[:, None, j, j:]
     return det
+
+
+def split_pow2(a) -> tuple[np.ndarray, int]:
+    """(a / 2^e, e), e the binary exponent of the largest |entry| of a, so
+    the largest scaled entry lies in [1/2, 1): exact in binary where no
+    entry falls below the normal doubles."""
+    e = math.frexp(float(np.max(np.abs(a))))[1]
+    return np.ldexp(a, -e), e
+
+
+def rescale_pow2(x: float, e: int, what: str) -> float:
+    """x * 2^e, exact in binary; OutOfRange, naming what, where a nonzero x
+    lands outside the normal doubles."""
+    try:
+        y = math.ldexp(x, e)
+    except OverflowError:
+        raise OutOfRange(f"{what} overflows a double") from None
+    if x != 0.0 and abs(y) < sys.float_info.min:
+        raise OutOfRange(f"{what} underflows a double")
+    return y
 
 
 def transform_ellipsoid(e: Ellipsoid, L) -> Ellipsoid:

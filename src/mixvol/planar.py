@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, NonConvexBody, OutOfRange
-from .geometry import Ellipsoid, freeze
+from .geometry import Ellipsoid, freeze, rescale_pow2
 
 # Convexity slack for the grid test of h + h'' >= 0: second differences of a
 # spectrally sampled support function carry O(delta^2) noise, not exact zeros.
@@ -117,20 +117,19 @@ def _sample(body: SupportBody2D, theta: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _area(h: np.ndarray, hp: np.ndarray, delta: float) -> float:
-    """area_from_support on (h, h') already sampled at grid spacing delta."""
+    """area_from_support on (h, h') already sampled at grid spacing delta;
+    the sum reads h and h' over 2^e, e the binary exponent of max |h| >= |h'|."""
     h_pp = (np.roll(hp, -1) - np.roll(hp, 1)) / (2.0 * delta)
-    scale = max(1.0, float(np.max(np.abs(h))))
+    top = float(np.max(np.abs(h)))
     defect = h + h_pp
-    if np.any(defect < -CONVEXITY_SLACK * scale):
+    if np.any(defect < -CONVEXITY_SLACK * max(1.0, top)):
         raise NonConvexBody(
             f"support function violates h + h'' >= 0 (min {float(np.min(defect)):.3e})"
         )
+    e = math.frexp(top)[1]
     # periodic integrand: trapezoid == left rule, spectral for smooth h
-    with np.errstate(over="ignore", invalid="ignore"):
-        area = 0.5 * float(np.sum(h * h - hp * hp)) * delta
-    if not math.isfinite(area):
-        raise OutOfRange("area from the support function overflows a double")
-    return area
+    area = 0.5 * float(np.sum(np.ldexp(h, -e) ** 2 - np.ldexp(hp, -e) ** 2)) * delta
+    return rescale_pow2(area, 2 * e, "area from the support function")
 
 
 def area_from_support(body: SupportBody2D, n_theta: int = 512) -> float:

@@ -42,7 +42,6 @@ lie in [0, 2^64); nothing is reduced modulo 2^64, so distinct seeds never alias.
 from __future__ import annotations
 
 import math
-import sys
 from concurrent import futures
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -54,7 +53,7 @@ from numpy.random import Generator, Philox
 
 from .discriminant import expected_gram_determinant
 from .errors import DimensionMismatch, OutOfRange
-from .geometry import SPDMatrix
+from .geometry import SPDMatrix, rescale_pow2, split_pow2
 
 CHUNK = 1 << 16  # samples per substream; fixed so parallel == serial
 BLOCK = 1 << 12  # samples per Gram-kernel block; (k, d, BLOCK) stays in cache
@@ -244,16 +243,10 @@ class MCEstimate:
 
     def times_pow2(self, e: int) -> "MCEstimate":
         """Estimate of 2^e times the underlying expectation, exact in binary;
-        OutOfRange where a nonzero mean or standard error leaves the range of
-        normal doubles."""
+        OutOfRange where a nonzero mean, standard error or half-width leaves
+        the range of normal doubles."""
         values = (self.mean, self.std_error, self.ci_half_width)
-        try:
-            mean, se, half = (math.ldexp(v, e) for v in values)
-        except OverflowError:
-            raise OutOfRange(f"estimate {self.mean!r} * 2^{e} overflows a double") from None
-        for before, after in ((self.mean, mean), (self.std_error, se)):
-            if before != 0.0 and abs(after) < sys.float_info.min:
-                raise OutOfRange(f"estimate {self.mean!r} * 2^{e} underflows a double")
+        mean, se, half = (rescale_pow2(v, e, f"estimate {self.mean!r} * 2^{e}") for v in values)
         return replace(self, mean=mean, std_error=se, ci_half_width=half)
 
     def scaled(self, c: float) -> "MCEstimate":
@@ -322,13 +315,13 @@ def gram_volume(rows) -> float:
 
     Equals sqrt(det(A A^T)); computed by the batched kernel on a batch of
     one as the product of the row norms of a modified Gram-Schmidt sweep.
-    Linearly dependent rows give 0.
+    Linearly dependent rows give 0; a volume outside the normal doubles raises OutOfRange.
     """
-    a = np.atleast_2d(np.asarray(rows, dtype=float))
+    a, e = split_pow2(np.atleast_2d(np.asarray(rows, dtype=float)))
     k, d = a.shape
     if k > d:
         raise DimensionMismatch(f"{k} rows cannot be independent in R^{d}")
-    return float(_soa_gram_volumes(a[:, :, None].copy())[0])
+    return rescale_pow2(float(_soa_gram_volumes(a[:, :, None])[0]), k * e, "Gram volume")
 
 
 def _soa_gram_volumes(a: np.ndarray, orthonormal: bool = False, norms=None) -> np.ndarray:
@@ -571,8 +564,7 @@ def expected_gram_volume(
         scale, det_exponent = math.sqrt(2.0 / math.pi) * math.prod(mantissas), sum(exps)
         raw = [np.linalg.solve(last, f) for f in raw]
     k = len(raw)
-    exponents = [math.frexp(float(np.max(np.abs(f))))[1] for f in raw]
-    factors = [np.ldexp(f, -e) for f, e in zip(raw, exponents)]
+    factors, exponents = zip(*map(split_pow2, raw))
     # rows drawn per sample: all k, or k - 1 with the last in closed form
     tail = k == d - 1 >= 2
     drawn = k - 1 if tail else k

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, IllConditionedEllipsoid, OutOfRange
-from .geometry import Ellipsoid, falling_factorial, freeze, unit_ball_volume
+from .geometry import Ellipsoid, falling_factorial, freeze, split_pow2, unit_ball_volume
 from .sampling import (
     SQRT_TWO_PI,
     GaussianVectorSpec,
@@ -288,8 +288,7 @@ def sudakov_width(
     dimension each sample takes the max over all N points of z @ pts.T, in
     cache-sized blocks, without a control.
     """
-    e = math.frexp(float(np.max(np.abs(cloud.points))))[1]
-    pts = np.ldexp(cloud.points, -e)
+    pts, e = split_pow2(cloud.points)
     control = None
     if cloud.dim == 2:
         support = _planar_support(pts)

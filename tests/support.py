@@ -28,6 +28,14 @@ def rng_for(seed):
     return np.random.default_rng(seed)
 
 
+def pow2_extremes(value, power):
+    """The largest and the smallest j for which value * 2^(power j) is still
+    a normal double: inputs scaled by 2^j then put a value that scales as
+    their power-th power at the top and at the bottom of the doubles."""
+    e = math.frexp(value)[1]
+    return (1024 - e) // power, -((1021 + e) // power)
+
+
 def random_spd_entries(rng, d, scale=1.0):
     """Well-conditioned random SPD entries: G G^T plus a ridge."""
     g = rng.normal(size=(d, d)) * scale

@@ -203,6 +203,11 @@ def inputs(tmp_path_factory):
         "d_overflow_pair": dump("d_overflow_pair.json", [
             {"dim": 2, "sigma": np.diag([1e160, 1e160]).tolist()},
             {"dim": 2, "sigma": np.diag([2e160, 1e160]).tolist()}]),
+        # D = 1e308 is a double although det(2A) = 4e308 is not; D = 1e-340 is not
+        "d_top_mats": dump("d_top_mats.json", [np.diag([1e154, 1e154]).tolist()] * 2),
+        "d_top_pair": dump("d_top_pair.json", [{"dim": 2, "sigma": np.diag([1e154, 1e154]).tolist()}] * 2),
+        "d_tiny_mats": dump("d_tiny_mats.json", [np.diag([1e-170, 1e-170]).tolist()] * 2),
+        "d_tiny_pair": dump("d_tiny_pair.json", [{"dim": 2, "sigma": np.diag([1e-170, 1e-170]).tolist()}] * 2),
         "area_overflow_pair": dump("area_overflow_pair.json", [
             {"dim": 2, "sigma": np.diag([1e308, 1e307]).tolist()},
             {"dim": 2, "sigma": np.diag([1e307, 1e308]).tolist()}]),
@@ -747,6 +752,30 @@ class TestFailurePaths:
         proc = run_cli(*argv[:-1], inputs[argv[-1]], expect=2)
         [line] = proc.stderr.splitlines()
         assert line.startswith("OutOfRange:") and what in line
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [(["discriminant", "--matrices", "d_top_mats"], "value"),
+         (["bounds", "--ellipsoids", "d_top_pair"], "discriminant")],
+        ids=["discriminant", "bounds"],
+    )
+    def test_discriminant_at_the_top_of_the_doubles(self, inputs, argv, key):
+        # exited 2 with OutOfRange, as det(2A) overflowed before the
+        # inclusion-exclusion cancelled it
+        proc = run_cli(*argv[:-1], inputs[argv[-1]])
+        assert report_of(proc)[key] == 1e308 and proc.stderr == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["discriminant", "--matrices", "d_tiny_mats"], ["bounds", "--ellipsoids", "d_tiny_pair"]],
+        ids=["discriminant", "bounds"],
+    )
+    def test_underflowing_discriminant_exits_two(self, inputs, argv):
+        # exited 0 with "value": 0.0, and bounds with three zeros
+        proc = run_cli(*argv[:-1], inputs[argv[-1]], expect=2)
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("OutOfRange:") and "mixed discriminant" in line and "underflows" in line
         assert proc.stdout == ""
 
     def test_non_finite_points_exit_two(self, inputs):

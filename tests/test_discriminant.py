@@ -7,6 +7,11 @@ Core claims:
 - The discriminant is symmetric in its arguments and multilinear in each.
 - A discriminant that overflows a double raises OutOfRange, without a numpy
   warning, and so do the Barvinok bounds built on it.
+- mixed_discriminant is expected_gram_determinant at k = d divided by
+  2, ..., d, bit for bit (d = 1..8, definite and indefinite): one
+  inclusion-exclusion.  Both are exact under power-of-two scaling of their
+  inputs up to the top and the bottom of the normal doubles, where the
+  subset-sum determinants of the unscaled inputs overflowed or underflowed.
 - barvinok_bounds sandwiches the Monte Carlo mixed volume for random PD
   tuples in dimensions 2..5.
 - expected_gram_determinant, E det(M M^T) for independent Gaussian rows, is
@@ -48,6 +53,7 @@ from support import (
     random_ellipsoid,
     random_spd_entries,
     random_symmetric,
+    pow2_extremes,
     rng_for,
     spread_covariances,
 )
@@ -308,3 +314,69 @@ class TestExpectedGramDeterminant:
     def test_bad_shapes_rejected(self, mats):
         with pytest.raises(DimensionMismatch):
             expected_gram_determinant(mats)
+
+    @pytest.mark.parametrize("definite", [True, False], ids=["spd", "indefinite"])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_discriminant_is_the_gram_kernel_over_d_factorial(self, d, definite):
+        rng = rng_for(120 + d)
+        draw = random_spd_entries if definite else random_symmetric
+        mats = [draw(rng, d) for _ in range(d)]
+        total = expected_gram_determinant(mats)[0]
+        for i in range(2, d + 1):
+            total /= i
+        assert mixed_discriminant(mats) == total
+
+
+# == 6. One power-of-two scale ==============================================
+
+
+class TestPowerOfTwoScale:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_mixed_discriminant(self, d):
+        rng = rng_for(130 + d)
+        mats = [random_spd_entries(rng, d) for _ in range(d)]
+        base = mixed_discriminant(mats)
+        for j in pow2_extremes(base, d):
+            assert mixed_discriminant([np.ldexp(m, j) for m in mats]) == math.ldexp(base, d * j)
+
+    @pytest.mark.parametrize("d, k", [(1, 1), (3, 2), (4, 4), (8, 3)])
+    def test_expected_gram_determinant(self, d, k):
+        rng = rng_for(140 + d)
+        mats = [random_spd_entries(rng, d) for _ in range(k)]
+        value, bound = expected_gram_determinant(mats)
+        for j in pow2_extremes(value, k):
+            scaled = expected_gram_determinant([np.ldexp(m, j) for m in mats])
+            assert scaled == (math.ldexp(value, k * j), math.ldexp(bound, k * j))
+
+    def test_top_of_the_doubles(self):
+        # det(2A) = 4e308 overflowed before the inclusion-exclusion cancelled
+        a = np.diag([1e154, 1e154])
+        assert mixed_discriminant([a, a]) == 1e308
+        assert barvinok_bounds([Ellipsoid(make_spd(a))] * 2)[1] == approx(math.pi * 1e154, rel=1e-15)
+        assert expected_gram_determinant([np.diag([9e153, 9e153])] * 2)[0] == approx(1.62e308, rel=1e-15)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "mats, what",
+        [
+            ([np.diag([1e200, 1e200])] * 2, "overflows"),
+            ([np.diag([1e308, 1e308])], "overflows"),
+            ([np.diag([1e-170, 1e-170])] * 2, "underflows"),
+            ([np.diag([1e-160, 1e-160])] * 2, "underflows"),
+        ],
+        ids=["1e200", "1e308", "1e-170", "subnormal"],
+    )
+    def test_value_outside_the_normal_doubles_rejected(self, mats, what):
+        # were (nan, inf), (inf, inf) and (0.0, 0.0), and D = 0.0 silently
+        with pytest.raises(OutOfRange, match=what):
+            expected_gram_determinant(mats)
+        if len(mats) == mats[0].shape[0]:
+            with pytest.raises(OutOfRange, match=f"mixed discriminant.*{what}"):
+                mixed_discriminant(mats)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bound_past_the_doubles_is_infinite(self):
+        # kappa = 1e300: the value is finite, its error bound is not (and
+        # overflowed with a numpy warning)
+        value, bound = expected_gram_determinant([np.diag([1e200, 1e-100])] * 2)
+        assert value == approx(2e100, rel=1e-15) and bound == math.inf

@@ -9,7 +9,9 @@ Core claims:
 - The fitted Minkowski quadratic has c11/2 equal to the polarization value,
   nonnegative coefficients, and residuals at round-off level.
 - Non-convex support inputs are rejected, and an area that overflows a
-  double raises OutOfRange without a numpy warning.
+  double raises OutOfRange without a numpy warning; the area is summed at
+  one power-of-two scale, so scaling a body by 2^j scales its area by
+  2^(2 j) exactly, up to the edges of the normal doubles.
 - Sampling each body once gives bit for bit the values of the composed
   support functions k.add(l) and k.scale(s).add(l.scale(t)), and the same
   NonConvexBody from the same body first.  planar_report gives the mixed
@@ -45,6 +47,7 @@ from support import (
     random_ellipsoid,
     reference_minkowski_fit,
     reference_mixed_area,
+    pow2_extremes,
     rng_for,
 )
 
@@ -114,15 +117,27 @@ class TestAreaFromSupport:
             area_from_support(body)
 
     # h^2 near 1e308 summed over the grid: the report was inf, and the CLI
-    # exited 1 after numpy overflow warnings
+    # exited 1 after numpy overflow warnings.  The area 9.42e307 of semi-axes
+    # 1e154 and 3e153 is finite and returned; ten times those axes overflow.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_area_rejected(self):
         big = _ellipse_body(1e154, 3e153)
         with pytest.raises(OutOfRange, match="area"):
-            area_from_support(big)
+            area_from_support(big.scale(10.0))
         with pytest.raises(OutOfRange, match="area"):
             planar_report(big, big)
+        assert area_from_support(big) == approx(math.pi * 1e154 * 3e153, rel=1e-12)
         assert area_from_support(big.scale(1e-10)) < math.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n_theta", [64, 512])
+    def test_power_of_two_scale_is_exact(self, n_theta):
+        # up to the top and the bottom of the normal doubles, where h^2 of
+        # the unscaled samples overflowed or underflowed
+        body = _ellipse_body(2.0, 0.75)
+        area = area_from_support(body, n_theta)
+        for j in pow2_extremes(area, 2):
+            assert area_from_support(body.scale(2.0**j), n_theta) == math.ldexp(area, 2 * j)
 
     def test_three_dim_input_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -5,7 +5,8 @@ Core claims:
   have the requested covariance (law-of-large-numbers checks at 10^6 draws).
 - gram_volume computes sqrt(det(A A^T)) without forming A A^T and satisfies
   the factorization identity Vol(x_1..x_d) = Vol(x_1..x_k) * Vol(projections),
-  orthogonal invariance, and scaling.
+  orthogonal invariance, and scaling, exactly for powers of two up to the
+  edges of the normal doubles (OutOfRange beyond them).
 - expected_gram_volume is bit-identical across 1, 2, and 8 worker threads
   and its 99% confidence interval covers the exact Wishart value with the
   advertised frequency.
@@ -98,6 +99,7 @@ from support import (
     reference_complement_ellipses,
     reference_expected_gram_volume,
     reference_gram_volumes,
+    pow2_extremes,
     rng_for,
     spread_covariances,
 )
@@ -202,6 +204,19 @@ class TestGramVolume:
                 q, _ = np.linalg.qr(xs[:k].T)
                 tail = xs[k:] - (xs[k:] @ q) @ q.T
                 assert full == approx(head * gram_volume(tail), rel=1e-8)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k, d", [(1, 3), (2, 2), (3, 5), (5, 5)])
+    def test_power_of_two_scale_is_exact(self, k, d):
+        # up to the top and the bottom of the normal doubles: rows of 1e200
+        # gave inf, and a volume below them now raises instead of reading 0
+        xs = rng_for(10 * k + d).normal(size=(k, d))
+        vol = gram_volume(xs)
+        for j in pow2_extremes(vol, k):
+            assert gram_volume(np.ldexp(xs, j)) == math.ldexp(vol, k * j)
+        assert gram_volume([[1e200, 0.0], [0.0, 1e100]]) == 1e300
+        with pytest.raises(OutOfRange, match="Gram volume underflows"):
+            gram_volume([[1e-200, 0.0], [0.0, 1e-200]])
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_orthogonal_invariance(self, seed):

@@ -22,6 +22,11 @@ Core claims:
   read at the one weight scale it sets.
 - nothing in the package calls np.linalg.det: geometry.batch_det is the one
   determinant routine.
+- in discriminant.py only _second_moment calls batch_det: mixed
+  discriminants and Gram second moments share one inclusion-exclusion.
+- math.frexp of an array maximum occurs only in geometry.split_pow2, the
+  one helper that divides an array by the power of two of its largest entry
+  (planar._area takes the exponent of the maximum its convexity test reads).
 """
 
 import ast
@@ -64,8 +69,9 @@ def _names_pool(node) -> bool:
     return "ThreadPoolExecutor" in names
 
 
-def _calls_chunked_mean(node) -> bool:
-    return isinstance(node, ast.Call) and "chunked_mc_mean" in (
+def _calls(node, name) -> bool:
+    """Whether node calls name, as a bare name or an attribute."""
+    return isinstance(node, ast.Call) and name in (
         getattr(node.func, "id", None), getattr(node.func, "attr", None)
     )
 
@@ -83,8 +89,8 @@ def test_map_chunks_is_the_only_thread_pool():
 
 
 def test_only_sampling_and_sudakov_width_call_the_chunked_mean():
-    found = {(name, scope) for name, scope in _package_scopes(_calls_chunked_mean)
-             if name != "sampling.py"}
+    calls = _package_scopes(lambda node: _calls(node, "chunked_mc_mean"))
+    found = {(name, scope) for name, scope in calls if name != "sampling.py"}
     assert found == {("volumes.py", "sudakov_width")}
 
 
@@ -159,3 +165,18 @@ def test_batch_det_is_the_only_determinant():
             and any(alias.name == "det" for alias in node.names))
     ]
     assert found == []
+
+
+def test_one_inclusion_exclusion_calls_batch_det():
+    tree = ast.parse((PACKAGE / "discriminant.py").read_text(), filename="discriminant.py")
+    assert set(_scopes(tree, lambda node: _calls(node, "batch_det"))) == {"_second_moment"}
+
+
+def _frexp_of_a_maximum(node) -> bool:
+    return _calls(node, "frexp") and any(
+        _calls(inner, "max") for arg in node.args for inner in ast.walk(arg)
+    )
+
+
+def test_split_pow2_is_the_only_array_normalisation():
+    assert _package_scopes(_frexp_of_a_maximum) == {("geometry.py", "split_pow2")}
