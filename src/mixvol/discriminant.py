@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NegativeDiscriminant, OutOfRange
-from .geometry import MAX_DIM, Ellipsoid, batch_det, rescale_pow2, split_pow2, symmetric_matrix, unit_ball_volume
+from .geometry import MAX_DIM, Ellipsoid, batch_det, rescale_pow2, symmetric_matrix, unit_ball_volume
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,29 @@ class SymmetricTuple:
         return len(self.matrices)
 
 
+def _split_minors(stack: np.ndarray) -> tuple[np.ndarray, int]:
+    """(stack / 2^e, e) for k matrices, e the mean binary exponent of the k
+    largest row maxima: by Hadamard's bound the k x k minors of their sums
+    are then at most about 1 over 2^(k e), and small minors keep their bits.
+    e is clamped so that every scaled entry is below 2^1000 and no nonzero one
+    loses a bit: it stays normal, or e <= 0 where it was subnormal already."""
+    mag = np.abs(stack)
+    top = float(mag.max())
+    if top == 0.0:
+        return stack, 0
+    rows = sorted(math.frexp(r)[1] for r in mag.max(axis=(0, 2)).tolist())[-len(stack):]
+    lo, hi = math.frexp(top)[1] - 1000, max(math.frexp(float(mag[mag > 0.0].min()))[1] + 1021, 0)
+    if lo > hi:
+        raise OutOfRange("matrix entries span more than one power-of-two scale holds")
+    e = min(max(-(-sum(rows) // len(rows)), lo), hi)
+    return np.ldexp(stack, -e), e
+
+
 def _second_moment(mats: Sequence[np.ndarray]) -> tuple[float, int, np.ndarray, np.ndarray]:
-    """expected_gram_determinant's value for mats divided by 2^e, e the
-    binary exponent of their largest entry (so no determinant overflows),
-    the shift k e that rescales it, and the subset-sum minors and
-    determinants it sums."""
-    stack, e = split_pow2(np.stack(mats))
+    """expected_gram_determinant's value for mats divided by 2^(k e), e from
+    _split_minors, the shift k e that rescales it, and the subset-sum minors
+    and determinants it sums."""
+    stack, e = _split_minors(np.stack(mats))
     k, d = stack.shape[:2]
     # membership[s, i] == 1 when matrix i belongs to subset s+1, whose
     # inclusion-exclusion sign is (-1)^(k - |S|)
@@ -109,10 +126,12 @@ def expected_gram_determinant(covariances: Sequence) -> tuple[float, float]:
     eig = np.linalg.eigvalsh(minors)
     if not np.all(eig[:, 0] > 0.0):
         return value, math.inf
-    kappa = eig[:, -1] / eig[:, 0]
-    bound = np.finfo(float).eps * float(np.sum(np.abs(dets).ravel() * (k * kappa + (1 << k))))
-    # a bound that leaves the doubles is no bound: infinite, as for a singular minor
-    return value, math.ldexp(bound, shift) if math.frexp(bound)[1] + shift <= 1024 else math.inf
+    # a bound past the doubles is no bound: infinite, as for a singular minor;
+    # one below them still bounds, so it is not rescale_pow2's OutOfRange
+    with np.errstate(over="ignore"):
+        kappa = eig[:, -1] / eig[:, 0]
+        bound = np.finfo(float).eps * np.sum(np.abs(dets).ravel() * (k * kappa + (1 << k)))
+        return value, float(np.ldexp(bound, shift))
 
 
 def barvinok_bounds(ellipsoids: Sequence[Ellipsoid]) -> tuple[float, float]:

@@ -197,11 +197,13 @@ def split_pow2(a) -> tuple[np.ndarray, int]:
 
 def rescale_pow2(x: float, e: int, what: str) -> float:
     """x * 2^e, exact in binary; OutOfRange, naming what, where a nonzero x
-    lands outside the normal doubles."""
+    lands outside the normal doubles (an infinite or NaN x overflows)."""
     try:
         y = math.ldexp(x, e)
     except OverflowError:
-        raise OutOfRange(f"{what} overflows a double") from None
+        y = math.inf
+    if not math.isfinite(y):
+        raise OutOfRange(f"{what} overflows a double")
     if x != 0.0 and abs(y) < sys.float_info.min:
         raise OutOfRange(f"{what} underflows a double")
     return y

@@ -315,13 +315,16 @@ def gram_volume(rows) -> float:
 
     Equals sqrt(det(A A^T)); computed by the batched kernel on a batch of
     one as the product of the row norms of a modified Gram-Schmidt sweep.
+    Each row runs at the power of two of its own largest entry, exactly.
     Linearly dependent rows give 0; a volume outside the normal doubles raises OutOfRange.
     """
-    a, e = split_pow2(np.atleast_2d(np.asarray(rows, dtype=float)))
+    a = np.atleast_2d(np.asarray(rows, dtype=float))
     k, d = a.shape
     if k > d:
         raise DimensionMismatch(f"{k} rows cannot be independent in R^{d}")
-    return rescale_pow2(float(_soa_gram_volumes(a[:, :, None])[0]), k * e, "Gram volume")
+    scaled, exponents = zip(*map(split_pow2, a))
+    vol = float(_soa_gram_volumes(np.array(scaled)[:, :, None])[0])
+    return rescale_pow2(vol, sum(exponents), "Gram volume")
 
 
 def _soa_gram_volumes(a: np.ndarray, orthonormal: bool = False, norms=None) -> np.ndarray:

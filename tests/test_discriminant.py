@@ -356,6 +356,25 @@ class TestPowerOfTwoScale:
         assert expected_gram_determinant([np.diag([9e153, 9e153])] * 2)[0] == approx(1.62e308, rel=1e-15)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_small_entries_keep_their_bits(self):
+        # a scale from the largest entry alone would send 1e-200 to 0 and
+        # the 8 x 8 determinant to 2^-1170; the scale of the minors keeps
+        # det A = 1 and det B = 1e50
+        a = np.diag([1e200, 1e-200])
+        assert mixed_discriminant([a, a]) == approx(1.0, rel=1e-15)
+        assert expected_gram_determinant([a, a])[0] == approx(2.0, rel=1e-15)
+        b = np.diag([1e50] + [1.0] * 7)
+        assert mixed_discriminant([b] * 8) == approx(1e50, rel=1e-12)
+
+    def test_entries_past_one_scale_rejected(self):
+        # a subnormal entry keeps its bits at e <= 0, which holds 1e300 but
+        # not 1e305 below 2^1000
+        tiny = np.diag([1e300, 5e-324])
+        assert mixed_discriminant([tiny] * 2) == approx(1e300 * 5e-324, rel=1e-15)
+        with pytest.raises(OutOfRange, match="span"):
+            mixed_discriminant([np.diag([1e305, 5e-324])] * 2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "mats, what",
         [

@@ -190,6 +190,8 @@ class TestGramVolume:
             gram_volume(np.ones((3, 2)))
         with pytest.raises(DimensionMismatch):
             gram_volume([[1.0], [2.0]])
+        with pytest.raises(DimensionMismatch):
+            gram_volume([])
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_factorization_identity(self, seed):
@@ -215,6 +217,8 @@ class TestGramVolume:
         for j in pow2_extremes(vol, k):
             assert gram_volume(np.ldexp(xs, j)) == math.ldexp(vol, k * j)
         assert gram_volume([[1e200, 0.0], [0.0, 1e100]]) == 1e300
+        # each row at its own scale: 1e-200 is not flushed beside 1e200
+        assert gram_volume([[1e200, 0.0], [0.0, 1e-200]]) == approx(1.0, rel=1e-15)
         with pytest.raises(OutOfRange, match="Gram volume underflows"):
             gram_volume([[1e-200, 0.0], [0.0, 1e-200]])
 

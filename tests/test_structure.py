@@ -24,9 +24,12 @@ Core claims:
   determinant routine.
 - in discriminant.py only _second_moment calls batch_det: mixed
   discriminants and Gram second moments share one inclusion-exclusion.
-- math.frexp of an array maximum occurs only in geometry.split_pow2, the
-  one helper that divides an array by the power of two of its largest entry
-  (planar._area takes the exponent of the maximum its convexity test reads).
+- a binary exponent (frexp) of an array maximum, taken directly or through
+  a name bound to one, is taken in three functions only: geometry.split_pow2,
+  the helper that divides an array by the power of two of its largest
+  entry; discriminant._split_minors, which sets the one scale of the
+  exact second moment from the row maxima; and planar._area, which reuses
+  the maximum its convexity test reads.
 """
 
 import ast
@@ -172,11 +175,35 @@ def test_one_inclusion_exclusion_calls_batch_det():
     assert set(_scopes(tree, lambda node: _calls(node, "batch_det"))) == {"_second_moment"}
 
 
-def _frexp_of_a_maximum(node) -> bool:
-    return _calls(node, "frexp") and any(
-        _calls(inner, "max") for arg in node.args for inner in ast.walk(arg)
+def _frexp_of_a_maximum(func) -> bool:
+    """Whether func calls frexp on a maximum: a max call in the argument, or
+    a name that func binds to an expression with a max call."""
+    def has_max(node):
+        return any(_calls(inner, "max") for inner in ast.walk(node))
+
+    maxima = {
+        target.id
+        for node in ast.walk(func)
+        if isinstance(node, ast.Assign) and has_max(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    return any(
+        _calls(node, "frexp")
+        and any(has_max(arg) or isinstance(arg, ast.Name) and arg.id in maxima for arg in node.args)
+        for node in ast.walk(func)
     )
 
 
-def test_split_pow2_is_the_only_array_normalisation():
-    assert _package_scopes(_frexp_of_a_maximum) == {("geometry.py", "split_pow2")}
+def test_frexp_of_a_maximum_is_taken_in_three_places():
+    found = {
+        (path.name, node.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and _frexp_of_a_maximum(node)
+    }
+    assert found == {
+        ("geometry.py", "split_pow2"),
+        ("discriminant.py", "_split_minors"),
+        ("planar.py", "_area"),
+    }
