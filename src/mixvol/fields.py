@@ -172,21 +172,21 @@ def _trig_grid(om: np.ndarray, axes: Sequence[np.ndarray], coef: np.ndarray) -> 
     """(n_1, .., R) values of one trig component on the tensor grid of one
     or two axes for R realizations with (R, A, 2) coefficients.
 
-    One axis takes two GEMMs, by the cosine and by the sine coefficients.
-    On two, with u = omega_1 x and v = omega_2 y,
+    Either way the grid is one GEMM by the left factor [cos u, sin u],
+    (n_1, 2A), with u = omega_1 x.  On one axis the right factor is [a; b],
+    (2A, R), the cosine and sine coefficients.  On two, with v = omega_2 y,
         a cos(u + v) + b sin(u + v) = cos u (a cos v + b sin v) + sin u (b cos v - a sin v),
-    so the grid is one GEMM of [cos u, sin u], (nx, 2A), by (2A, ny R): its
-    cost is O(nx ny R A) multiply-adds and O((nx + ny) A) cos/sin, and no
-    (nx ny, A) table of cos and sin is built.
+    so the right factor is (2A, ny R): the cost is O(nx ny R A) multiply-adds
+    and O((nx + ny) A) cos/sin, and no (nx ny, A) table of cos and sin is built.
     """
     u = np.multiply.outer(axes[0], om[:, 0])
-    cos_u, sin_u = np.cos(u), np.sin(u)
+    left = np.concatenate([np.cos(u), np.sin(u)], axis=1)
+    a, b = coef[:, :, 0].T, coef[:, :, 1].T  # (A, R)
     if len(axes) == 1:
-        return cos_u @ coef[:, :, 0].T + sin_u @ coef[:, :, 1].T
-    left = np.concatenate([cos_u, sin_u], axis=1)
+        return left @ np.concatenate([a, b])
     v = np.multiply.outer(om[:, 1], axes[1])[:, :, None]  # (A, ny, 1)
     cos_v, sin_v = np.cos(v), np.sin(v)
-    a, b = coef[:, :, 0].T[:, None, :], coef[:, :, 1].T[:, None, :]  # (A, 1, R)
+    a, b = a[:, None, :], b[:, None, :]  # (A, 1, R)
     # the (2A, ny, R) right factor, written in place half by half
     right = np.empty((2, om.shape[0], axes[1].shape[0], coef.shape[0]))
     np.multiply(a, cos_v, out=right[0])
@@ -612,19 +612,11 @@ def _evaluate(field: FieldSpec, coefs: Sequence[np.ndarray], pts: np.ndarray, gr
     return tuple(np.stack(part, axis=1) for part in zip(*per))
 
 
-def _coefficient_blocks(field: FieldSpec, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """Per component, (A,) + the kind's shape standard normals, atom a's times sqrt(w_a)."""
-    blocks = []
-    for spec in field.components:
-        shape = _KINDS[spec.kind].shape
-        scale = np.sqrt(spec.weights).reshape((-1,) + (1,) * len(shape))
-        blocks.append(rng.standard_normal(spec.weights.shape + shape) * scale)
-    return tuple(blocks)
-
-
 def simulate_realization(field: FieldSpec, stream: RngStream) -> Realization:
-    """Draw the Gaussian coefficients for one realization, deterministically."""
-    return Realization(field, _coefficient_blocks(field, stream.generator()))
+    """Draw the Gaussian coefficients for one realization, deterministically:
+    the experiments' draw of a chunk of one."""
+    stacks = _chunk_coefficients(field, stream.seed, stream.stream_index, 1)
+    return Realization(field, tuple(stack[0] for stack in stacks))
 
 
 # ---------------------------------------------------------------------------
@@ -681,15 +673,33 @@ def _opposite(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a < 0.0) & (b > 0.0) | (a > 0.0) & (b < 0.0)
 
 
+def _crossings(pos: np.ndarray, neg: np.ndarray):
+    """Crossings along axis 0, half-open in the last node, from the masks
+    values > 0 and values < 0: a node counts where the next one has the
+    opposite sign or where it is an exact zero (in neither mask, as a NaN
+    is).  Each count is a sum of bytes in the least unsigned type that
+    holds it."""
+    a, b = pos[:-1], neg[:-1]
+    hit = (a & neg[1:]) | (b & pos[1:]) | ~(a | b)
+    counts = np.add.reduce(hit.view(np.uint8), axis=0, dtype=np.min_scalar_type(hit.shape[0]))
+    return counts.astype(np.intp)
+
+
 def _sign_change_count(values: np.ndarray):
     """Crossings along axis 0, half-open in the last node.
 
     A 1-D array gives one count; an (m, R) array of R realizations sampled
     at m nodes gives R counts.
     """
-    crossings = np.count_nonzero(_opposite(values[:-1], values[1:]), axis=0)
-    # exact zeros at nodes count once; the final node belongs to the next tile
-    return crossings + np.count_nonzero(values[:-1] == 0.0, axis=0)
+    return _crossings(values > 0.0, values < 0.0)
+
+
+def _line_counts(values: np.ndarray):
+    """Crossing counts of each realization of a chunk at all 2 grid_n + 1
+    nodes of its (2 grid_n + 1, R) values and at the even grid_n + 1 of
+    them, both read from one pass for the signs."""
+    pos, neg = values > 0.0, values < 0.0
+    return _crossings(pos, neg), _crossings(pos[::2], neg[::2])
 
 
 def _chunk_line_1d(field: FieldSpec, coefs: list[np.ndarray], region: Region, grid_n: int):
@@ -1052,13 +1062,22 @@ def _chunk_coefficients(field: FieldSpec, seed: int, start: int, size: int) -> l
     """Coefficients of realizations start .. start+size-1, one stack per
     component: (size, A, 2) for trig, (size, A) for polynomial.
 
-    Realization i always draws from stream (seed, i), so experiment results
-    do not depend on the chunk size and match simulate_realization
-    one-by-one; one generator is re-keyed from stream to stream.
+    Realization i always draws from stream (seed, i), its components in
+    order, each straight into its row of the stack; each stack is then
+    scaled by sqrt(w) once, atom a's by sqrt(w_a).  So experiment results do
+    not depend on the chunk size, and simulate_realization is a chunk of
+    one.  One generator is re-keyed from stream to stream; it is built on
+    the last stream, so a chunk that leaves [0, 2^64) raises before any draw.
     """
-    gen = RngStream(seed, start).generator()
-    blocks = [_coefficient_blocks(field, rekey(gen, seed, start + i)) for i in range(size)]
-    return [np.stack(component) for component in zip(*blocks)]
+    gen = RngStream(seed, start + size - 1).generator()
+    stacks = [np.empty((size,) + spec.weights.shape + _KINDS[spec.kind].shape) for spec in field.components]
+    for i in range(size):
+        rekey(gen, seed, start + i)
+        for stack in stacks:
+            gen.standard_normal(out=stack[i])
+    for spec, stack in zip(field.components, stacks):
+        stack *= np.sqrt(spec.weights).reshape((-1,) + (1,) * (stack.ndim - 2))
+    return stacks
 
 
 def _experiment(
@@ -1108,13 +1127,14 @@ def zero_count_experiment_1d(
     """Mean zero count of a d=1 field over independent realizations.
 
     Counts sign changes at 2*grid_n and, as an aggregate self-check, also at
-    grid_n from the same evaluations: more than 1% of realizations moving
-    under the doubling raises GridTooCoarse.
+    grid_n: more than 1% of realizations moving under the doubling raises
+    GridTooCoarse.  Each chunk of 256 realizations takes one GEMM for its
+    values at the 2 grid_n + 1 nodes and one pass for their signs, from
+    which both counts are read (_line_counts).
     """
 
     def measure(coefs, start, threads):
-        _, values = _chunk_line_1d(field, coefs, region, grid_n)
-        coarse, fine = _sign_change_count(values[::2]), _sign_change_count(values)
+        fine, coarse = _line_counts(_chunk_line_1d(field, coefs, region, grid_n)[1])
         return fine, int(np.count_nonzero(fine != coarse))
 
     return _experiment(

@@ -165,7 +165,12 @@ def batch_det(ms) -> np.ndarray:
     identity stacks), which np.linalg.det is not: it goes through log space
     and returns det(2 I_3) = 8 - 2e-15.  Elimination is backward stable, so
     its error grows like kappa, where the 3 x 3 cofactor formula on
-    inclusion-exclusion sums lost kappa^2 and could change the sign.
+    inclusion-exclusion sums lost kappa^2 and could change the sign.  The
+    pivots are multiplied as mantissas in [1/2, 1), whose product of fewer
+    than 1022 factors stays normal, and their binary exponents are summed:
+    no partial product leaves the doubles where the determinant is a normal
+    double, and where every partial product of the pivots is normal, the
+    bits are those of their plain running product.
     """
     a = np.array(ms, dtype=float)
     d = a.shape[-1]
@@ -173,18 +178,22 @@ def batch_det(ms) -> np.ndarray:
         return a[:, 0, 0]
     if d == 2:
         return a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-    det = np.ones(a.shape[0])
+    pivots, flips = np.empty(a.shape[:2]), np.zeros(a.shape[0], dtype=bool)
     batch = np.arange(a.shape[0])
     for j in range(d):
         p = j + np.argmax(np.abs(a[:, j:, j]), axis=1)
         pivot_rows = a[batch, p]
         a[batch, p] = a[:, j]
         a[:, j] = pivot_rows
-        pivot = a[:, j, j]
-        det = np.where(p == j, det, -det) * pivot
+        pivot = pivots[:, j] = a[:, j, j]
+        flips ^= p != j
         below = a[:, j + 1 :, j] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
         a[:, j + 1 :, j:] -= below[:, :, None] * a[:, None, j, j:]
-    return det
+    mantissas, exponents = np.frexp(pivots)
+    det = mantissas[:, 0]
+    for j in range(1, d):
+        det = det * mantissas[:, j]
+    return np.ldexp(np.where(flips, -det, det), exponents.sum(axis=1))
 
 
 def split_pow2(a) -> tuple[np.ndarray, int]:

@@ -88,14 +88,19 @@ class RngStream:
         _philox_key(self.seed, self.stream_index)
 
     def generator(self) -> Generator:
-        return Generator(Philox(key=_philox_key(self.seed, self.stream_index)))
+        return Generator(Philox(key=np.array(_philox_key(self.seed, self.stream_index), dtype=np.uint64)))
 
 
-def _philox_key(seed: int, stream_index: int) -> np.ndarray:
+# a fresh Philox stream's counter and buffer: one shared, immutable zero word
+# tuple, which the state setter reads word by word like an array
+_ZERO_WORDS = (0, 0, 0, 0)
+
+
+def _philox_key(seed: int, stream_index: int) -> tuple[int, int]:
     for name, value in (("seed", seed), ("stream_index", stream_index)):
         if not 0 <= value < SEED_LIMIT:
             raise OutOfRange(f"{name} must be in [0, 2^64), got {value}")
-    return np.array([seed, stream_index], dtype=np.uint64)
+    return seed, stream_index
 
 
 def rekey(gen: Generator, seed: int, stream_index: int) -> Generator:
@@ -109,8 +114,8 @@ def rekey(gen: Generator, seed: int, stream_index: int) -> Generator:
     """
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64), "key": _philox_key(seed, stream_index)},
-        "buffer": np.zeros(4, np.uint64),
+        "state": {"counter": _ZERO_WORDS, "key": _philox_key(seed, stream_index)},
+        "buffer": _ZERO_WORDS,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,

@@ -199,11 +199,30 @@ def reference_expected_gram_volume(ensemble, n, seed, condition=True, control=Tr
     return chunked_mc_mean(stat, (drawn, d), n, seed, control=moments).scaled(scale)
 
 
+def reference_batch_det(ms):
+    """Determinants of a (m, d, d) stack, d >= 3, by elimination with partial
+    pivoting as the plain running product of the pivots."""
+    a = np.array(ms, dtype=float)
+    det, batch = np.ones(a.shape[0]), np.arange(a.shape[0])
+    for j in range(a.shape[-1]):
+        p = j + np.argmax(np.abs(a[:, j:, j]), axis=1)
+        pivot_rows = a[batch, p]
+        a[batch, p] = a[:, j]
+        a[:, j] = pivot_rows
+        pivot = a[:, j, j]
+        det = np.where(p == j, det, -det) * pivot
+        below = a[:, j + 1 :, j] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
+        a[:, j + 1 :, j:] -= below[:, :, None] * a[:, None, j, j:]
+    return det
+
+
 # -- Reference counting kernels ---------------------------------------------
 #
 # The quadratic deduplication, the all-cells marching squares and the
 # concatenating separable grid that the library's kernels replaced.  Tests
-# require the library kernels to reproduce these bit for bit.
+# require the library kernels to reproduce these bit for bit.  The two-GEMM
+# line grid and the four-comparison sign counts that the 1-D experiment
+# replaced: tests require the library to reproduce their counts.
 
 
 def reference_dedup(points, radius):
@@ -234,6 +253,29 @@ def reference_trig_grid(spec, xs, ys, coef):
     a, b = coef[:, None, 0, :], coef[:, None, 1, :]
     right = np.concatenate([a * cos_v + b * sin_v, b * cos_v - a * sin_v])
     return (left @ right.reshape(left.shape[1], -1)).reshape(xs.shape[0], ys.shape[0], -1)
+
+
+def reference_trig_line(spec, nodes, coef):
+    """(n, R) values of a 1-D trig component at the nodes from (R, A, 2)
+    coefficients: one GEMM by the cosine and one by the sine coefficients,
+    then their sum."""
+    u = np.multiply.outer(nodes, spec.table[:, 0])
+    return np.cos(u) @ coef[:, :, 0].T + np.sin(u) @ coef[:, :, 1].T
+
+
+def reference_line_counts(values):
+    """(fine, coarse, moved) of (2 g + 1, R) values: the crossings of each
+    column at all nodes and at the even nodes, each from four comparisons of
+    neighbours plus the exact zeros, and the number of columns whose two
+    counts differ."""
+
+    def crossings(v):
+        a, b = v[:-1], v[1:]
+        opposite = (a < 0.0) & (b > 0.0) | (a > 0.0) & (b < 0.0)
+        return np.count_nonzero(opposite, axis=0) + np.count_nonzero(a == 0.0, axis=0)
+
+    fine, coarse = crossings(values), crossings(values[::2])
+    return fine, coarse, int(np.count_nonzero(fine != coarse))
 
 
 # case -> crossing edges (0 bottom, 1 right, 2 top, 3 left) of the corner-sign

@@ -27,6 +27,12 @@ Core claims:
   zeros_1d, the experiment and expected_zero_measure alike.
 - zeros_1d evaluates its realization's grid once, at 2 grid_n + 1 nodes,
   whose even nodes are the grid_n + 1 nodes bit for bit.
+- The 1-D experiment's one-GEMM line grid and one sign pass give the fine
+  counts, the coarse counts and the number of realizations that moved of
+  the two-GEMM grid and four-comparison counts they replaced, also with
+  exact zeros at the first, an interior and the last node and at values of
+  size 1e+-200; a polynomial experiment equals the loop over
+  count_zeros_1d across a chunk boundary.
 - Separable tensor-grid values match direct evaluation to 1e-12 of the
   coefficient mass, and the shared-phase values and Jacobians that drive
   the chunk-batched Newton loop equal Realization.values/jacobians exactly.
@@ -71,7 +77,14 @@ from mixvol import (
 )
 from mixvol import fields
 from mixvol.sampling import Moments
-from support import grid_points, reference_dedup, reference_segment_lengths, reference_trig_grid
+from support import (
+    grid_points,
+    reference_dedup,
+    reference_line_counts,
+    reference_segment_lengths,
+    reference_trig_grid,
+    reference_trig_line,
+)
 
 RICE_TARGET = 100.0 * math.sqrt(5.0) / math.pi      # zeros on [0, 100]
 WAVE_TARGET = 100.0 / (4.0 * math.pi)               # common zeros on [0,10]^2
@@ -467,6 +480,20 @@ class TestExperiments:
         assert est.mean == approx(np.mean(manual), rel=1e-12)
         assert est.std_error == approx(np.std(manual, ddof=1) / math.sqrt(520), rel=1e-12)
 
+    def test_polynomial_experiment_equals_manual_loop(self):
+        # 300 realizations: chunks of 256 and 44, merged
+        field, region = _quintic_field(), Region([-2.0], [2.0])
+        est = zero_count_experiment_1d(field, region, 300, seed=16, grid_n=256)
+        manual = [
+            count_zeros_1d(
+                simulate_realization(field, RngStream(16, i)), region, grid_n=512, self_check=False
+            )
+            for i in range(300)
+        ]
+        assert est.n_samples == 300
+        assert est.mean == approx(np.mean(manual), rel=1e-12)
+        assert est.std_error == approx(np.std(manual, ddof=1) / math.sqrt(300), rel=1e-12)
+
     def test_wave_pair_mean_count(self):
         est = zero_count_experiment_2d(
             _wave_field(2), Region([0.0, 0.0], [10.0, 10.0]), 400, seed=3
@@ -719,6 +746,75 @@ class TestOneEvaluation:
         (fine,) = fields._grid_axes(region, 2 * grid_n)
         (coarse,) = fields._grid_axes(region, grid_n)
         assert np.array_equal(fine[::2], coarse)
+
+
+def _with_node_zeros(values):
+    """values with exact zeros at the first, an interior and the last node of
+    some columns, and a run of zeros in one."""
+    values = values.copy()
+    values[0, [0, 5]] = 0.0
+    values[[7, 8, 9, 400], [1, 1, 1, 2]] = 0.0
+    values[-1, [3, 5]] = 0.0
+    values[::2, 4] = 0.0
+    return values
+
+
+class TestLineCounts:
+    """The 1-D experiment's counts equal those of the two-GEMM grid and the
+    four-comparison sign counts it replaced."""
+
+    @pytest.mark.parametrize("size", [1.0, 1e-200, 1e200])
+    def test_counts_equal_reference_with_node_zeros(self, size):
+        rng = np.random.default_rng(31)
+        # a smooth part keeps fine and coarse counts apart in some columns
+        values = size * _with_node_zeros(
+            np.cos(np.linspace(0.0, 40.0, 1025))[:, None] + 0.3 * rng.standard_normal((1025, 9))
+        )
+        fine, coarse = fields._line_counts(values)
+        want_fine, want_coarse, want_moved = reference_line_counts(values)
+        assert fine.tolist() == want_fine.tolist()
+        assert coarse.tolist() == want_coarse.tolist()
+        assert int(np.count_nonzero(fine != coarse)) == want_moved > 0
+
+    @pytest.mark.parametrize("nodes", [300, 70_000])
+    def test_counts_past_the_range_of_a_byte_and_of_a_short(self, nodes):
+        # every node pair crosses: 299 and 69 999 crossings
+        values = np.tile([1.0, -1.0], nodes // 2)[:, None]
+        want_fine, want_coarse, _ = reference_line_counts(values)
+        fine, coarse = fields._line_counts(values)
+        assert fine.tolist() == want_fine.tolist() == [nodes - 1]
+        assert coarse.tolist() == want_coarse.tolist() == [0]
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_rice_chunk_counts_equal_reference(self, seed):
+        field, region, grid_n = _rice_field(), Region([0.5], [100.5]), 2048
+        (coefs,) = fields._chunk_coefficients(field, seed, 0, 256)
+        nodes, values = fields._chunk_line_1d(field, [coefs], region, grid_n)
+        reference = reference_trig_line(field.components[0], nodes, coefs)
+        scale = np.sum(np.abs(coefs), axis=(1, 2))
+        assert np.all(np.abs(values - reference) <= 1e-12 * scale)
+        fine, coarse = fields._line_counts(values)
+        want_fine, want_coarse, want_moved = reference_line_counts(reference)
+        assert fine.tolist() == want_fine.tolist()
+        assert coarse.tolist() == want_coarse.tolist()
+        assert int(np.count_nonzero(fine != coarse)) == want_moved
+
+    def test_experiment_reads_its_counts_from_the_line(self, monkeypatch):
+        # each odd node repeats the next even one: no realization moves, and
+        # the estimate is the mean fine count; with node zeros, the number
+        # that moved is the reference's, and beyond 1% it raises
+        coarse = np.random.default_rng(32).standard_normal((257, 6))
+        values = np.empty((513, 6))
+        values[::2], values[1::2] = coarse, coarse[1:]
+        field, line = _rice_field(), Region([0.0], [1.0])
+        monkeypatch.setattr(fields, "_chunk_line_1d", lambda *args: (None, values))
+        est = zero_count_experiment_1d(field, line, 6, seed=0, grid_n=256)
+        want_fine, _, want_moved = reference_line_counts(values)
+        assert want_moved == 0 and est.mean == approx(np.mean(want_fine), rel=1e-12)
+        values = _with_node_zeros(values)
+        _, _, want_moved = reference_line_counts(values)
+        with pytest.raises(GridTooCoarse, match=f"^{want_moved} of 6 "):
+            zero_count_experiment_1d(field, line, 6, seed=0, grid_n=256)
 
 
 class TestSeparableKernels:

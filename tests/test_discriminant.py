@@ -12,6 +12,8 @@ Core claims:
   inclusion-exclusion.  Both are exact under power-of-two scaling of their
   inputs up to the top and the bottom of the normal doubles, where the
   subset-sum determinants of the unscaled inputs overflowed or underflowed.
+  batch_det carries its product of pivots with its own binary exponent, so
+  diag(2^-1000, 2^-1000, 2^1000, 2^1000) gives D = 1 in either order.
 - barvinok_bounds sandwiches the Monte Carlo mixed volume for random PD
   tuples in dimensions 2..5.
 - expected_gram_determinant, E det(M M^T) for independent Gaussian rows, is
@@ -31,6 +33,7 @@ import pytest
 from pytest import approx
 
 import mixvol.discriminant
+from mixvol.geometry import batch_det
 from mixvol import (
     DimensionMismatch,
     Ellipsoid,
@@ -54,6 +57,7 @@ from support import (
     random_spd_entries,
     random_symmetric,
     pow2_extremes,
+    reference_batch_det,
     rng_for,
     spread_covariances,
 )
@@ -365,6 +369,23 @@ class TestPowerOfTwoScale:
         assert expected_gram_determinant([a, a])[0] == approx(2.0, rel=1e-15)
         b = np.diag([1e50] + [1.0] * 7)
         assert mixed_discriminant([b] * 8) == approx(1e50, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("order", [1, -1], ids=["small-first", "large-first"])
+    def test_pivot_product_keeps_its_exponent(self, order):
+        # D = 1, but a running product of the pivots passes 2^-2000 (was
+        # 0.0) or 2^2000 (was OutOfRange) before the other pivots arrive
+        a = np.diag([2.0**-1000, 2.0**-1000, 2.0**1000, 2.0**1000][::order])
+        assert mixed_discriminant([a] * 4) == 1.0
+        assert batch_det(np.stack([a, 3.0 * a])).tolist() == [1.0, 81.0]
+
+    @pytest.mark.parametrize("d", [3, 4, 6, 8])
+    def test_pivot_product_keeps_the_running_products_bits(self, d):
+        # where every partial product of the pivots is a normal double
+        rng = rng_for(150 + d)
+        stack = rng.standard_normal((400, d, d)) * np.exp(rng.uniform(-20.0, 20.0, size=(400, 1, 1)))
+        stack[:100] = stack[:100] + np.swapaxes(stack[:100], 1, 2)
+        assert batch_det(stack).tobytes() == reference_batch_det(stack).tobytes()
 
     def test_entries_past_one_scale_rejected(self):
         # a subnormal entry keeps its bits at e <= 0, which holds 1e300 but

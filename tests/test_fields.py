@@ -23,7 +23,8 @@ Core claims:
   and rescaling all atom weights changes nothing but the field's amplitude.
 - Realization i of seed s draws, component by component from stream
   (s, i), (A, 2) trig or (A,) polynomial normals times sqrt(w_a), alone and
-  in an experiment's chunk.
+  in an experiment's chunk, also in a chunk that ends at stream 2^64 - 1; a
+  chunk that reaches past the streams raises OutOfRange before any draw.
 - A KernelSpec is read-only weights plus one table, frequencies or integer
   degrees; each invalid kernel input raises the same error class through
   KernelSpec.trig/polynomial and field_from_json, an array-valued weight
@@ -655,6 +656,32 @@ class TestSimulateRealization:
                     want = gen.standard_normal(root.size) * root
                 assert np.array_equal(r.coefficients[c], want)
                 assert np.array_equal(chunk[c][i], want)
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_chunk_ending_at_the_last_stream(self, size):
+        field = FieldSpec(2, (_aniso_kernel(), _aniso_kernel().scaled(3.0)))
+        start = 2**64 - size
+        chunk = fields._chunk_coefficients(field, 2**64 - 1, start, size)
+        for i in range(size):
+            gen = RngStream(2**64 - 1, start + i).generator()
+            for c, spec in enumerate(field.components):
+                want = gen.standard_normal(spec.weights.shape + (2,)) * np.sqrt(spec.weights)[:, None]
+                assert np.array_equal(chunk[c][i], want)
+
+    @pytest.mark.parametrize("start, size", [(2**64 - 2, 3), (2**64, 1), (-1, 2)])
+    def test_chunk_past_the_streams_raises_before_any_draw(self, start, size, monkeypatch):
+        # every draw follows a re-key that succeeded
+        rekey, rekeyed = fields.rekey, []
+
+        def recorded(gen, seed, index):
+            rekey(gen, seed, index)
+            rekeyed.append(index)
+            return gen
+
+        monkeypatch.setattr(fields, "rekey", recorded)
+        with pytest.raises(OutOfRange, match="stream_index"):
+            fields._chunk_coefficients(_rice_field(), 5, start, size)
+        assert rekeyed == []
 
     def test_wrong_block_shape_rejected(self):
         field = _rice_field()

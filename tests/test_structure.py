@@ -30,6 +30,8 @@ Core claims:
   entry; discriminant._split_minors, which sets the one scale of the
   exact second moment from the row maxima; and planar._area, which reuses
   the maximum its convexity test reads.
+- in fields.py only _chunk_coefficients calls standard_normal: realizations
+  have one draw routine, and simulate_realization is a chunk of one of it.
 """
 
 import ast
@@ -207,3 +209,8 @@ def test_frexp_of_a_maximum_is_taken_in_three_places():
         ("discriminant.py", "_split_minors"),
         ("planar.py", "_area"),
     }
+
+
+def test_realizations_have_one_draw_routine():
+    tree = ast.parse((PACKAGE / "fields.py").read_text(), filename="fields.py")
+    assert set(_scopes(tree, lambda node: _calls(node, "standard_normal"))) == {"_chunk_coefficients"}
