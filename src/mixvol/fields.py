@@ -135,37 +135,56 @@ def _poly_moments(deg: np.ndarray, w: np.ndarray, ts: np.ndarray):
     return sigma2, g[:, None], h[:, None, None]
 
 
-def _trig_eval(om: np.ndarray, coef: np.ndarray, pts: np.ndarray, gradients: bool = False):
-    """sum_a c_a cos<om_a, p> + s_a sin<om_a, p> at m points p, shape (m,).
+def _trig_eval(
+    om: np.ndarray, stacks: Sequence[np.ndarray], owner: np.ndarray, pts: np.ndarray, gradients: bool = False
+):
+    """sum_a c_a cos<om_a, p> + s_a sin<om_a, p> of each component of a group
+    sharing the frequencies om, at m points p: values (m, n) for the n
+    (R, A, 2) stacks of (c_a, s_a) pairs, point i read in realization
+    owner[i]; with gradients on, returns (values, (m, n, d) gradients).
 
-    coef holds the (c_a, s_a) pairs: one (A, 2) block shared by all points,
-    or an (m, A, 2) stack with one block per point, which evaluates the
-    points of many realizations at once.  With gradients on, returns
-    (values, (m, d) gradients), both from one phase matrix.  Phases and
+    The points are walked in blocks of about 2^15 (point, atom) entries: per
+    block, one phase matrix and one cos/sin pair serve every component, and
+    each stack's coefficients are gathered for that block alone.  Phases and
     outputs are elementwise sums, not BLAS products, so a point's result
-    does not depend on the other points evaluated with it.
+    does not depend on the other points, their realizations or block edges.
     """
-    phase = pts[:, :1] * om[:, 0]
-    for j in range(1, om.shape[1]):
-        phase += pts[:, j : j + 1] * om[:, j]
-    cos, sin = np.cos(phase), np.sin(phase)
-    c, s = coef[..., 0], coef[..., 1]
-    values = np.sum(cos * c + sin * s, axis=1)
-    if not gradients:
-        return values
-    radial = cos * s - sin * c
-    return values, np.stack([np.sum(radial * w, axis=1) for w in om.T], axis=1)
+    m, n, d = pts.shape[0], len(stacks), om.shape[1]
+    values, grads = np.empty((m, n)), np.empty((m, n, d))
+    block = max(1, (1 << 15) // om.shape[0])
+    for lo in range(0, m, block):
+        hi = min(lo + block, m)
+        phase = pts[lo:hi, :1] * om[:, 0]
+        for j in range(1, d):
+            phase += pts[lo:hi, j : j + 1] * om[:, j]
+        cos, sin = np.cos(phase), np.sin(phase)
+        for i, stack in enumerate(stacks):
+            coef = stack[owner[lo:hi]]
+            c, s = coef[..., 0], coef[..., 1]
+            values[lo:hi, i] = np.sum(cos * c + sin * s, axis=1)
+            if gradients:
+                radial = cos * s - sin * c
+                for j in range(d):
+                    grads[lo:hi, i, j] = np.sum(radial * om[:, j], axis=1)
+    return (values, grads) if gradients else values
 
 
-def _poly_eval(deg: np.ndarray, coef: np.ndarray, pts: np.ndarray, gradients: bool = False):
-    """sum_a c_a x^deg_a at m points x, shape (m,), from one (A,) block shared
-    by all points; with gradients on, returns (values, (m, 1) derivatives)."""
-    x = pts[:, :1]
-    values = x**deg @ coef
-    if not gradients:
-        return values
-    pos = deg > 0
-    return values, ((deg[pos] * x ** (deg[pos] - 1.0)) @ coef[pos])[:, None]
+def _poly_eval(
+    deg: np.ndarray, stacks: Sequence[np.ndarray], owner: np.ndarray, pts: np.ndarray, gradients: bool = False
+):
+    """sum_a c_a x^deg_a of each component of a group sharing the degrees deg,
+    at m points x: values (m, n) for the n (R, A) stacks, point i read in
+    realization owner[i], by one product per realization over its points;
+    with gradients on, returns (values, (m, n, 1) derivatives)."""
+    x, pos = pts[:, :1], deg > 0
+    values, grads = np.empty((x.shape[0], len(stacks))), np.empty((x.shape[0], len(stacks), 1))
+    for r in np.unique(owner):
+        rows = owner == r
+        for i, stack in enumerate(stacks):
+            values[rows, i] = x[rows] ** deg @ stack[r]
+            if gradients:
+                grads[rows, i, 0] = (deg[pos] * x[rows] ** (deg[pos] - 1.0)) @ stack[r][pos]
+    return (values, grads) if gradients else values
 
 
 def _trig_grid(om: np.ndarray, axes: Sequence[np.ndarray], coef: np.ndarray) -> np.ndarray:
@@ -205,7 +224,7 @@ class _Kind(NamedTuple):
     parse: Callable  # raw table -> validated read-only (A, d) or (A,) array
     kernel: Callable  # (spec, s, t) -> r(s, t)
     moments: Callable  # (table, (A,) weights, (m, d) points) -> sigma^2 (m,), g (m, d), H (m, d, d)
-    evaluate: Callable  # (table, coef, (m, d) points, gradients) -> (m,) values[, (m, d)]
+    evaluate: Callable  # (table, n (R, A, ...) stacks, (m,) owners, (m, d) points, gradients) -> (m, n) values[, (m, n, d)]
     grid: Callable  # (table, one (n_j,) axis per dimension, (R, A, ...) coefficients) -> (n_1, .., R)
 
 
@@ -379,6 +398,16 @@ def _moments(spec: KernelSpec, ts: np.ndarray):
     return sigma2, g, h
 
 
+def _finite_moments(spec: KernelSpec, t: np.ndarray):
+    """_moments at the one point t (d,), read under errstate: OutOfRange,
+    and no numpy warning, where one of them is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = _moments(spec, t[None])
+    if not all(np.all(np.isfinite(m)) for m in moments):
+        raise OutOfRange(f"field moments overflow a double at t={t.tolist()}")
+    return moments
+
+
 def _check_variance(field: FieldSpec, region: Region) -> None:
     """_moments at the region's point nearest 0, where each component's
     sigma^2 is least, and at its point farthest from 0, where they are
@@ -386,16 +415,15 @@ def _check_variance(field: FieldSpec, region: Region) -> None:
     OutOfRange where they are not finite there."""
     near = np.clip(0.0, region.lower, region.upper)
     far = np.where(np.abs(region.lower) > np.abs(region.upper), region.lower, region.upper)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for spec in field.components:
+    for spec in field.components:
+        with np.errstate(over="ignore", invalid="ignore"):
             _moments(spec, near[None])
-            if not all(np.all(np.isfinite(m)) for m in _moments(spec, far[None])):
-                raise OutOfRange(f"field moments overflow a double at t={far.tolist()}")
+        _finite_moments(spec, far)
 
 
-def _gradient_covariances(spec: KernelSpec, ts: np.ndarray) -> np.ndarray:
-    """C(t) = H/sigma^2 - q q^T, q = g/sigma^2, at m points ts (m, d), shape (m, d, d)."""
-    sigma2, g, h = _moments(spec, ts)
+def _gradient_covariances(moments) -> np.ndarray:
+    """C(t) = H/sigma^2 - q q^T, q = g/sigma^2, from the moments at m points, shape (m, d, d)."""
+    sigma2, g, h = moments
     q = g / sigma2[:, None]
     return h / sigma2[:, None, None] - q[:, :, None] * q[:, None, :]
 
@@ -407,12 +435,13 @@ def gradient_covariance(spec: KernelSpec, t) -> SPDMatrix:
     changes at most its last bits.  Raises DegenerateVariance when r(t,t)
     <= 1e-12 at that scale, and DegenerateGradient when the matrix is not
     positive definite (the field's gradient is concentrated on a proper
-    subspace, so the zero set is not a clean (d-k)-manifold there).
+    subspace, so the zero set is not a clean (d-k)-manifold there), and
+    OutOfRange when a moment overflows a double at that scale.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape != (spec.dim,):
         raise DimensionMismatch(f"point must have shape ({spec.dim},), got {t.shape}")
-    c = _gradient_covariances(spec, t[None])[0]
+    c = _gradient_covariances(_finite_moments(spec, t))[0]
     c = 0.5 * (c + c.T)
     try:
         return SPDMatrix(c)
@@ -517,21 +546,21 @@ def expected_zero_measure(
     """
     if region.dim != field.dim:
         raise DimensionMismatch(f"region dimension {region.dim} != field dimension {field.dim}")
+    if not 1 <= quadrature_order <= QUADRATURE_LIMIT:
+        raise OutOfRange(
+            f"quadrature order must be in [1, {QUADRATURE_LIMIT}], got {quadrature_order}"
+        )
     if field.stationary:
         at = zero_intensity(
             field, region.midpoint, n, seed, ci_level=ci_level, threads=threads
         )
         return at.scaled(region.volume)
-    if not 1 <= quadrature_order <= QUADRATURE_LIMIT:
-        raise OutOfRange(
-            f"quadrature order must be in [1, {QUADRATURE_LIMIT}], got {quadrature_order}"
-        )
     # non-stationary implies d = 1, hence a single polynomial component
     spec = field.components[0]
 
     def f(ts: np.ndarray) -> np.ndarray:
         # the exact d = 1 intensity sqrt(C(t)) / pi
-        c = _gradient_covariances(spec, ts[:, None])[:, 0, 0]
+        c = _gradient_covariances(_moments(spec, ts[:, None]))[:, 0, 0]
         if np.min(c) < -1e-9:
             raise DegenerateGradient("normalized-gradient variance is negative in the region")
         return np.sqrt(np.maximum(c, 0.0)) / math.pi
@@ -586,30 +615,51 @@ class Realization:
             raise DimensionMismatch(f"points must be (m, {self.field.dim}), got {pts.shape}")
         return pts
 
+    def _at(self, points, gradients: bool = False):
+        """_evaluate at m points of this realization, a chunk of one."""
+        pts = self._points(points)
+        stacks = [c[None] for c in self.coefficients]
+        return _evaluate(self.field, stacks, np.zeros(pts.shape[0], dtype=np.intp), pts, gradients)
+
     def component_values(self, index: int, points) -> np.ndarray:
         """X_index at m points, shape (m,)."""
-        spec = self.field.components[index]
-        return _KINDS[spec.kind].evaluate(spec.table, self.coefficients[index], self._points(points))
+        return self._at(points)[:, index]
 
     def values(self, points) -> np.ndarray:
         """X at m points, shape (m, k)."""
-        return _evaluate(self.field, self.coefficients, self._points(points))
+        return self._at(points)
 
     def jacobians(self, points) -> np.ndarray:
         """X' at m points, shape (m, k, d)."""
-        return _evaluate(self.field, self.coefficients, self._points(points), gradients=True)[1]
+        return self._at(points, gradients=True)[1]
 
 
-def _evaluate(field: FieldSpec, coefs: Sequence[np.ndarray], pts: np.ndarray, gradients: bool = False):
-    """X (m, k), and with gradients on X' (m, k, d), at m points from one block per
-    component shared by all points or, for trig, one (m, A, 2) block per point."""
-    per = [
-        _KINDS[spec.kind].evaluate(spec.table, coef, pts, gradients)
-        for spec, coef in zip(field.components, coefs)
-    ]
-    if not gradients:
-        return np.stack(per, axis=1)
-    return tuple(np.stack(part, axis=1) for part in zip(*per))
+def _evaluate(
+    field: FieldSpec, stacks: Sequence[np.ndarray], owner: np.ndarray, pts: np.ndarray, gradients: bool = False
+):
+    """X (m, k), and with gradients on X' (m, k, d), at m points, point i read
+    in realization owner[i] of the per-component (R, A, ...) coefficient stacks.
+
+    Components of one kind with equal tables form a group, and the kind's
+    evaluate runs once per group: the components of a trig group share
+    each block's cos/sin.
+    """
+    comps = field.components
+    groups: dict[int, list[int]] = {}  # first component of each group -> all of them
+    for i, spec in enumerate(comps):
+        first = next(
+            (j for j in groups if comps[j].kind == spec.kind and np.array_equal(comps[j].table, spec.table)), i
+        )
+        groups.setdefault(first, []).append(i)
+    values, grads = np.empty((pts.shape[0], len(comps))), np.empty((pts.shape[0], len(comps), field.dim))
+    for first, members in groups.items():
+        spec = comps[first]
+        out = _KINDS[spec.kind].evaluate(spec.table, [stacks[i] for i in members], owner, pts, gradients)
+        if gradients:
+            values[:, members], grads[:, members] = out
+        else:
+            values[:, members] = out
+    return (values, grads) if gradients else values
 
 
 def simulate_realization(field: FieldSpec, stream: RngStream) -> Realization:
@@ -850,7 +900,7 @@ def _newton_roots_2d(
         if idx.size == 0:
             break
         pts = x[idx]
-        vals, jac = _evaluate(field, [c[owner[idx]] for c in coefs], pts, gradients=True)
+        vals, jac = _evaluate(field, coefs, owner[idx], pts, gradients=True)
         sigmas = _sigmas(field, pts)
         # Newton on X_i / sigma_i: the same step, and a determinant guard
         # that does not depend on the scale of the weights
@@ -1023,10 +1073,13 @@ def _chunk_lengths_2d(
     coefficient stack: one separable grid evaluation for the whole chunk."""
     xs, ys = _grid_axes(region, grid_n)
     spec, (coef,) = field.components[0], coefs
-    row = _KINDS[spec.kind]
-    grid = row.grid(spec.table, [xs, ys], coef)
+
+    def centre_values(i: int, pts: np.ndarray) -> np.ndarray:
+        return _evaluate(field, coefs, np.full(pts.shape[0], i), pts)[:, 0]
+
+    grid = _KINDS[spec.kind].grid(spec.table, [xs, ys], coef)
     return [
-        _segment_lengths(grid[:, :, i], xs, ys, partial(row.evaluate, spec.table, coef[i]))
+        _segment_lengths(grid[:, :, i], xs, ys, partial(centre_values, i))
         for i in range(coef.shape[0])
     ]
 

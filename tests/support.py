@@ -255,6 +255,33 @@ def reference_trig_grid(spec, xs, ys, coef):
     return (left @ right.reshape(left.shape[1], -1)).reshape(xs.shape[0], ys.shape[0], -1)
 
 
+def reference_trig_eval(om, coef, pts, gradients=False):
+    """Values (m,) of one trig component at m points, and with gradients on
+    also (m, d) gradients, from one phase matrix of its own and one (A, 2)
+    block shared by all points or an (m, A, 2) stack with one block per
+    point: the evaluation before components sharing a frequency table were
+    grouped and the points walked in blocks."""
+    phase = pts[:, :1] * om[:, 0]
+    for j in range(1, om.shape[1]):
+        phase += pts[:, j : j + 1] * om[:, j]
+    cos, sin = np.cos(phase), np.sin(phase)
+    c, s = coef[..., 0], coef[..., 1]
+    values = np.sum(cos * c + sin * s, axis=1)
+    if not gradients:
+        return values
+    radial = cos * s - sin * c
+    return values, np.stack([np.sum(radial * w, axis=1) for w in om.T], axis=1)
+
+
+def reference_trig_group_eval(om, stacks, owner, pts, gradients=False):
+    """The trig row's evaluate signature over reference_trig_eval: each
+    component on its own, from a per-point copy of its coefficients."""
+    per = [reference_trig_eval(om, stack[owner], pts, gradients) for stack in stacks]
+    if not gradients:
+        return np.stack(per, axis=1)
+    return tuple(np.stack(part, axis=1) for part in zip(*per))
+
+
 def reference_trig_line(spec, nodes, coef):
     """(n, R) values of a 1-D trig component at the nodes from (R, A, 2)
     coefficients: one GEMM by the cosine and one by the sine coefficients,

@@ -21,8 +21,9 @@ Core claims:
   with OutOfRange as the only line on stderr.
 - A polynomial field whose moments overflow a double in the region, a
   region whose length overflows or whose volume underflows and a
-  quadrature order above QUADRATURE_LIMIT exit 2 with OutOfRange and no
-  numpy warning.
+  quadrature order outside [1, QUADRATURE_LIMIT], for stationary fields
+  too, exit 2 with OutOfRange and no numpy warning; so do trig moments
+  that overflow a double, with that OutOfRange as the only stderr line.
 - A points file must hold an (N, d) matrix: a flat or a 3-level list exits
   2 with DimensionMismatch.  A planar sudakov report (hull path) is
   byte-identical at --threads 1 and 2.
@@ -234,6 +235,8 @@ def inputs(tmp_path_factory):
             {"kind": "trig", "atoms": [{"w": 1e200, "omega": 1.0}]}]}),
         "axes_waves": dump("axes_waves.json", {"dim": 2, "components": [
             {"kind": "trig", "atoms": [{"w": 1.0, "omega": [1.0, 0.0]}, {"w": 1.0, "omega": [0.0, 1.0]}]}]}),
+        "huge_frequency": dump("huge_frequency.json", {"dim": 1, "components": [
+            {"kind": "trig", "atoms": [{"w": 1.0, "omega": 1e200}, {"w": 1.0, "omega": 1.0}]}]}),
         "huge_axes_waves": dump("huge_axes_waves.json", {"dim": 2, "components": [
             {"kind": "trig", "atoms": [{"w": 1e200, "omega": [1.0, 0.0]}, {"w": 1e200, "omega": [0.0, 1.0]}]}]}),
         "line_poly": dump("line_poly.json", {"dim": 1, "components": [
@@ -973,6 +976,31 @@ class TestFailurePaths:
         proc = run_cli("fieldzeros", "measure", "--field", inputs["kac"], "--region",
                        inputs["r55"], "--quadrature-order", QUADRATURE_LIMIT + 1, expect=2)
         assert "OutOfRange" in proc.stderr and "quadrature order" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("field, region", [("rice", "r100"), ("wave_pair", "box")],
+                             ids=["stationary_1d", "stationary_2d"])
+    @pytest.mark.parametrize("order", [0, QUADRATURE_LIMIT + 1])
+    def test_stationary_quadrature_order_out_of_range_exits_two(self, inputs, field, region, order):
+        # a stationary field needs no quadrature, and exited 0 with a report
+        proc = run_cli("fieldzeros", "measure", "--field", inputs[field], "--region",
+                       inputs[region], "--quadrature-order", order, expect=2)
+        [line] = proc.stderr.splitlines()
+        assert line == f"OutOfRange: quadrature order must be in [1, {QUADRATURE_LIMIT}], got {order}"
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv, at",
+        [(["intensity", "--at", "1"], "[1.0]"), (["measure", "--region", "r100"], "[50.0]")],
+        ids=["intensity", "measure"],
+    )
+    def test_overflowing_trig_moments_exit_two_without_warning(self, inputs, argv, at):
+        # a frequency of 1e200 overflows H = sum w omega omega^T: a numpy
+        # RuntimeWarning on stderr before "matrix has a non-finite entry"
+        argv = [inputs.get(a, a) for a in argv]
+        proc = run_cli("fieldzeros", argv[0], "--field", inputs["huge_frequency"], *argv[1:], expect=2)
+        [line] = proc.stderr.splitlines()
+        assert line == f"OutOfRange: field moments overflow a double at t={at}"
         assert proc.stdout == ""
 
     @pytest.mark.parametrize(

@@ -36,6 +36,13 @@ Core claims:
 - Separable tensor-grid values match direct evaluation to 1e-12 of the
   coefficient mass, and the shared-phase values and Jacobians that drive
   the chunk-batched Newton loop equal Realization.values/jacobians exactly.
+- Scattered-point evaluation, in blocks of 2^15 (point, atom) entries with
+  one cos/sin pair per block for all components of a shared frequency
+  table, equals evaluating one component at a time from per-point
+  coefficient copies bit for bit: for one point, one block and several
+  blocks with owners changing inside and across them, for shared and
+  distinct tables, for a (2, 1) chunk's saddle centres, for zeros_2d roots
+  at grids 128 and 512, and for the 2-D experiment at 1 to 4 threads.
 - A chunk of 2-D realizations spreads over its share of the thread budget
   (both grids at once, Newton by realization groups) with the same roots
   and estimates at every thread count and never more workers than threads;
@@ -82,6 +89,8 @@ from support import (
     reference_dedup,
     reference_line_counts,
     reference_segment_lengths,
+    reference_trig_eval,
+    reference_trig_group_eval,
     reference_trig_grid,
     reference_trig_line,
 )
@@ -112,6 +121,11 @@ def _circular_kernel(freq_scale=1.0, n_atoms=64):
 
 def _wave_field(k, freq_scale=1.0):
     return FieldSpec(2, tuple(_circular_kernel(freq_scale) for _ in range(k)))
+
+
+def _two_tables_field():
+    """A (2, 2) field whose components differ in frequencies and atom count."""
+    return FieldSpec(2, (_circular_kernel(6.0), _circular_kernel(2.5, n_atoms=40)))
 
 
 def _forced_cos_1d():
@@ -839,16 +853,122 @@ class TestSeparableKernels:
         rng = np.random.default_rng(24)
         pts = rng.uniform(45.0, 65.0, size=(500, 2))
         owner = np.sort(rng.integers(0, 3, size=500))
-        vals, jac = fields._evaluate(field, [s[owner] for s in stacks], pts, gradients=True)
+        vals, jac = fields._evaluate(field, stacks, owner, pts, gradients=True)
         for i, r in enumerate(reals):
             mine = owner == i
             assert np.array_equal(vals[mine], r.values(pts[mine]))
             assert np.array_equal(jac[mine], r.jacobians(pts[mine]))
             # the same point alone, as a chunk of one
             one = np.flatnonzero(mine)[:1]
-            alone = fields._evaluate(field, [s[i : i + 1] for s in stacks], pts[one], gradients=True)
+            chunk_of_one = [s[i : i + 1] for s in stacks]
+            alone = fields._evaluate(field, chunk_of_one, np.zeros(1, dtype=np.intp), pts[one], gradients=True)
             assert np.array_equal(alone[0], vals[one])
             assert np.array_equal(alone[1], jac[one])
+
+
+def _with_reference_evaluation(monkeypatch):
+    """Give the trig row the evaluation of one component at a time, from
+    per-point copies of its coefficients."""
+    row = fields._KINDS[fields.TRIG]
+    monkeypatch.setitem(fields._KINDS, fields.TRIG, row._replace(evaluate=reference_trig_group_eval))
+
+
+class TestBlockedEvaluation:
+    """Scattered points are evaluated in blocks of 2^15 (point, atom) entries,
+    one cos/sin pair per block for every component of a shared table, with
+    coefficients gathered through the owners per block."""
+
+    @pytest.mark.parametrize("gradients", [False, True], ids=["values", "jacobians"])
+    @pytest.mark.parametrize("m", [1, 512, 3 * 512 + 17], ids=["one", "one_block", "blocks"])
+    @pytest.mark.parametrize("field", [_wave_field(2, 6.0), _two_tables_field()], ids=["shared", "distinct"])
+    def test_equals_one_component_at_a_time(self, field, m, gradients):
+        # 512 points are one block at 64 atoms, 819 at 40; five realizations
+        # of random run lengths put owner changes inside and across blocks
+        _, stacks = _chunk(field, 41, 5)
+        rng = np.random.default_rng(m)
+        pts = rng.uniform(45.0, 65.0, size=(m, 2))
+        owner = np.sort(rng.integers(0, 5, size=m))
+        for own in (owner, rng.permutation(owner)):
+            got = fields._evaluate(field, stacks, own, pts, gradients)
+            values, jacobians = got if gradients else (got, None)
+            for c, spec in enumerate(field.components):
+                want = reference_trig_eval(spec.table, stacks[c][own], pts, gradients)
+                if gradients:
+                    assert np.array_equal(values[:, c], want[0])
+                    assert np.array_equal(jacobians[:, c], want[1])
+                else:
+                    assert np.array_equal(values[:, c], want)
+
+    @pytest.mark.parametrize(
+        "field, calls",
+        [
+            (_wave_field(2, 6.0), [2]),
+            # equal tables under different weights still share their phases
+            (FieldSpec(2, (_circular_kernel(6.0), _circular_kernel(6.0).scaled(3.0))), [2]),
+            (_two_tables_field(), [1, 1]),
+        ],
+        ids=["shared", "scaled", "distinct"],
+    )
+    def test_one_evaluation_per_shared_table(self, field, calls, monkeypatch):
+        row, seen = fields._KINDS[fields.TRIG], []
+
+        def counted(table, stacks, *args):
+            seen.append(len(stacks))
+            return row.evaluate(table, stacks, *args)
+
+        monkeypatch.setitem(fields._KINDS, fields.TRIG, row._replace(evaluate=counted))
+        r = simulate_realization(field, RngStream(44, 0))
+        r.jacobians(np.zeros((3, 2)))
+        assert seen == calls
+
+    def test_saddle_centres_of_a_chunk_equal_one_component_at_a_time(self, monkeypatch):
+        # the centre values of each realization of a (2, 1) chunk are read
+        # from the chunk's stack; at offset 0 the grid has saddle cells, at
+        # 1e-3 it has none
+        region = Region([0.0, 0.0], [10.0, 10.0])
+        saddle, plain = _saddle_grid_realization(0.0), _saddle_grid_realization(1e-3)
+        field = saddle.field
+        stack = np.stack([saddle.coefficients[0], plain.coefficients[0], 2.0 * saddle.coefficients[0]])
+        calls, original = [], fields._segment_lengths
+
+        def recorded(values, xs, ys, center_value):
+            seen = []
+            calls.append(seen)
+
+            def centre(p):
+                seen.append((p, center_value(p)))
+                return seen[-1][1]
+
+            return original(values, xs, ys, centre)
+
+        monkeypatch.setattr(fields, "_segment_lengths", recorded)
+        lengths = fields._chunk_lengths_2d(field, [stack], region, 256)
+        xs, ys = fields._grid_axes(region, 256)
+        grid = fields._trig_grid(field.components[0].table, [xs, ys], stack)
+        assert [len(seen) > 0 for seen in calls] == [True, False, True]
+        for i, seen in enumerate(calls):
+            for pts, got in seen:
+                assert np.array_equal(got, reference_trig_eval(field.components[0].table, stack[i], pts))
+            reference = lambda p: reference_trig_eval(field.components[0].table, stack[i], p)
+            assert lengths[i] == original(grid[:, :, i], xs, ys, reference)
+
+    @pytest.mark.parametrize("grid_n", [128, 512])
+    def test_roots_equal_those_of_one_component_at_a_time(self, grid_n, monkeypatch):
+        region = Region([0.0, 0.0], [10.0, 10.0])
+        reals = [simulate_realization(f, RngStream(42, 0)) for f in (_wave_field(2, 6.0), _two_tables_field())]
+        fast = [zeros_2d(r, region, grid_n, self_check=False) for r in reals]
+        _with_reference_evaluation(monkeypatch)
+        for r, roots in zip(reals, fast):
+            assert roots.shape[0] > 50
+            assert np.array_equal(roots, zeros_2d(r, region, grid_n, self_check=False))
+
+    @pytest.mark.parametrize("field", [_wave_field(2, 6.0), _two_tables_field()], ids=["shared", "distinct"])
+    def test_experiment_equals_one_component_at_a_time_at_every_thread_count(self, field, monkeypatch):
+        region = Region([0.0, 0.0], [10.0, 10.0])
+        runs = [zero_count_experiment_2d(field, region, 6, seed=45, threads=t) for t in (1, 2, 3, 4)]
+        _with_reference_evaluation(monkeypatch)
+        reference = zero_count_experiment_2d(field, region, 6, seed=45)
+        assert all(run == reference for run in runs)
 
 
 # == 7. thread budget inside a chunk, lean grids, array deduplication ========

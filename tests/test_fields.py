@@ -13,7 +13,9 @@ Core claims:
   and agrees with a quadratic-formula root-counting oracle; each
   Gauss-Legendre rule is computed once per order, read-only, and the Kac
   value is the same to the bit on the first call and on later ones; the
-  quadrature order lies in [1, QUADRATURE_LIMIT].
+  quadrature order lies in [1, QUADRATURE_LIMIT] for every field, the
+  stationary ones included.  Moments that overflow a double raise
+  OutOfRange in gradient_covariance, with no numpy warning.
 - The variance floor is relative to the largest weight: trig weights times
   2^-44 or 2^-990 and polynomial weights times 2^-44 give the intensities
   and measures of unit weights bit for bit.
@@ -567,6 +569,25 @@ class TestExpectedZeroMeasure:
                 expected_zero_measure(
                     _kac_field(), Region([-5.0], [5.0]), seed=0, quadrature_order=order
                 )
+
+    @pytest.mark.parametrize(
+        "field, region",
+        [(_rice_field(), Region([0.0], [10.0])), (_wave_field(2), Region([0.0, 0.0], [6.0, 6.0]))],
+        ids=["stationary_1d", "stationary_2d"],
+    )
+    @pytest.mark.parametrize("order", [0, fields.QUADRATURE_LIMIT + 1])
+    def test_stationary_quadrature_order_is_bounded(self, field, region, order):
+        # a stationary field needs no quadrature, and returned a value at any order
+        with pytest.raises(OutOfRange, match="quadrature order"):
+            expected_zero_measure(field, region, n=4096, seed=0, quadrature_order=order)
+
+    def test_overflowing_moments_raise_out_of_range(self):
+        # a frequency of 1e200 overflows H = sum w omega omega^T: a numpy
+        # warning, then "matrix has a non-finite entry"
+        spec = KernelSpec.trig([(1.0, [1e200]), (1.0, [1.0])])
+        with np.errstate(all="raise"):
+            with pytest.raises(OutOfRange, match=r"^field moments overflow a double at t=\[1.0\]$"):
+                gradient_covariance(spec, 1.0)
 
     def test_region_dim_checked(self):
         with pytest.raises(DimensionMismatch):

@@ -32,6 +32,10 @@ Core claims:
   the maximum its convexity test reads.
 - in fields.py only _chunk_coefficients calls standard_normal: realizations
   have one draw routine, and simulate_realization is a chunk of one of it.
+- in fields.py np.cos and np.sin are called only in _trig_eval, _trig_grid
+  and the trig row's covariance kernel in _KINDS, and no function but
+  _trig_eval indexes a coefficient stack by owner: scattered points have
+  one evaluation, which gathers coefficients block by block.
 """
 
 import ast
@@ -214,3 +218,30 @@ def test_frexp_of_a_maximum_is_taken_in_three_places():
 def test_realizations_have_one_draw_routine():
     tree = ast.parse((PACKAGE / "fields.py").read_text(), filename="fields.py")
     assert set(_scopes(tree, lambda node: _calls(node, "standard_normal"))) == {"_chunk_coefficients"}
+
+
+def _statement_scopes(tree, hit):
+    """Name of each top-level function, or target of each top-level
+    assignment, below which hit(node) holds for some node."""
+    return {
+        getattr(statement, "name", None) or ast.unparse(statement.targets[0])
+        for statement in tree.body
+        if any(hit(node) for node in ast.walk(statement))
+    }
+
+
+def test_cos_and_sin_are_taken_in_the_trig_kernels_only():
+    tree = ast.parse((PACKAGE / "fields.py").read_text(), filename="fields.py")
+    trig = lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.cos", "np.sin")
+    assert _statement_scopes(tree, trig) == {"_trig_eval", "_trig_grid", "_KINDS"}
+
+
+def test_only_trig_eval_indexes_by_owner():
+    tree = ast.parse((PACKAGE / "fields.py").read_text(), filename="fields.py")
+
+    def by_owner(node):
+        return isinstance(node, ast.Subscript) and any(
+            isinstance(n, ast.Name) and n.id == "owner" for n in ast.walk(node.slice)
+        )
+
+    assert _statement_scopes(tree, by_owner) == {"_trig_eval"}
